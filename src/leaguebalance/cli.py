@@ -11,7 +11,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,9 +93,7 @@ def read_index_csv(path: str) -> list[IndexValue]:
 def cmd_indices(args) -> int:
     config, config_hash = _load_config(args)
     leagues = parse_league_csv(args.league, config)
-    values, diags = compute_all_indices(
-        leagues, config, mc_reps=args.mc_reps, seed=args.seed, workers=args.workers
-    )
+    values, diags = compute_all_indices(leagues, config)
     out = _out_dir(args)
     artifacts = [
         write_csv(
@@ -106,8 +103,8 @@ def cmd_indices(args) -> int:
         ),
         write_csv(
             out / "g_diagnostics.csv",
-            ("country", "season", "mc_reps", "seed", "E_hat", "mc_se"),
-            [(d.country, d.season, d.mc_reps, d.seed, d.e_hat, d.mc_se) for d in diags],
+            ("country", "season", "E_hat"),
+            [(d.country, d.season, d.e_hat) for d in diags],
         ),
     ]
     write_manifest(
@@ -214,7 +211,7 @@ def fit_index_model(panel, index_values, name: str, spec: RegressionSpec, iterat
         coef_rows.append((term, float(fit.beta[i]), se_c, se_r, z, p, stars(p)))
 
     longrun_rows = [
-        (e.variable, e.estimate, e.se, e.z, e.p_value, e.stars) for e in effects
+        (e.variable, e.estimate, e.se, e.z, e.p_value, stars(e.p_value)) for e in effects
     ]
 
     diag_rows = []
@@ -292,10 +289,7 @@ def cmd_fit(args) -> int:
     elif args.league:
         leagues = parse_league_csv(args.league, config)
         inputs["league"] = sha256_file(args.league)
-        index_values, _ = compute_all_indices(
-            leagues, config, mc_reps=args.mc_reps, seed=args.seed,
-            workers=args.workers, names=names,
-        )
+        index_values, _ = compute_all_indices(leagues, config, names=names)
         # quantise to the CSV precision so fitting from files is identical
         index_values = [
             IndexValue(v.name, v.country, v.season, float(fmt(v.value)))
@@ -305,24 +299,21 @@ def cmd_fit(args) -> int:
         raise InputError("fit needs --indices or --league")
 
     panel = build_panel(leagues, macro, config)
-    spec_for = {
-        name: RegressionSpec(
-            index_name=name,
-            adl_order=args.adl_order,
-            trend_degree=config.trend_degree,
-            include_d97=not args.no_d97,
+    reports = [
+        fit_index_model(
+            panel,
+            index_values,
+            name,
+            RegressionSpec(
+                index_name=name,
+                adl_order=args.adl_order,
+                trend_degree=config.trend_degree,
+                include_d97=not args.no_d97,
+            ),
+            args.iterate_sur,
         )
         for name in names
-    }
-
-    def run(name):
-        return fit_index_model(panel, index_values, name, spec_for[name], args.iterate_sur)
-
-    if args.workers > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            reports = list(pool.map(run, names))
-    else:
-        reports = [run(name) for name in names]
+    ]
 
     out = _out_dir(args)
     artifacts = []
@@ -508,7 +499,7 @@ def cmd_report(args) -> int:
     cmd_indices(
         argparse.Namespace(
             league=args.league, config=args.config, out_dir=str(out),
-            seed=args.seed, mc_reps=args.mc_reps, workers=args.workers,
+            seed=args.seed,
         )
     )
     cmd_unit_root(
@@ -522,7 +513,7 @@ def cmd_report(args) -> int:
             macro=args.macro, league=None, indices=str(out / "indices.csv"),
             config=args.config, out_dir=str(out), seed=args.seed,
             index=args.index, adl_order=args.adl_order, no_d97=args.no_d97,
-            iterate_sur=args.iterate_sur, mc_reps=args.mc_reps, workers=args.workers,
+            iterate_sur=args.iterate_sur,
         )
     )
     for name in _index_names(args.index):
@@ -557,8 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("indices", help="compute all indices from a league CSV")
     p.add_argument("--league", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--mc-reps", type=int, default=10_000)
-    p.add_argument("--workers", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_indices)
 
@@ -578,8 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adl-order", type=int, default=2)
     p.add_argument("--no-d97", action="store_true")
     p.add_argument("--iterate-sur", action="store_true")
-    p.add_argument("--mc-reps", type=int, default=10_000)
-    p.add_argument("--workers", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_fit)
 
@@ -611,8 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adl-order", type=int, default=2)
     p.add_argument("--no-d97", action="store_true")
     p.add_argument("--iterate-sur", action="store_true")
-    p.add_argument("--mc-reps", type=int, default=10_000)
-    p.add_argument("--workers", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_report)
 

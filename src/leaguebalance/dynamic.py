@@ -3,20 +3,19 @@
 Pairwise indices score ranking persistence across two consecutive seasons
 (1 = the tracked places are frozen, 0 = maximal turnover).  The windowed G
 index scores how few distinct teams enter the top K over a multi-season
-window relative to the expectation under per-season random rankings.
+window relative to their exact expected number under independent random
+rankings per season.
 """
 
 from __future__ import annotations
 
 import math
-import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import BIDIMENSIONAL_PAIRS, IndexValue
-from .errors import InputError, NumericalError
+from .errors import InputError
 from .panel import LeagueSeason
 from .seasonal import WeightScheme
 
@@ -191,97 +190,48 @@ def sdn(pair: SeasonPair, K: int, I: int) -> float:
 
 @dataclass(frozen=True)
 class GIndexResult:
-    """G index value plus the Monte Carlo bookkeeping behind it."""
+    """G index value with the two counts it compares."""
 
     value: float
     observed: int
     expected: float
-    mc_se: float
-    mc_reps: int
-    seed: int
 
 
-def _window_rng_seed(seed: int, country: str, end_season: int) -> list[int]:
-    # stable across worker counts and country orderings
-    return [seed, zlib.crc32(country.encode("utf-8")), end_season]
-
-
-def g_index_detail(
-    window: TopKWindow,
-    mc_reps: int = 10_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> GIndexResult:
+def g_index_detail(window: TopKWindow) -> GIndexResult:
     """G index: scarcity of distinct top-K entrants over the window.
 
     Let A be the observed number of distinct teams entering the top K and E
-    its Monte Carlo expectation under uniformly random rankings per season,
-    keeping each season's roster as observed.  Returns
-    clamp_0^1((E - A) / (E - K)): 1 when the same K teams hold the top K
-    every season, about 0 when turnover matches the balanced expectation.
+    its expectation when every season's ranking is an independent uniform
+    permutation of that season's observed roster.  A team on the roster in
+    seasons S misses the top K in all of them with probability
+    prod_{s in S} (1 - K/n_s), so by linearity of expectation
 
-    Replication r draws from a generator seeded by (seed, r), so E is
-    bit-identical for any worker count: per-replication counts are integers
-    and their sum does not depend on summation order.
+        E = sum_team [1 - prod_{s in S(team)} (1 - K/n_s)],
+
+    the open-league form of N(1 - (1 - K/N)^T) in Buzzacchi, Szymanski and
+    Valletti (2003).  Returns clamp_0^1((E - A) / (E - K)): 1 when the same K
+    teams hold the top K every season, about 0 when turnover matches the
+    balanced expectation.  With at least two seasons and K < n_s everywhere,
+    E - K >= K (1 - K/n_1) > 0.
     """
-    if mc_reps < 1:
-        raise InputError("mc_reps must be >= 1")
     K = window.K
-    rosters = [tuple(rec.team for rec in s.records) for s in window.seasons]
-    observed = len({team for s in window.seasons for team in (rec.team for rec in s.records[:K])})
-
-    base = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
-
-    def count_one(rep: int) -> int:
-        rng = np.random.default_rng(base + [rep])
-        distinct: set[str] = set()
-        for roster in rosters:
-            perm = rng.permutation(len(roster))
-            distinct.update(roster[j] for j in perm[:K])
-        return len(distinct)
-
-    def count_range(lo: int, hi: int) -> tuple[int, int]:
-        s = sq = 0
-        for rep in range(lo, hi):
-            c = count_one(rep)
-            s += c
-            sq += c * c
-        return s, sq
-
-    if workers > 1:
-        bounds = np.linspace(0, mc_reps, workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda ab: count_range(*ab), zip(bounds[:-1], bounds[1:])))
-        total = sum(p[0] for p in parts)
-        total_sq = sum(p[1] for p in parts)
-    else:
-        total, total_sq = count_range(0, mc_reps)
-
-    expected = total / mc_reps
-    if mc_reps > 1:
-        var = (total_sq - total * total / mc_reps) / (mc_reps - 1)
-        mc_se = math.sqrt(max(var, 0.0) / mc_reps)
-    else:
-        mc_se = float("nan")
-    if expected <= K:
-        raise NumericalError(
-            f"({window.country}, ..{window.end_season}): degenerate window, "
-            f"expected distinct top-{K} count {expected:.3f} <= K"
-        )
+    miss: dict[str, float] = {}
+    for s in window.seasons:
+        q = (s.n - K) / s.n
+        for rec in s.records:
+            miss[rec.team] = miss.get(rec.team, 1.0) * q
+    # fsum is correctly rounded, so E does not depend on the team order
+    expected = math.fsum(1.0 - m for m in miss.values())
+    observed = len({rec.team for s in window.seasons for rec in s.records[:K]})
     raw = (expected - observed) / (expected - K)
     return GIndexResult(
-        value=float(min(1.0, max(0.0, raw))),
-        observed=observed,
-        expected=expected,
-        mc_se=mc_se,
-        mc_reps=mc_reps,
-        seed=int(base[0]),
+        value=float(min(1.0, max(0.0, raw))), observed=observed, expected=expected
     )
 
 
-def g_index(window: TopKWindow, mc_reps: int = 10_000, seed: int = 0) -> float:
+def g_index(window: TopKWindow) -> float:
     """G index value only; see :func:`g_index_detail`."""
-    return g_index_detail(window, mc_reps=mc_reps, seed=seed).value
+    return g_index_detail(window).value
 
 
 def combine_bidimensional(seasonal: IndexValue, dynamic: IndexValue) -> IndexValue:

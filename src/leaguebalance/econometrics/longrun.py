@@ -24,16 +24,6 @@ class LongRunEffect:
     z: float
     p_value: float
 
-    @property
-    def stars(self) -> str:
-        if self.p_value < 0.01:
-            return "***"
-        if self.p_value < 0.05:
-            return "**"
-        if self.p_value < 0.1:
-            return "*"
-        return ""
-
 
 @dataclass(frozen=True)
 class EffectResult:

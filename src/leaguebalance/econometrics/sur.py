@@ -265,7 +265,8 @@ def white_cross_section_cov(fit: FitResult, design: DesignMatrix) -> np.ndarray:
 
     V = A^{-1} (sum_t X_t' O^{-1} u_t u_t' O^{-1} X_t) A^{-1} with
     A = sum_t X_t' O^{-1} X_t, where O is the fitted cross-country
-    covariance restricted to the countries present in year t.
+    covariance restricted to the countries present in year t.  Raises
+    NumericalError when rounding leaves a negative variance on the diagonal.
     """
     if fit.sigma is None or not fit.sigma_countries:
         raise NumericalError("fit carries no cross-country covariance; run the system fit first")
@@ -290,4 +291,11 @@ def white_cross_section_cov(fit: FitResult, design: DesignMatrix) -> np.ndarray:
         score = oix.T @ fit.residuals[idx]
         meat += np.outer(score, score)
     a_inv = np.linalg.inv(a)
-    return a_inv @ meat @ a_inv
+    cov = a_inv @ meat @ a_inv
+    negative = [name for name, v in zip(design.columns, np.diag(cov)) if v < 0.0]
+    if negative:
+        raise NumericalError(
+            "sandwich covariance has a negative variance for "
+            f"{', '.join(negative)}; the GLS normal equations are too ill-conditioned"
+        )
+    return cov

@@ -43,9 +43,7 @@ class LeagueSeason:
     """A country-season final table plus its prize/punishment level structure.
 
     ``K`` is the number of ranking places qualifying for continental play,
-    ``I`` the number of relegation places.  ``promoted`` holds team ids that
-    were absent from the previous season's table (empty when the previous
-    season is unknown).
+    ``I`` the number of relegation places.
     """
 
     country: str
@@ -53,7 +51,6 @@ class LeagueSeason:
     records: tuple[TeamSeasonRecord, ...]
     K: int = 3
     I: int = 3
-    promoted: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         n = len(self.records)
@@ -306,7 +303,7 @@ def parse_league_csv(path: str, config: Config | None = None) -> list[LeagueSeas
     if not groups:
         raise InputError(f"{path}: no data rows")
 
-    seasons: dict[tuple[str, int], LeagueSeason] = {}
+    seasons: list[LeagueSeason] = []
     for (country, season), entries in sorted(groups.items()):
         first_line = min(line for line, _ in entries)
         where = f"{path}:{first_line} ({country}, {season})"
@@ -323,28 +320,12 @@ def parse_league_csv(path: str, config: Config | None = None) -> list[LeagueSeas
             raise InputError(f"{where}: duplicate team id")
         k, i = config.levels_for(country, season, n)
         try:
-            seasons[(country, season)] = LeagueSeason(
-                country=country, season=season, records=tuple(recs), K=k, I=i
+            seasons.append(
+                LeagueSeason(country=country, season=season, records=tuple(recs), K=k, I=i)
             )
         except InputError as exc:
             raise InputError(f"{path}:{first_line}: {exc}") from None
-
-    # promoted = teams absent from the previous season's roster
-    out: list[LeagueSeason] = []
-    for (country, season), league in sorted(seasons.items()):
-        prev = seasons.get((country, season - 1))
-        if prev is not None:
-            promoted = league.roster() - prev.roster()
-            league = LeagueSeason(
-                country=country,
-                season=season,
-                records=league.records,
-                K=league.K,
-                I=league.I,
-                promoted=frozenset(promoted),
-            )
-        out.append(league)
-    return out
+    return seasons
 
 
 def parse_macro_csv(path: str) -> list[MacroObservation]:

@@ -1,8 +1,11 @@
-"""Compute every configured index for every country-season of a league set."""
+"""Compute every configured index for every country-season of a league set.
+
+Every index is a deterministic function of the league tables and the
+config: G compares against its exact expectation under random rankings.
+"""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import dynamic as dyn
@@ -14,14 +17,11 @@ from .panel import Config, LeagueSeason, winning_percentages
 
 @dataclass(frozen=True)
 class GDiagnostic:
-    """Per-window Monte Carlo bookkeeping emitted alongside the G index."""
+    """Per-window expected distinct top-K count behind the G index."""
 
     country: str
     season: int
-    mc_reps: int
-    seed: int
     e_hat: float
-    mc_se: float
 
 
 def compute_seasonal(season: LeagueSeason) -> list[IndexValue]:
@@ -61,9 +61,6 @@ def compute_pairwise(pair: dyn.SeasonPair) -> list[IndexValue]:
 def compute_all_indices(
     leagues: list[LeagueSeason],
     config: Config | None = None,
-    mc_reps: int = 10_000,
-    seed: int = 0,
-    workers: int = 1,
     names=None,
 ) -> tuple[list[IndexValue], list[GDiagnostic]]:
     """All seventeen indices for every country-season where they are defined.
@@ -71,10 +68,10 @@ def compute_all_indices(
     Seasonal indices exist for every season; pairwise dynamic indices start
     one season late; G is recorded at the end of every full ``g_window``;
     bi-dimensional averages exist where both components do.  Output is
-    sorted by (country, season, index) regardless of worker count.
+    sorted by (country, season, index).
 
     ``names`` restricts the output (components of requested bi-dimensional
-    indices are computed as needed); the G Monte Carlo only runs when g is
+    indices are computed as needed); G windows are only scored when g is
     requested.
     """
     config = config or Config()
@@ -93,7 +90,7 @@ def compute_all_indices(
         by_country[country].sort(key=lambda s: s.season)
 
     values: list[IndexValue] = []
-    g_jobs: list[dyn.TopKWindow] = []
+    g_diags: list[GDiagnostic] = []
     for country in sorted(by_country):
         seasons = by_country[country]
         for lg in seasons:
@@ -106,34 +103,15 @@ def compute_all_indices(
             for end in range(t - 1, len(seasons)):
                 chunk = seasons[end - t + 1 : end + 1]
                 if chunk[-1].season - chunk[0].season == t - 1:
-                    g_jobs.append(dyn.TopKWindow(seasons=tuple(chunk), K=chunk[-1].K))
-
-    def run_g(window: dyn.TopKWindow) -> tuple[IndexValue, GDiagnostic]:
-        detail = dyn.g_index_detail(
-            window,
-            mc_reps=mc_reps,
-            seed=dyn._window_rng_seed(seed, window.country, window.end_season),
-        )
-        iv = IndexValue(
-            name="g", country=window.country, season=window.end_season, value=detail.value
-        )
-        diag = GDiagnostic(
-            country=window.country,
-            season=window.end_season,
-            mc_reps=mc_reps,
-            seed=seed,
-            e_hat=detail.expected,
-            mc_se=detail.mc_se,
-        )
-        return iv, diag
-
-    if workers > 1 and g_jobs:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            g_results = list(pool.map(run_g, g_jobs))
-    else:
-        g_results = [run_g(job) for job in g_jobs]
-    values.extend(iv for iv, _ in g_results)
-    g_diags = [diag for _, diag in g_results]
+                    window = dyn.TopKWindow(seasons=tuple(chunk), K=chunk[-1].K)
+                    detail = dyn.g_index_detail(window)
+                    values.append(
+                        IndexValue(
+                            name="g", country=country, season=window.end_season,
+                            value=detail.value,
+                        )
+                    )
+                    g_diags.append(GDiagnostic(country, window.end_season, detail.expected))
 
     keyed = {(v.name, v.country, v.season): v for v in values}
     for name, (s_name, d_name) in BIDIMENSIONAL_PAIRS.items():
@@ -151,7 +129,6 @@ def compute_all_indices(
         (v for v in keyed.values() if v.name in requested),
         key=lambda v: (v.country, v.season, v.name),
     )
-    g_diags.sort(key=lambda d: (d.country, d.season))
     return out, g_diags
 
 

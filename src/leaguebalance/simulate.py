@@ -71,7 +71,6 @@ def simulate_league(params: LeagueSimParams, seed: int = 0) -> list[LeagueSeason
     strength = {team: (n - 1.0 - i) / (n - 1.0) for i, team in enumerate(teams)}
     fresh = 0
     out: list[LeagueSeason] = []
-    prev_roster: frozenset[str] | None = None
 
     for s_idx in range(params.n_seasons):
         season = params.start_season + s_idx
@@ -105,8 +104,6 @@ def simulate_league(params: LeagueSimParams, seed: int = 0) -> list[LeagueSeason
             )
             for r, t in enumerate(order)
         )
-        roster = frozenset(teams)
-        promoted = roster - prev_roster if prev_roster is not None else frozenset()
         out.append(
             LeagueSeason(
                 country=params.country,
@@ -114,10 +111,8 @@ def simulate_league(params: LeagueSimParams, seed: int = 0) -> list[LeagueSeason
                 records=records,
                 K=params.K,
                 I=params.I,
-                promoted=promoted,
             )
         )
-        prev_roster = roster
         if params.churn:
             for t in order[-params.churn :]:
                 new_team = f"N{fresh:03d}"

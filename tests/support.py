@@ -21,7 +21,6 @@ def season_from_outcomes(
     season: int = 2000,
     K: int = 1,
     I: int = 1,
-    promoted=frozenset(),
 ) -> LeagueSeason:
     """League season implied by one outcome assignment of a double round robin.
 
@@ -57,9 +56,7 @@ def season_from_outcomes(
         )
         for r, i in enumerate(order)
     )
-    return LeagueSeason(
-        country=country, season=season, records=records, K=K, I=I, promoted=frozenset(promoted)
-    )
+    return LeagueSeason(country=country, season=season, records=records, K=K, I=I)
 
 
 def all_draw_season(n: int, country: str = "SIM", season: int = 2000, K: int = 1, I: int = 1):
@@ -107,7 +104,6 @@ def relabel(season: LeagueSeason, mapping) -> LeagueSeason:
         records=records,
         K=season.K,
         I=season.I,
-        promoted=frozenset(mapping[t] for t in season.promoted),
     )
 
 

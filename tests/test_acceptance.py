@@ -150,7 +150,7 @@ def test_c03_index_endpoints():
         dynamic = {v.name: v for v in compute_pairwise(SeasonPair(prev, curr))}
         for v in list(seasonal.values()) + list(dynamic.values()):
             assert abs(v.value - 1.0) < tol, (n, v.name)
-        g = g_index_detail(TopKWindow(seasons=(prev, curr), K=k), mc_reps=400, seed=n)
+        g = g_index_detail(TopKWindow(seasons=(prev, curr), K=k))
         assert abs(g.value - 1.0) < tol
         for s_name, d_name in (
             ("ncr1", "dn1"), ("acr_k", "adn_k"), ("ncr_i", "dn_i"), ("scr_ki", "sdn_ki"),
@@ -514,37 +514,34 @@ def test_c10_cli_determinism(small_dataset, tmp_path):
 
     league, macro = small_dataset["league"], small_dataset["macro"]
     commands = {
-        "simulate-league": lambda out, w: [
+        "simulate-league": lambda out: [
             "simulate", "--kind", "league", "--n-teams", "8", "--n-seasons", "6",
             "--dispersion", "1.5", "--churn", "1", "--seed", "11", "--out-dir", out,
         ],
-        "simulate-dgp": lambda out, w: [
+        "simulate-dgp": lambda out: [
             "simulate", "--kind", "dgp", "--n-seasons", "20", "--dgp-countries", "3",
             "--seed", "12", "--out-dir", out,
         ],
-        "indices": lambda out, w: [
-            "indices", "--league", league, "--mc-reps", "200", "--seed", "13",
-            "--workers", w, "--out-dir", out,
+        "indices": lambda out: [
+            "indices", "--league", league, "--seed", "13", "--out-dir", out,
         ],
-        "unit-root": lambda out, w: [
+        "unit-root": lambda out: [
             "unit-root", "--macro", macro, "--seed", "14", "--out-dir", out,
         ],
-        "fit": lambda out, w: [
+        "fit": lambda out: [
             "fit", "--macro", macro, "--league", league, "--index", "all",
-            "--iterate-sur", "--mc-reps", "200", "--seed", "15", "--workers", w,
-            "--out-dir", out,
+            "--iterate-sur", "--seed", "15", "--out-dir", out,
         ],
-        "report": lambda out, w: [
+        "report": lambda out: [
             "report", "--league", league, "--macro", macro, "--index", "sdc_ki",
-            "--mc-reps", "200", "--seed", "16", "--workers", w, "--out-dir", out,
+            "--seed", "16", "--out-dir", out,
         ],
     }
     for name, argv in commands.items():
         runs = []
-        worker_counts = ("1", "1", "8") if "--workers" in argv("x", "1") else ("1", "1")
-        for j, w in enumerate(worker_counts):
+        for j in range(2):
             out = tmp_path / f"{name}-{j}"
-            assert cli_main([str(a) for a in argv(str(out), w)]) == 0, name
+            assert cli_main([str(a) for a in argv(str(out))]) == 0, name
             runs.append(tree(out))
         assert all(r == runs[0] for r in runs[1:]), f"{name} not byte-reproducible"
 
@@ -561,6 +558,5 @@ def test_c10_cli_determinism(small_dataset, tmp_path):
     assert runs[0] == runs[1]
     report(
         "10 (CLI determinism)",
-        "simulate/indices/unit-root/fit/effects/report byte-identical across reruns "
-        "and worker counts 1 and 8",
+        "simulate/indices/unit-root/fit/effects/report byte-identical across reruns",
     )

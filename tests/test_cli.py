@@ -29,7 +29,7 @@ class TestIndicesCommand:
         out = tmp_path / "idx"
         assert run(
             "indices", "--league", small_dataset["league"], "--out-dir", out,
-            "--mc-reps", 300, "--seed", 1,
+            "--seed", 1,
         ) == 0
         with open(out / "indices.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -63,23 +63,35 @@ class TestIndicesCommand:
         out = tmp_path / "idx"
         assert run(
             "indices", "--league", small_dataset["league"], "--config", cfg,
-            "--out-dir", out, "--mc-reps", 150, "--seed", 2,
+            "--out-dir", out, "--seed", 2,
         ) == 0
         with open(out / "g_diagnostics.csv", newline="") as fh:
             rows = [r for r in csv.DictReader(fh) if r["country"] == "AAA"]
         # windows of 4 over 24 seasons -> 21 end-seasons
         assert len(rows) == 21
 
-    def test_byte_determinism_across_runs_and_workers(self, small_dataset, tmp_path):
+    def test_byte_determinism_across_runs(self, small_dataset, tmp_path):
         outs = []
-        for tag, workers in (("a", 1), ("b", 1), ("c", 8)):
+        for tag in ("a", "b"):
             out = tmp_path / tag
             assert run(
-                "indices", "--league", small_dataset["league"], "--out-dir", out,
-                "--mc-reps", 200, "--seed", 9, "--workers", workers,
+                "indices", "--league", small_dataset["league"], "--out-dir", out, "--seed", 9,
             ) == 0
             outs.append(tree_bytes(out))
-        assert outs[0] == outs[1] == outs[2]
+        assert outs[0] == outs[1]
+
+    def test_g_diagnostics_columns(self, small_dataset, tmp_path):
+        out = tmp_path / "idx"
+        assert run("indices", "--league", small_dataset["league"], "--out-dir", out) == 0
+        with open(out / "g_diagnostics.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == ["country", "season", "E_hat"]
+        # default 5-season windows over 24 seasons in each of 3 countries
+        assert len(rows) == 3 * 20
+        with open(out / "indices.csv", newline="") as fh:
+            g_keys = [(r["country"], r["season"]) for r in csv.DictReader(fh) if r["index"] == "g"]
+        assert [(r["country"], r["season"]) for r in rows] == g_keys
 
 
 class TestUnitRootCommand:
@@ -149,7 +161,7 @@ class TestFitCommand:
         idx_out = tmp_path / "idx"
         assert run(
             "indices", "--league", small_dataset["league"], "--out-dir", idx_out,
-            "--mc-reps", 200, "--seed", 3,
+            "--seed", 3,
         ) == 0
         direct = tmp_path / "direct"
         assert run(
@@ -165,17 +177,26 @@ class TestFitCommand:
             via_csv / "fit_namsi_coefficients.csv"
         )
 
-    def test_fit_all_deterministic_across_workers(self, small_dataset, tmp_path):
-        outs = []
-        for tag, workers in (("w1", 1), ("w8", 8)):
-            out = tmp_path / tag
-            assert run(
-                "fit", "--macro", small_dataset["macro"], "--league", small_dataset["league"],
-                "--index", "all", "--out-dir", out, "--seed", 4, "--mc-reps", 200,
-                "--workers", workers, "--iterate-sur",
-            ) == 0
-            outs.append(tree_bytes(out))
-        assert outs[0] == outs[1]
+    def test_negative_robust_variance_exits_numerical(self, small_dataset, tmp_path,
+                                                       monkeypatch, capsys):
+        import numpy as np
+
+        import leaguebalance.cli as cli
+
+        real = cli.white_cross_section_cov
+
+        def sandwich_with_negative_meat(fit, design):
+            with monkeypatch.context() as m:
+                outer = np.outer
+                m.setattr(np, "outer", lambda a, b: -outer(a, b))
+                return real(fit, design)
+
+        monkeypatch.setattr(cli, "white_cross_section_cov", sandwich_with_negative_meat)
+        assert run(
+            "fit", "--macro", small_dataset["macro"], "--league", small_dataset["league"],
+            "--index", "acr_k", "--out-dir", tmp_path / "o",
+        ) == 3
+        assert capsys.readouterr().err.startswith("numerical error: sandwich covariance")
 
 
 class TestEffectsCommand:
@@ -183,7 +204,7 @@ class TestEffectsCommand:
         idx_out = tmp_path / "idx"
         run(
             "indices", "--league", small_dataset["league"], "--out-dir", idx_out,
-            "--mc-reps", 200, "--seed", 5,
+            "--seed", 5,
         )
         out = tmp_path / "eff"
         assert run(
@@ -220,7 +241,7 @@ class TestReportCommand:
         assert run(
             "report", "--league", small_dataset["league"], "--macro", small_dataset["macro"],
             "--index", "sdc_ki", "--iterate-sur", "--out-dir", out,
-            "--mc-reps", 200, "--seed", 6,
+            "--seed", 6,
         ) == 0
         for name in (
             "indices.csv", "unit_root.csv", "fit_sdc_ki_longrun.csv",
@@ -235,7 +256,7 @@ class TestReportCommand:
             out = tmp_path / tag
             assert run(
                 "report", "--league", small_dataset["league"], "--macro", small_dataset["macro"],
-                "--out-dir", out, "--mc-reps", 150, "--seed", 7,
+                "--out-dir", out, "--seed", 7,
             ) == 0
             outs.append(tree_bytes(out))
         assert outs[0] == outs[1]

@@ -1,13 +1,15 @@
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leaguebalance import (
     IndexValue,
     InputError,
-    NumericalError,
     SeasonPair,
     TopKWindow,
     adn_top,
@@ -243,16 +245,56 @@ def g_oracle_expectation(rosters, k, reps, seed):
     return mean, (var / reps) ** 0.5
 
 
+def window_of(rosters, k, start=2000):
+    """Window whose season j ranks ``rosters[j]`` in the listed order."""
+    seasons = [
+        relabel(cu_season(len(teams), season=start + j), {f"T{i}": t for i, t in enumerate(teams)})
+        for j, teams in enumerate(rosters)
+    ]
+    return TopKWindow(seasons=tuple(seasons), K=k)
+
+
+def g_enumeration_expectation(rosters, k):
+    """Mean distinct top-k count over every combination of per-season top-k sets.
+
+    Under a uniform ranking each of a season's C(n, k) top-k subsets is
+    equally likely and seasons are independent, so this mean is the exact
+    expectation.
+    """
+    total = 0
+    count = 0
+    for tops in itertools.product(*(itertools.combinations(r, k) for r in rosters)):
+        total += len(set().union(*tops))
+        count += 1
+    return Fraction(total, count)
+
+
 class TestGIndex:
     def test_same_top_k_every_season_is_one(self):
-        assert g_index(frozen_window(), mc_reps=2000, seed=5) == 1.0
+        assert g_index(frozen_window()) == 1.0
+
+    @pytest.mark.parametrize(
+        "rosters,k",
+        [
+            (["ABC", "ABD"], 1),
+            (["ABC", "ABD", "BDE"], 2),
+            (["ABCD", "ABCE", "BCEFG"], 2),
+            (["ABCDE", "ABCFG", "AFGHI"], 2),
+            (["ABCDE", "ABCDE", "ABCDE"], 3),
+            (["ABCDE", "EDCBA"], 4),
+        ],
+    )
+    def test_expectation_matches_exhaustive_enumeration(self, rosters, k):
+        window = window_of([list(r) for r in rosters], k)
+        exact = g_enumeration_expectation(rosters, k)
+        assert abs(g_index_detail(window).expected - float(exact)) <= 1e-12
 
     def test_expectation_matches_independent_simulation(self):
         window = frozen_window(n=16, t=5, k=3)
-        detail = g_index_detail(window, mc_reps=10_000, seed=42)
+        detail = g_index_detail(window)
         rosters = [tuple(r.team for r in s.records) for s in window.seasons]
         e2, se2 = g_oracle_expectation(rosters, 3, 10_000, seed=99)
-        assert abs(detail.expected - e2) <= 2.0 * (detail.mc_se**2 + se2**2) ** 0.5
+        assert abs(detail.expected - e2) <= 3.0 * se2
 
     def test_full_turnover_scores_near_zero(self):
         # rotate completely distinct top teams through the window
@@ -263,21 +305,9 @@ class TestGIndex:
             order = list(np.roll(np.arange(n), -k * j))
             seasons.append(reranked(base, order, season_year=2000 + j))
         window = TopKWindow(seasons=tuple(seasons), K=k)
-        detail = g_index_detail(window, mc_reps=4000, seed=11)
+        detail = g_index_detail(window)
         assert detail.observed == k * t
         assert detail.value <= 0.15
-
-    def test_seed_determinism(self):
-        window = frozen_window()
-        a = g_index_detail(window, mc_reps=3000, seed=7)
-        b = g_index_detail(window, mc_reps=3000, seed=7)
-        assert a == b
-
-    def test_worker_count_invariance(self):
-        window = frozen_window()
-        a = g_index_detail(window, mc_reps=2000, seed=7, workers=1)
-        b = g_index_detail(window, mc_reps=2000, seed=7, workers=8)
-        assert a.expected == b.expected and a.value == b.value
 
     def test_label_invariance_under_consistent_relabeling(self):
         window = frozen_window(n=10, t=3, k=2)
@@ -285,16 +315,28 @@ class TestGIndex:
         relabeled = TopKWindow(
             seasons=tuple(relabel(s, mapping) for s in window.seasons), K=2
         )
-        a = g_index_detail(window, mc_reps=2000, seed=3)
-        b = g_index_detail(relabeled, mc_reps=2000, seed=3)
-        assert a.value == b.value and a.observed == b.observed
+        assert g_index_detail(window) == g_index_detail(relabeled)
 
-    def test_degenerate_window_when_expectation_hits_floor(self):
-        # a single replication can land E exactly at K; the guard must fire
-        seasons = [cu_season(3, season=2000 + j, K=1, I=1) for j in range(2)]
-        window = TopKWindow(seasons=tuple(seasons), K=1)
-        with pytest.raises(NumericalError, match="degenerate window"):
-            g_index_detail(window, mc_reps=1, seed=0)
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_window_properties(self, data):
+        pool = [f"P{i}" for i in range(12)]
+        t = data.draw(st.integers(min_value=2, max_value=5))
+        rosters = [
+            data.draw(st.permutations(pool))[: data.draw(st.integers(min_value=3, max_value=10))]
+            for _ in range(t)
+        ]
+        n_min = min(len(r) for r in rosters)
+        k = data.draw(st.integers(min_value=1, max_value=n_min - 1))
+        detail = g_index_detail(window_of(rosters, k))
+        assert detail.expected - k >= k * (1 - k / len(rosters[0])) - 1e-12
+        assert 0.0 <= detail.value <= 1.0
+        assert k <= detail.observed <= min(k * t, len(set().union(*rosters)))
+
+        names = data.draw(st.permutations([f"Q{i}" for i in range(12)]))
+        mapping = dict(zip(pool, names))
+        relabeled = window_of([[mapping[team] for team in r] for r in rosters], k)
+        assert g_index_detail(relabeled) == detail
 
     def test_window_validation(self):
         with pytest.raises(InputError):

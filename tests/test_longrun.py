@@ -8,6 +8,7 @@ from leaguebalance.econometrics import (
     attendance_effect,
     long_run_effects,
 )
+from leaguebalance.reports import stars
 
 # pooled attendance-model estimates used as an arithmetic cross-check:
 # change in log attendance on lagged levels, differences, d97 and trend
@@ -83,11 +84,15 @@ class TestLongRunEffects:
         assert effect.se == pytest.approx(float(np.sqrt(grad @ cov @ grad)), abs=1e-12)
 
     def test_stars_thresholds(self):
+        for p, expected in (
+            (0.0, "***"), (0.0099, "***"), (0.01, "**"), (0.0499, "**"),
+            (0.05, "*"), (0.0999, "*"), (0.1, ""), (0.9, ""),
+        ):
+            assert stars(p) == expected, p
         fit = reference_fit()
         spec = RegressionSpec(index_name="sdc_ki", include_d97=False)
-        effects = long_run_effects(fit, spec)
-        for e in effects:
-            assert e.stars in ("", "*", "**", "***")
+        for e in long_run_effects(fit, spec):
+            assert stars(e.p_value) in ("", "*", "**", "***")
 
 
 # effect of moving from the worst to the best balance season per country:

@@ -72,17 +72,6 @@ class TestParseLeagueCsv:
         with pytest.raises(InputError, match="header"):
             parse_league_csv(str(path))
 
-    def test_promoted_diffs_consecutive_rosters(self, tmp_path):
-        rows = four_team_rows(season=1990) + [
-            "BEL,1991,A,1,5,1,0,11",
-            "BEL,1991,B,2,3,1,2,7",
-            "BEL,1991,C,3,2,0,4,4",
-            "BEL,1991,E,4,0,2,4,2",
-        ]
-        leagues = parse_league_csv(write_league(tmp_path, rows))
-        assert leagues[0].promoted == frozenset()
-        assert leagues[1].promoted == frozenset({"E"})
-
     def test_levels_rule_applied(self, tmp_path):
         config = Config(levels=(LevelsRule("BEL", 1980, 1995, K=1, I=2),))
         leagues = parse_league_csv(write_league(tmp_path, four_team_rows()), config)

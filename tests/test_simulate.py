@@ -30,8 +30,10 @@ class TestLeagueSimulation:
         leagues = simulate_league(
             LeagueSimParams(n_teams=10, n_seasons=5, dispersion=2.0, churn=2), seed=3
         )
-        assert all(len(lg.promoted) == 2 for lg in leagues[1:])
-        assert leagues[0].promoted == frozenset()
+        for prev, curr in zip(leagues, leagues[1:]):
+            promoted = curr.roster() - prev.roster()
+            assert len(promoted) == 2
+            assert prev.roster() - curr.roster() == {r.team for r in prev.records[-2:]}
 
     def test_deterministic_per_seed(self):
         params = LeagueSimParams(n_teams=9, n_seasons=4, dispersion=1.5, churn=1)

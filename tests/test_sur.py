@@ -208,3 +208,14 @@ class TestWhiteCrossSectionCov:
         fit = sur_egls_fit(design, iterate=False)
         with pytest.warns(UserWarning, match="rank deficient"):
             white_cross_section_cov(fit, design)
+
+    def test_negative_variance_is_numerical_error(self, monkeypatch):
+        # a meat matrix that rounding has turned negative definite makes
+        # every robust variance negative; the sandwich must refuse it
+        design, _, _ = dgp_design(seed=4)
+        fit = sur_egls_fit(design, iterate=True)
+        outer = np.outer
+        monkeypatch.setattr(np, "outer", lambda a, b: -outer(a, b))
+        with pytest.raises(NumericalError, match="negative variance for const") as exc:
+            white_cross_section_cov(fit, design)
+        assert all(name in str(exc.value) for name in design.columns)
