@@ -48,8 +48,8 @@ def _load_config(args) -> tuple[Config, str]:
     return Config(), sha256_text("default")
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
+def _out_dir(path) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -90,11 +90,11 @@ def read_index_csv(path: str) -> list[IndexValue]:
 # ---------------------------------------------------------------- indices
 
 
-def cmd_indices(args) -> int:
-    config, config_hash = _load_config(args)
-    leagues = parse_league_csv(args.league, config)
+def _indices(league_path, config: Config, out_dir) -> tuple[list[IndexValue], list[str]]:
+    """All indices of a league CSV, written to indices.csv and g_diagnostics.csv."""
+    leagues = parse_league_csv(league_path, config)
     values, diags = compute_all_indices(leagues, config)
-    out = _out_dir(args)
+    out = _out_dir(out_dir)
     artifacts = [
         write_csv(
             out / "indices.csv",
@@ -107,9 +107,14 @@ def cmd_indices(args) -> int:
             [(d.country, d.season, d.e_hat) for d in diags],
         ),
     ]
-    write_manifest(
-        out, "indices", args.seed, {"league": sha256_file(args.league)}, config_hash, artifacts
-    )
+    return values, artifacts
+
+
+def cmd_indices(args) -> int:
+    config, config_hash = _load_config(args)
+    values, artifacts = _indices(args.league, config, args.out_dir)
+    inputs = {"league": sha256_file(args.league)}
+    write_manifest(args.out_dir, "indices", args.seed, inputs, config_hash, artifacts)
     print(f"wrote {len(values)} index values for {len(set(v.country for v in values))} countries")
     return 0
 
@@ -124,9 +129,8 @@ def _panel_series(panel, variable: str) -> dict[str, np.ndarray]:
     }
 
 
-def cmd_unit_root(args) -> int:
-    config, config_hash = _load_config(args)
-    macro = parse_macro_csv(args.macro)
+def _unit_root(macro, config: Config, max_lag, out_dir) -> list[str]:
+    """ADF-Fisher tests of the panel variables, written to unit_root.csv and .txt."""
     panel = build_panel([], macro, config)
     if not panel.rows:
         raise InputError("empty panel")
@@ -134,7 +138,7 @@ def cmd_unit_root(args) -> int:
     for variable in PANEL_VARIABLES:
         series = _panel_series(panel, variable)
         for case in ("c", "ct"):
-            results = [adf_test(y, case, args.max_lag) for y in series.values()]
+            results = [adf_test(y, case, max_lag) for y in series.values()]
             combined = fisher_panel_unit_root([r.p_value for r in results])
             lags = [r.lag for r in results]
             rows.append(
@@ -148,9 +152,9 @@ def cmd_unit_root(args) -> int:
                     f"{min(lags)}-{max(lags)}",
                 )
             )
-    out = _out_dir(args)
+    out = _out_dir(out_dir)
     header = ("variable", "case", "fisher_stat", "df", "p_value", "stars", "lags")
-    artifacts = [
+    return [
         write_csv(out / "unit_root.csv", header, rows),
         write_text_table(
             out / "unit_root.txt",
@@ -160,9 +164,13 @@ def cmd_unit_root(args) -> int:
             footer="lag length per country chosen by the Schwarz information criterion",
         ),
     ]
-    write_manifest(
-        out, "unit-root", args.seed, {"macro": sha256_file(args.macro)}, config_hash, artifacts
-    )
+
+
+def cmd_unit_root(args) -> int:
+    config, config_hash = _load_config(args)
+    artifacts = _unit_root(parse_macro_csv(args.macro), config, args.max_lag, args.out_dir)
+    inputs = {"macro": sha256_file(args.macro)}
+    write_manifest(args.out_dir, "unit-root", args.seed, inputs, config_hash, artifacts)
     print("wrote unit-root report")
     return 0
 
@@ -223,17 +231,18 @@ def fit_index_model(panel, index_values, name: str, spec: RegressionSpec, iterat
     diag_rows.append(
         ("ramsey_reset", reset.statistic, f"{reset.df[0]};{reset.df[1]}", reset.p_value, "")
     )
+    resid = fit.residual_series()
     for case in ("c", "ct"):
-        resid_adf = [
-            adf_test(fit.residuals_by_country[c], case) for c in sorted(fit.residuals_by_country)
-        ]
+        resid_adf = [adf_test(resid[c], case) for c in sorted(resid)]
         combined = fisher_panel_unit_root([r.p_value for r in resid_adf])
         label = {"c": "resid_adf_fisher_constant", "ct": "resid_adf_fisher_trend"}[case]
         diag_rows.append((label, combined.statistic, combined.df, combined.p_value, ""))
-    for country, jb in jarque_bera(fit.residuals_by_country).items():
+    for country, jb in jarque_bera(resid).items():
         diag_rows.append((f"jarque_bera[{country}]", jb.statistic, jb.df, jb.p_value, ""))
     diag_rows.append(("r2_adj", fit.r2_adj, "", "", ""))
     diag_rows.append(("iterations", fit.iterations, "", "", ""))
+    diag_rows.append(("converged", fit.converged, "", "", ""))
+    diag_rows.append(("final_delta", fit.final_delta, "", "", ""))
 
     return IndexFitReport(
         name=name,
@@ -276,29 +285,14 @@ def _write_fit_report(out: Path, report: IndexFitReport) -> list[str]:
     return artifacts
 
 
-def cmd_fit(args) -> int:
-    config, config_hash = _load_config(args)
-    names = _index_names(args.index)
-    inputs = {"macro": sha256_file(args.macro)}
-    macro = parse_macro_csv(args.macro)
+def _quantised(values: list[IndexValue]) -> list[IndexValue]:
+    """Index values at the CSV precision, so fitting from files is identical."""
+    return [IndexValue(v.name, v.country, v.season, float(fmt(v.value))) for v in values]
 
-    if args.indices:
-        index_values = read_index_csv(args.indices)
-        leagues = []
-        inputs["indices"] = sha256_file(args.indices)
-    elif args.league:
-        leagues = parse_league_csv(args.league, config)
-        inputs["league"] = sha256_file(args.league)
-        index_values, _ = compute_all_indices(leagues, config, names=names)
-        # quantise to the CSV precision so fitting from files is identical
-        index_values = [
-            IndexValue(v.name, v.country, v.season, float(fmt(v.value)))
-            for v in index_values
-        ]
-    else:
-        raise InputError("fit needs --indices or --league")
 
-    panel = build_panel(leagues, macro, config)
+def _fit(panel, index_values, names: list[str], args, config: Config, out_dir):
+    """Fit every index in ``names``; writes the per-index files and the
+    long-run summary, returns the reports and the artifacts."""
     reports = [
         fit_index_model(
             panel,
@@ -314,8 +308,7 @@ def cmd_fit(args) -> int:
         )
         for name in names
     ]
-
-    out = _out_dir(args)
+    out = _out_dir(out_dir)
     artifacts = []
     for report in reports:
         artifacts.extend(_write_fit_report(out, report))
@@ -345,7 +338,30 @@ def cmd_fit(args) -> int:
             footer="* p<0.1, ** p<0.05, *** p<0.01 (robust, delta method)",
         )
     )
-    write_manifest(out, "fit", args.seed, inputs, config_hash, artifacts)
+    return reports, artifacts
+
+
+def cmd_fit(args) -> int:
+    config, config_hash = _load_config(args)
+    names = _index_names(args.index)
+    inputs = {"macro": sha256_file(args.macro)}
+    macro = parse_macro_csv(args.macro)
+
+    if args.indices:
+        index_values = read_index_csv(args.indices)
+        leagues = []
+        inputs["indices"] = sha256_file(args.indices)
+    elif args.league:
+        leagues = parse_league_csv(args.league, config)
+        inputs["league"] = sha256_file(args.league)
+        index_values, _ = compute_all_indices(leagues, config, names=names)
+        index_values = _quantised(index_values)
+    else:
+        raise InputError("fit needs --indices or --league")
+
+    panel = build_panel(leagues, macro, config)
+    reports, artifacts = _fit(panel, index_values, names, args, config, args.out_dir)
+    write_manifest(args.out_dir, "fit", args.seed, inputs, config_hash, artifacts)
     print(f"fitted {len(reports)} model(s): {', '.join(r.name for r in reports)}")
     return 0
 
@@ -353,12 +369,11 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------- effects
 
 
-def cmd_effects(args) -> int:
-    index_values = read_index_csv(args.indices)
-    macro = parse_macro_csv(args.macro)
-    series = series_from_values(index_values, args.index)
+def _effects(index_values, macro, index: str, elasticity: float, out_dir, seed, inputs) -> list[str]:
+    """Best-vs-worst season effects of one index, written with their own manifest."""
+    series = series_from_values(index_values, index)
     if not series:
-        raise InputError(f"no values for index {args.index!r} in {args.indices}")
+        raise InputError(f"no values for index {index!r}")
     att: dict[str, list[float]] = {}
     for obs in macro:
         att.setdefault(obs.country, []).append(obs.attendance_per_game)
@@ -370,9 +385,7 @@ def cmd_effects(args) -> int:
         best_season = min(values, key=lambda s: (values[s], s))
         worst_season = max(values, key=lambda s: (values[s], -s))
         avg = float(np.mean(att[country]))
-        effect = attendance_effect(
-            args.elasticity, values[best_season], values[worst_season], avg
-        )
+        effect = attendance_effect(elasticity, values[best_season], values[worst_season], avg)
         rows.append(
             (
                 country,
@@ -385,7 +398,7 @@ def cmd_effects(args) -> int:
                 effect.fans_per_game,
             )
         )
-    out = _out_dir(args)
+    out = _out_dir(out_dir)
     header = (
         "country", "best_season", "best_value", "worst_season", "worst_value",
         "avg_attendance", "percent", "fans_per_game",
@@ -394,21 +407,23 @@ def cmd_effects(args) -> int:
         write_csv(out / "effects.csv", header, rows),
         write_text_table(
             out / "effects.txt",
-            f"Attendance effect of best-vs-worst balance ({args.index}, "
-            f"elasticity {fmt(args.elasticity)})",
+            f"Attendance effect of best-vs-worst balance ({index}, "
+            f"elasticity {fmt(elasticity)})",
             header,
             rows,
         ),
     ]
-    write_manifest(
-        out,
-        "effects",
-        args.seed,
-        {"indices": sha256_file(args.indices), "macro": sha256_file(args.macro)},
-        sha256_text(f"elasticity={args.elasticity!r},index={args.index}"),
-        artifacts,
-    )
-    print(f"wrote effects for {len(rows)} countries")
+    config_hash = sha256_text(f"elasticity={elasticity!r},index={index}")
+    artifacts.append(write_manifest(out, "effects", seed, inputs, config_hash, artifacts))
+    return artifacts
+
+
+def cmd_effects(args) -> int:
+    index_values = read_index_csv(args.indices)
+    macro = parse_macro_csv(args.macro)
+    inputs = {"indices": sha256_file(args.indices), "macro": sha256_file(args.macro)}
+    _effects(index_values, macro, args.index, args.elasticity, args.out_dir, args.seed, inputs)
+    print(f"wrote effects of {args.index} to {args.out_dir}")
     return 0
 
 
@@ -442,7 +457,7 @@ def _write_macro_csv(path, macro) -> str:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
+    out = _out_dir(args.out_dir)
     n_seasons = args.n_seasons if args.n_seasons is not None else (
         10 if args.kind == "league" else 50
     )
@@ -495,37 +510,27 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    out = _out_dir(args)
-    cmd_indices(
-        argparse.Namespace(
-            league=args.league, config=args.config, out_dir=str(out),
-            seed=args.seed,
-        )
+    """indices, unit-root, fit and effects in one run, passing results in memory."""
+    config, config_hash = _load_config(args)
+    names = _index_names(args.index)
+    out = Path(args.out_dir)
+    values, artifacts = _indices(args.league, config, out)
+    macro = parse_macro_csv(args.macro)
+    artifacts += _unit_root(macro, config, None, out)
+    index_values = _quantised(values)
+    reports, fit_artifacts = _fit(
+        build_panel([], macro, config), index_values, names, args, config, out
     )
-    cmd_unit_root(
-        argparse.Namespace(
-            macro=args.macro, config=args.config, out_dir=str(out),
-            seed=args.seed, max_lag=None,
+    artifacts += fit_artifacts
+    inputs = {"league": sha256_file(args.league), "macro": sha256_file(args.macro)}
+    effects_inputs = {"indices": sha256_file(out / "indices.csv"), "macro": inputs["macro"]}
+    for report in reports:
+        cb = next(row[1] for row in report.longrun_rows if row[0] == "cb")
+        artifacts += _effects(
+            index_values, macro, report.name, float(fmt(cb)), out / f"effects_{report.name}",
+            args.seed, effects_inputs,
         )
-    )
-    cmd_fit(
-        argparse.Namespace(
-            macro=args.macro, league=None, indices=str(out / "indices.csv"),
-            config=args.config, out_dir=str(out), seed=args.seed,
-            index=args.index, adl_order=args.adl_order, no_d97=args.no_d97,
-            iterate_sur=args.iterate_sur,
-        )
-    )
-    for name in _index_names(args.index):
-        with open(out / f"fit_{name}_longrun.csv", newline="", encoding="utf-8") as fh:
-            cb_row = next(r for r in csv.DictReader(fh) if r["variable"] == "cb")
-        cmd_effects(
-            argparse.Namespace(
-                indices=str(out / "indices.csv"), macro=args.macro, index=name,
-                elasticity=float(cb_row["elasticity"]),
-                out_dir=str(out / f"effects_{name}"), seed=args.seed,
-            )
-        )
+    write_manifest(out, "report", args.seed, inputs, config_hash, artifacts)
     print("report complete")
     return 0
 

@@ -24,13 +24,16 @@ class TestResult:
 
 @dataclass
 class FitResult:
-    """Pooled regression estimates plus the per-country residual structure.
+    """Pooled regression estimates plus the residuals on the year x country grid.
 
-    ``residuals`` is stacked in design row order; ``residuals_by_country``
-    and ``years_by_country`` hold the same residuals split by country and
-    sorted by year.  ``sigma`` is the cross-country residual covariance in
-    ``sigma_countries`` order; ``cov`` is the classical coefficient
+    ``residuals`` is stacked in design row order; ``resid_grid`` holds them
+    on a (years ascending, ``grid_countries``) grid, NaN where a country has
+    no row.  ``sigma`` is the cross-country residual covariance in
+    ``grid_countries`` order; ``cov`` is the classical coefficient
     covariance and ``cov_robust`` the year-clustered sandwich when set.
+    ``iterations`` counts GLS passes; ``converged`` is False when an
+    iterated fit stopped at its limit; ``final_delta`` is the largest
+    coefficient change of the last iteration (NaN without iteration).
     """
 
     coef_names: list[str]
@@ -43,12 +46,11 @@ class FitResult:
     loglik: float = float("nan")
     r2_adj: float = float("nan")
     iterations: int = 0
-    residuals_by_country: dict[str, np.ndarray] = field(default_factory=dict)
-    years_by_country: dict[str, np.ndarray] = field(default_factory=dict)
-    resid_var_by_country: dict[str, float] = field(default_factory=dict)
+    converged: bool = True
+    final_delta: float = float("nan")
+    resid_grid: np.ndarray | None = None
+    grid_countries: list[str] = field(default_factory=list)
     sigma: np.ndarray | None = None
-    sigma_countries: list[str] = field(default_factory=list)
-    corr: np.ndarray | None = None
     cov_robust: np.ndarray | None = None
 
     def coef(self, name: str) -> float:
@@ -57,3 +59,10 @@ class FitResult:
     def se(self, name: str, robust: bool = False) -> float:
         cov = self.cov_robust if (robust and self.cov_robust is not None) else self.cov
         return float(np.sqrt(cov[self.coef_names.index(name), self.coef_names.index(name)]))
+
+    def residual_series(self) -> dict[str, np.ndarray]:
+        """Each country's residuals in year order, read from the grid's columns."""
+        return {
+            country: col[~np.isnan(col)]
+            for country, col in zip(self.grid_countries, self.resid_grid.T)
+        }

@@ -13,41 +13,40 @@ from .design import DesignMatrix
 from .ols import ols_fit
 
 
+def _grid(fit: FitResult) -> tuple[np.ndarray, np.ndarray]:
+    """Residual grid zero-filled where a country is absent, and the presence mask."""
+    if fit.resid_grid is None:
+        raise InputError("fit carries no residual grid; fit a design first")
+    mask = ~np.isnan(fit.resid_grid)
+    return np.where(mask, fit.resid_grid, 0.0), mask
+
+
 def breusch_pagan_lm(fit: FitResult) -> TestResult:
     """LM test for zero contemporaneous correlation across country equations.
 
     lambda = sum_{i<j} T_ij * r_ij^2 with r_ij the residual correlation over
     the T_ij overlapping years of countries i and j; chi-squared with one
-    degree of freedom per included pair.  Pairs with no overlap are dropped
-    and noted.
+    degree of freedom per included pair.  Pairs with fewer than 2
+    overlapping years are dropped and noted.
     """
-    countries = sorted(fit.residuals_by_country)
-    if len(countries) < 2:
+    if len(fit.grid_countries) < 2:
         raise InputError("LM test needs residuals from at least 2 countries")
-    series = {
-        c: dict(zip(fit.years_by_country[c].tolist(), fit.residuals_by_country[c].tolist()))
-        for c in countries
-    }
-    lam = 0.0
-    pairs = 0
-    skipped: list[str] = []
-    for i in range(len(countries)):
-        for j in range(i + 1, len(countries)):
-            common = sorted(set(series[countries[i]]) & set(series[countries[j]]))
-            if len(common) < 2:
-                skipped.append(f"{countries[i]}/{countries[j]}")
-                continue
-            ei = np.array([series[countries[i]][t] for t in common])
-            ej = np.array([series[countries[j]][t] for t in common])
-            denom = math.sqrt(float(ei @ ei) * float(ej @ ej))
-            if denom == 0.0:
-                skipped.append(f"{countries[i]}/{countries[j]}")
-                continue
-            r = float(ei @ ej) / denom
-            lam += len(common) * r * r
-            pairs += 1
-    if pairs == 0:
+    order = np.argsort(fit.grid_countries, kind="stable")
+    countries = [fit.grid_countries[j] for j in order]
+    e, mask = _grid(fit)
+    e, m = e[:, order], mask[:, order].astype(float)
+    overlap = m.T @ m
+    cross = e.T @ e
+    ss = (e * e).T @ m  # ss[i, j]: sum of e_i^2 over the years shared with j
+    i, j = np.triu_indices(len(countries), 1)
+    denom = np.sqrt(ss[i, j] * ss[j, i])
+    kept = (overlap[i, j] >= 2) & (denom > 0.0)
+    if not kept.any():
         raise InputError("no country pair has overlapping residual years")
+    r = cross[i, j][kept] / denom[kept]
+    lam = float(np.sum(overlap[i, j][kept] * r * r))
+    pairs = int(kept.sum())
+    skipped = [f"{countries[a]}/{countries[b]}" for a, b in zip(i[~kept], j[~kept])]
     note = f"excluded pairs without overlap: {', '.join(skipped)}" if skipped else ""
     return TestResult(
         name="breusch_pagan_lm",
@@ -62,22 +61,21 @@ def durbin_watson_panel(fit: FitResult) -> TestResult:
     """Pooled Durbin-Watson statistic over the country residual series.
 
     d = sum_i sum_{t>=2} (e_it - e_i,t-1)^2 / sum_i sum_t e_it^2, with
-    differences taken within countries only.  The p-value uses the normal
-    approximation d ~ N(2, 4/N) around the no-autocorrelation value.
+    differences taken along the years of the residual grid, within
+    countries only.  The p-value uses the normal approximation
+    d ~ N(2, 4/N) around the no-autocorrelation value.
     """
-    num = 0.0
-    den = 0.0
-    nobs = 0
-    for country, e in fit.residuals_by_country.items():
-        if e.size < 2:
+    e, mask = _grid(fit)
+    for country, count in zip(fit.grid_countries, mask.sum(axis=0)):
+        if count < 2:
             raise InputError(f"residual series for {country} shorter than 2")
-        num += float(np.sum(np.diff(e) ** 2))
-        den += float(e @ e)
-        nobs += e.size
+    both = mask[1:] & mask[:-1]
+    num = float(np.sum(np.where(both, np.diff(e, axis=0), 0.0) ** 2))
+    den = float(np.sum(e * e))
     if den <= 0.0:
         raise NumericalError("degenerate residuals: zero sum of squares")
     d = num / den
-    z = abs(d - 2.0) / math.sqrt(4.0 / nobs)
+    z = abs(d - 2.0) / math.sqrt(4.0 / int(mask.sum()))
     return TestResult(
         name="durbin_watson_panel",
         statistic=d,
@@ -102,11 +100,11 @@ def jarque_bera_stat(residuals) -> tuple[float, float]:
     return jb, float(stats.chi2.sf(jb, 2))
 
 
-def jarque_bera(residuals_by_country) -> dict[str, TestResult]:
+def jarque_bera(resid_by_country) -> dict[str, TestResult]:
     """Per-country Jarque-Bera normality tests."""
     out: dict[str, TestResult] = {}
-    for country in sorted(residuals_by_country):
-        jb, p = jarque_bera_stat(residuals_by_country[country])
+    for country in sorted(resid_by_country):
+        jb, p = jarque_bera_stat(resid_by_country[country])
         out[country] = TestResult(name=f"jarque_bera[{country}]", statistic=jb, df=2, p_value=p)
     return out
 

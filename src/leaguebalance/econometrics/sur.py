@@ -4,14 +4,21 @@ The attendance equations share slopes across countries (country-specific
 intercepts only), so the system collapses to one stacked regression whose
 error covariance is block-diagonal by year: within a year, errors of the
 countries present are correlated with country-pair covariances estimated
-from first-stage residuals over overlapping years.  Iterating the feasible
-GLS to convergence gives the maximum-likelihood estimate under normality.
+from residuals over overlapping years (Schmidt 1977).  The design's rows
+sit on one dense (years, countries) grid; years sharing a presence pattern
+share a covariance block, so GLS whitens ``[X | y]`` with one Cholesky
+factor per pattern and solves the whitened system by QR.
+
+On a balanced panel, iterating the feasible GLS to convergence gives the
+maximum-likelihood estimate under normality (Oberhofer & Kmenta 1974).  On
+an unbalanced panel the pairwise estimate is not ML and the iteration may
+not converge; such a fit records ``converged=False``.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
@@ -19,44 +26,57 @@ from scipy import linalg as sla
 from ..errors import InputError, NumericalError
 from .base import FitResult
 from .design import DesignMatrix
-from .ols import ols_fit
+from .ols import ols_fit, qr_solve
 
 _EIG_FLOOR = 1e-10
 
 
-def _split_residuals(design: DesignMatrix, resid: np.ndarray):
-    by_country: dict[str, np.ndarray] = {}
-    years: dict[str, np.ndarray] = {}
-    for country in design.country_list:
-        mask = design.countries == country
-        yr = design.years[mask]
-        order = np.argsort(yr)
-        by_country[country] = resid[mask][order]
-        years[country] = yr[order]
-    return by_country, years
+@dataclass(frozen=True)
+class _YearGrid:
+    """``row[t, j]``: design row of year t and country j (``country_list``
+    order), -1 where absent (``mask`` False).  ``patterns`` pairs each
+    distinct presence pattern (the columns present) with its years."""
+
+    row: np.ndarray
+    mask: np.ndarray
+    patterns: list[tuple[np.ndarray, np.ndarray]]
+
+    def fill(self, values: np.ndarray, empty: float = 0.0) -> np.ndarray:
+        """Per-row ``values`` (design rows along axis 0) placed on the grid."""
+        out = np.full(self.row.shape + values.shape[1:], empty)
+        out[self.mask] = values[self.row[self.mask]]
+        return out
 
 
-def pairwise_sigma(
-    resid_by_country: dict[str, np.ndarray],
-    years_by_country: dict[str, np.ndarray],
-    countries: list[str],
-) -> np.ndarray:
-    """Cross-country residual covariance from overlapping years only."""
-    n = len(countries)
-    series = {
-        c: dict(zip(years_by_country[c].tolist(), resid_by_country[c].tolist()))
-        for c in countries
-    }
-    sigma = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            common = sorted(set(series[countries[i]]) & set(series[countries[j]]))
-            if not common:
-                continue
-            ei = np.array([series[countries[i]][t] for t in common])
-            ej = np.array([series[countries[j]][t] for t in common])
-            sigma[i, j] = sigma[j, i] = float(ei @ ej) / len(common)
-    return sigma
+def _year_grid(design: DesignMatrix) -> _YearGrid:
+    years, t_idx = np.unique(design.years, return_inverse=True)
+    code = {c: j for j, c in enumerate(design.country_list)}
+    c_idx = np.array([code[c] for c in design.countries.tolist()], dtype=int)
+    row = np.full((years.size, len(code)), -1)
+    row[t_idx.reshape(-1), c_idx] = np.arange(design.nobs)
+    mask = row >= 0
+    if np.count_nonzero(mask) != design.nobs:
+        raise InputError("design has more than one row for a (country, year)")
+    keys, which = np.unique(mask, axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    patterns = [(np.flatnonzero(key), np.flatnonzero(which == p)) for p, key in enumerate(keys)]
+    return _YearGrid(row, mask, patterns)
+
+
+def pairwise_sigma(resid: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Cross-country residual covariance from overlapping years only.
+
+    ``resid`` is a (years, countries) residual grid and ``mask`` marks the
+    cells where a country is present.  With E the grid zero-filled outside
+    the mask and M the mask, the covariance is E'E / M'M elementwise: the
+    mean of e_i e_j over the years both countries are present, 0 for a
+    pair that never overlaps.
+    """
+    e = np.where(mask, resid, 0.0)
+    m = mask.astype(float)
+    overlap = m.T @ m
+    cross = e.T @ e
+    return np.divide(cross, overlap, out=np.zeros_like(cross), where=overlap > 0)
 
 
 def repair_covariance(sigma: np.ndarray) -> np.ndarray:
@@ -76,49 +96,28 @@ def repair_covariance(sigma: np.ndarray) -> np.ndarray:
     return (eigvec * np.maximum(eigval, _EIG_FLOOR)) @ eigvec.T
 
 
-def _year_blocks(design: DesignMatrix):
-    """Rows grouped by year, ordered by country within the year."""
-    country_code = {c: i for i, c in enumerate(design.country_list)}
-    codes = np.array([country_code[c] for c in design.countries])
+def _whiten(grid: _YearGrid, sigma: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """The (years, countries, m) grid ``cols`` premultiplied year by year by
+    L^-1, with L L' the block of ``sigma`` for the countries present; one
+    (years, countries present, m) block per presence pattern."""
     blocks = []
-    for year in np.unique(design.years):
-        idx = np.flatnonzero(design.years == year)
-        idx = idx[np.argsort(codes[idx])]
-        blocks.append((int(year), idx, codes[idx]))
+    for present, years in grid.patterns:
+        try:
+            chol = np.linalg.cholesky(sigma[np.ix_(present, present)])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"year covariance block not positive definite: {exc}") from exc
+        # L^-1 times all years at once: a triangular solve over every year's
+        # columns is large enough to wake BLAS threads, these calls are not
+        chol_inv = sla.solve_triangular(chol, np.eye(present.size), lower=True)
+        blocks.append(np.matmul(chol_inv, cols[np.ix_(years, present)]))
     return blocks
 
 
-def _gls_pass(design: DesignMatrix, sigma: np.ndarray, blocks):
-    k = len(design.columns)
-    a = np.zeros((k, k))
-    b = np.zeros(k)
-    for _, idx, present in blocks:
-        omega = sigma[np.ix_(present, present)]
-        xt = design.X[idx]
-        yt = design.y[idx]
-        try:
-            cho = sla.cho_factor(omega, lower=True)
-        except sla.LinAlgError as exc:
-            raise NumericalError(f"year covariance block not positive definite: {exc}") from exc
-        oix = sla.cho_solve(cho, xt)
-        a += xt.T @ oix
-        b += oix.T @ yt
-    try:
-        beta = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"GLS normal equations singular: {exc}") from exc
-    return beta, a
-
-
-def _sur_loglik(design: DesignMatrix, sigma: np.ndarray, blocks, resid: np.ndarray) -> float:
-    ll = 0.0
-    for _, idx, present in blocks:
-        omega = sigma[np.ix_(present, present)]
-        et = resid[idx]
-        cho = sla.cho_factor(omega, lower=True)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-        ll -= 0.5 * (len(idx) * math.log(2.0 * math.pi) + logdet + float(et @ sla.cho_solve(cho, et)))
-    return ll
+def _gls(grid: _YearGrid, xy: np.ndarray, sigma: np.ndarray, names: list[str]):
+    """GLS coefficients and R^-1 of the whitened design; ``xy`` is the
+    grid of ``[X | y]``."""
+    white = np.concatenate([b.reshape(-1, b.shape[-1]) for b in _whiten(grid, sigma, xy)])
+    return qr_solve(white[:, :-1], white[:, -1], names)
 
 
 def _fgls_cov_factor(design: DesignMatrix) -> float:
@@ -146,22 +145,16 @@ def _fgls_cov_factor(design: DesignMatrix) -> float:
 
 def _finalize(
     design: DesignMatrix,
+    grid: _YearGrid,
     beta: np.ndarray,
-    a: np.ndarray,
+    rinv: np.ndarray,
     sigma: np.ndarray,
-    blocks,
-    iterations: int,
     cov_factor: float = 1.0,
+    **status,
 ) -> FitResult:
+    """Result of a GLS fit; ``status`` sets iterations, converged, final_delta."""
     fitted = design.X @ beta
     resid = design.y - fitted
-    by_country, years = _split_residuals(design, resid)
-    resid_var = {c: float(e @ e) / e.size for c, e in by_country.items()}
-    d = np.sqrt(np.diag(sigma))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = sigma / np.outer(d, d)
-    corr[~np.isfinite(corr)] = 0.0
-
     tss = float(np.sum((design.y - design.y.mean()) ** 2))
     rss = float(resid @ resid)
     n, k = design.nobs, len(design.columns)
@@ -170,20 +163,16 @@ def _finalize(
     return FitResult(
         coef_names=list(design.columns),
         beta=beta,
-        cov=cov_factor * np.linalg.inv(a),
+        cov=cov_factor * (rinv @ rinv.T),
         residuals=resid,
         fitted=fitted,
         nobs=n,
         k=k,
-        loglik=_sur_loglik(design, sigma, blocks, resid),
         r2_adj=1.0 - (1.0 - r2) * (n - 1) / (n - k),
-        iterations=iterations,
-        residuals_by_country=by_country,
-        years_by_country=years,
-        resid_var_by_country=resid_var,
+        resid_grid=grid.fill(resid, np.nan),
+        grid_countries=list(design.country_list),
         sigma=sigma,
-        sigma_countries=list(design.country_list),
-        corr=corr,
+        **status,
     )
 
 
@@ -200,62 +189,65 @@ def sur_egls_fit(
     pairwise over overlapping years, repaired to positive definite if
     needed, and used for GLS.  With ``iterate`` the covariance and
     coefficients are updated until the largest coefficient change falls
-    below ``tol`` or ``max_iter`` is hit.  Passing ``sigma`` skips
-    estimation and runs a single GLS pass with the given covariance.
+    below ``tol`` or ``max_iter`` is hit; stopping at ``max_iter`` warns
+    and leaves ``converged`` False.  Passing ``sigma`` skips estimation and
+    runs a single GLS pass with the given covariance.
 
     When the covariance is estimated, the classical coefficient covariance
     carries the finite-sample inflation of :func:`_fgls_cov_factor`; with a
     known ``sigma`` the plug-in covariance is exact and used as is.
     """
-    if len(design.country_list) < 2:
+    n = len(design.country_list)
+    if n < 2:
         raise InputError("system estimation needs at least 2 countries")
-    blocks = _year_blocks(design)
+    grid = _year_grid(design)
+    xy = grid.fill(np.column_stack([design.X, design.y]))
 
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=float)
-        if sigma.shape != (len(design.country_list),) * 2:
-            raise InputError(
-                f"sigma must be {len(design.country_list)}x{len(design.country_list)}"
-            )
-        beta, a = _gls_pass(design, sigma, blocks)
-        return _finalize(design, beta, a, sigma, blocks, iterations=0)
+        if sigma.shape != (n, n):
+            raise InputError(f"sigma must be {n}x{n}")
+        if not np.all(np.isfinite(sigma)):
+            raise InputError("sigma has non-finite entries")
+        beta, rinv = _gls(grid, xy, sigma, design.columns)
+        return _finalize(design, grid, beta, rinv, sigma, iterations=0)
 
     first = ols_fit(design.y, design.X, design.columns)
-    resid = first.residuals
-    by_country, years = _split_residuals(design, resid)
-    sigma_hat = repair_covariance(pairwise_sigma(by_country, years, design.country_list))
-
-    beta, a = _gls_pass(design, sigma_hat, blocks)
+    sigma_hat = repair_covariance(pairwise_sigma(grid.fill(first.residuals), grid.mask))
+    beta, rinv = _gls(grid, xy, sigma_hat, design.columns)
     iterations = 1
-    if iterate:
-        while iterations < max_iter:
-            resid = design.y - design.X @ beta
-            by_country, years = _split_residuals(design, resid)
-            sigma_hat = repair_covariance(
-                pairwise_sigma(by_country, years, design.country_list)
-            )
-            beta_new, a = _gls_pass(design, sigma_hat, blocks)
-            delta = float(np.max(np.abs(beta_new - beta)))
-            beta = beta_new
-            iterations += 1
-            if delta < tol:
-                break
+    delta = float("nan")
+    converged = not iterate
+    while iterate and iterations < max_iter:
+        resid = design.y - design.X @ beta
+        sigma_hat = repair_covariance(pairwise_sigma(grid.fill(resid), grid.mask))
+        beta_new, rinv = _gls(grid, xy, sigma_hat, design.columns)
+        delta = float(np.max(np.abs(beta_new - beta)))
+        beta = beta_new
+        iterations += 1
+        if delta < tol:
+            converged = True
+            break
+    if not converged:
+        warnings.warn(
+            f"SUR iteration stopped at max_iter={max_iter} without converging: "
+            f"last coefficient change {delta:.3g} (tol {tol:g})",
+            stacklevel=2,
+        )
     return _finalize(
-        design, beta, a, sigma_hat, blocks, iterations=iterations,
-        cov_factor=_fgls_cov_factor(design),
+        design, grid, beta, rinv, sigma_hat, _fgls_cov_factor(design),
+        iterations=iterations, converged=converged, final_delta=delta,
     )
 
 
 def ols_fit_design(design: DesignMatrix) -> FitResult:
-    """Pooled OLS on a design, with the per-country residual structure filled in."""
+    """Pooled OLS on a design, with the residual grid and the diagonal
+    cross-country covariance filled in."""
     fit = ols_fit(design.y, design.X, design.columns)
-    by_country, years = _split_residuals(design, fit.residuals)
-    fit.residuals_by_country = by_country
-    fit.years_by_country = years
-    fit.resid_var_by_country = {c: float(e @ e) / e.size for c, e in by_country.items()}
-    fit.sigma = np.diag([fit.resid_var_by_country[c] for c in design.country_list])
-    fit.sigma_countries = list(design.country_list)
-    fit.corr = np.eye(len(design.country_list))
+    grid = _year_grid(design)
+    fit.resid_grid = grid.fill(fit.residuals, np.nan)
+    fit.grid_countries = list(design.country_list)
+    fit.sigma = np.diag(np.diag(pairwise_sigma(fit.resid_grid, grid.mask)))
     return fit
 
 
@@ -265,37 +257,27 @@ def white_cross_section_cov(fit: FitResult, design: DesignMatrix) -> np.ndarray:
 
     V = A^{-1} (sum_t X_t' O^{-1} u_t u_t' O^{-1} X_t) A^{-1} with
     A = sum_t X_t' O^{-1} X_t, where O is the fitted cross-country
-    covariance restricted to the countries present in year t.  Raises
-    NumericalError when rounding leaves a negative variance on the diagonal.
+    covariance restricted to the countries present in year t.  With
+    ``[X | u]`` whitened as in GLS, A = R'R and the year-t score is the sum
+    of whitened X times whitened u over that year; stacking the scores as
+    S gives V = B'B with B = S R^-1 R^-T, so no variance is negative.
     """
-    if fit.sigma is None or not fit.sigma_countries:
+    n = len(design.country_list)
+    if fit.sigma is None or fit.sigma.shape != (n, n):
         raise NumericalError("fit carries no cross-country covariance; run the system fit first")
     if fit.residuals is None or fit.residuals.size != design.nobs:
         raise NumericalError("fit residuals do not match the design")
-    blocks = _year_blocks(design)
+    grid = _year_grid(design)
     k = len(design.columns)
-    if len(blocks) < k:
+    if grid.row.shape[0] < k:
         warnings.warn(
-            f"only {len(blocks)} years for {k} coefficients: sandwich meat matrix is "
+            f"only {grid.row.shape[0]} years for {k} coefficients: sandwich meat matrix is "
             "rank deficient",
             stacklevel=2,
         )
-    a = np.zeros((k, k))
-    meat = np.zeros((k, k))
-    for _, idx, present in blocks:
-        omega = fit.sigma[np.ix_(present, present)]
-        cho = sla.cho_factor(omega, lower=True)
-        xt = design.X[idx]
-        oix = sla.cho_solve(cho, xt)
-        a += xt.T @ oix
-        score = oix.T @ fit.residuals[idx]
-        meat += np.outer(score, score)
-    a_inv = np.linalg.inv(a)
-    cov = a_inv @ meat @ a_inv
-    negative = [name for name, v in zip(design.columns, np.diag(cov)) if v < 0.0]
-    if negative:
-        raise NumericalError(
-            "sandwich covariance has a negative variance for "
-            f"{', '.join(negative)}; the GLS normal equations are too ill-conditioned"
-        )
-    return cov
+    blocks = _whiten(grid, fit.sigma, grid.fill(np.column_stack([design.X, fit.residuals])))
+    white = np.concatenate([b.reshape(-1, k + 1) for b in blocks])
+    _, rinv = qr_solve(white[:, :k], white[:, k], design.columns)
+    scores = np.concatenate([np.einsum("tck,tc->tk", b[..., :k], b[..., k]) for b in blocks])
+    half = scores @ rinv @ rinv.T
+    return half.T @ half

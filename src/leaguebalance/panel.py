@@ -308,16 +308,10 @@ def parse_league_csv(path: str, config: Config | None = None) -> list[LeagueSeas
         first_line = min(line for line, _ in entries)
         where = f"{path}:{first_line} ({country}, {season})"
         recs = sorted((rec for _, rec in entries), key=lambda r: r.rank)
-        ranks = [r.rank for r in recs]
-        for a, b in zip(ranks, ranks[1:]):
-            if a == b:
-                raise InputError(f"{where}: duplicate rank {a}")
         n = len(recs)
-        if ranks != list(range(1, n + 1)):
-            raise InputError(f"{where}: ranks are not a permutation of 1..{n}")
-        teams = [r.team for r in recs]
-        if len(set(teams)) != n:
+        if len({r.team for r in recs}) != n:
             raise InputError(f"{where}: duplicate team id")
+        # LeagueSeason validates the ranks
         k, i = config.levels_for(country, season, n)
         try:
             seasons.append(

@@ -140,9 +140,20 @@ def random_outcomes(n: int, rng: np.random.Generator):
     return rng.integers(0, 3, size=n * (n - 1))
 
 
-def fit_from_residuals(resid_by_country: dict[str, np.ndarray]) -> FitResult:
-    """Minimal FitResult wrapping given residual series (years 0, 1, 2, ...)."""
-    stacked = np.concatenate([np.asarray(e, dtype=float) for e in resid_by_country.values()])
+def fit_from_residuals(resid_by_country: dict[str, np.ndarray], years_by_country=None) -> FitResult:
+    """Minimal FitResult wrapping given residual series on the year x country grid.
+
+    ``years_by_country`` gives each series' years, by default 0, 1, 2, ...
+    """
+    countries = list(resid_by_country)
+    series = {c: np.asarray(e, dtype=float) for c, e in resid_by_country.items()}
+    years = {c: np.arange(series[c].size) for c in countries}
+    years.update({c: np.asarray(y) for c, y in (years_by_country or {}).items()})
+    all_years = np.unique(np.concatenate([years[c] for c in countries]))
+    grid = np.full((all_years.size, len(countries)), np.nan)
+    for j, c in enumerate(countries):
+        grid[np.searchsorted(all_years, years[c]), j] = series[c]
+    stacked = np.concatenate([series[c] for c in countries])
     return FitResult(
         coef_names=[],
         beta=np.empty(0),
@@ -150,9 +161,47 @@ def fit_from_residuals(resid_by_country: dict[str, np.ndarray]) -> FitResult:
         residuals=stacked,
         fitted=np.zeros_like(stacked),
         nobs=stacked.size,
-        residuals_by_country={c: np.asarray(e, dtype=float) for c, e in resid_by_country.items()},
-        years_by_country={c: np.arange(len(e)) for c, e in resid_by_country.items()},
+        resid_grid=grid,
+        grid_countries=countries,
     )
+
+
+def pairwise_oracle(resid_by_country, years_by_country):
+    """Per-pair loop reference for the grid computations: pairwise covariance,
+    Breusch-Pagan LM (statistic, df, note) and panel Durbin-Watson.
+
+    Countries are taken in sorted order; every series must be sorted by year
+    and contiguous.
+    """
+    countries = sorted(resid_by_country)
+    series = {
+        c: dict(zip(np.asarray(years_by_country[c]).tolist(), np.asarray(resid_by_country[c]).tolist()))
+        for c in countries
+    }
+    n = len(countries)
+    sigma = np.zeros((n, n))
+    lam, pairs, skipped = 0.0, 0, []
+    for i in range(n):
+        for j in range(i, n):
+            common = sorted(set(series[countries[i]]) & set(series[countries[j]]))
+            ei = np.array([series[countries[i]][t] for t in common])
+            ej = np.array([series[countries[j]][t] for t in common])
+            if common:
+                sigma[i, j] = sigma[j, i] = float(ei @ ej) / len(common)
+            if i == j:
+                continue
+            denom = float(np.sqrt(float(ei @ ei) * float(ej @ ej))) if common else 0.0
+            if len(common) < 2 or denom == 0.0:
+                skipped.append(f"{countries[i]}/{countries[j]}")
+                continue
+            r = float(ei @ ej) / denom
+            lam += len(common) * r * r
+            pairs += 1
+    num = sum(float(np.sum(np.diff(resid_by_country[c]) ** 2)) for c in countries)
+    den = sum(float(np.asarray(resid_by_country[c]) @ np.asarray(resid_by_country[c])) for c in countries)
+    note = f"excluded pairs without overlap: {', '.join(skipped)}" if skipped else ""
+    return {"countries": countries, "sigma": sigma, "lm": lam, "df": pairs, "note": note,
+            "dw": num / den if den > 0.0 else float("nan")}
 
 
 def dgp_design(seed: int = 0, params=None, **spec_kw):

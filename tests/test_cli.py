@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from leaguebalance.cli import main
+from leaguebalance.manifest import sha256_file, sha256_text
 
 
 def run(*argv) -> int:
@@ -130,6 +131,19 @@ class TestFitCommand:
             rows = {r["variable"]: r for r in csv.DictReader(fh)}
         assert set(rows) == {"cb", "pop", "rgni", "un", "d97", "t", "t2"}
 
+    def test_diagnostics_record_convergence(self, small_dataset, tmp_path):
+        out = tmp_path / "fit"
+        assert run(
+            "fit", "--macro", small_dataset["macro"], "--league", small_dataset["league"],
+            "--index", "scr_ki", "--iterate-sur", "--out-dir", out,
+        ) == 0
+        with open(out / "fit_scr_ki_diagnostics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["name"] for r in rows[-3:]] == ["iterations", "converged", "final_delta"]
+        converged, final_delta = rows[-2]["statistic"], float(rows[-1]["statistic"])
+        assert converged in ("0", "1")
+        assert (final_delta < 1e-8) == (converged == "1")
+
     def test_no_d97_removes_row(self, small_dataset, tmp_path):
         out = tmp_path / "fit"
         assert run(
@@ -176,27 +190,6 @@ class TestFitCommand:
         assert read_bytes(direct / "fit_namsi_coefficients.csv") == read_bytes(
             via_csv / "fit_namsi_coefficients.csv"
         )
-
-    def test_negative_robust_variance_exits_numerical(self, small_dataset, tmp_path,
-                                                       monkeypatch, capsys):
-        import numpy as np
-
-        import leaguebalance.cli as cli
-
-        real = cli.white_cross_section_cov
-
-        def sandwich_with_negative_meat(fit, design):
-            with monkeypatch.context() as m:
-                outer = np.outer
-                m.setattr(np, "outer", lambda a, b: -outer(a, b))
-                return real(fit, design)
-
-        monkeypatch.setattr(cli, "white_cross_section_cov", sandwich_with_negative_meat)
-        assert run(
-            "fit", "--macro", small_dataset["macro"], "--league", small_dataset["league"],
-            "--index", "acr_k", "--out-dir", tmp_path / "o",
-        ) == 3
-        assert capsys.readouterr().err.startswith("numerical error: sandwich covariance")
 
 
 class TestEffectsCommand:
@@ -249,6 +242,50 @@ class TestReportCommand:
         ):
             assert (out / name).exists(), name
         assert (out / "effects_sdc_ki" / "effects.csv").exists()
+
+    def test_manifest_lists_the_whole_run(self, small_dataset, tmp_path):
+        out = tmp_path / "rep"
+        assert run(
+            "report", "--league", small_dataset["league"], "--macro", small_dataset["macro"],
+            "--index", "sdc_ki", "--out-dir", out, "--seed", 6,
+        ) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "report"
+        assert manifest["inputs"] == {
+            "league": sha256_file(small_dataset["league"]),
+            "macro": sha256_file(small_dataset["macro"]),
+        }
+        files = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert set(manifest["artifacts"]) == files - {"manifest.json"}
+        assert "effects_sdc_ki/effects.csv" in files and "unit_root.csv" in files
+
+    def test_matches_the_single_commands(self, small_dataset, tmp_path):
+        macro = small_dataset["macro"]
+        out = tmp_path / "rep"
+        assert run(
+            "report", "--league", small_dataset["league"], "--macro", macro,
+            "--index", "sdc_ki", "--out-dir", out, "--seed", 6,
+        ) == 0
+        fit = tmp_path / "fit"
+        assert run(
+            "fit", "--macro", macro, "--indices", out / "indices.csv", "--index", "sdc_ki",
+            "--out-dir", fit, "--seed", 6,
+        ) == 0
+        for name, data in tree_bytes(fit).items():
+            if name != "manifest.json":
+                assert read_bytes(out / name) == data, name
+        with open(fit / "fit_sdc_ki_longrun.csv", newline="") as fh:
+            cb = next(r for r in csv.DictReader(fh) if r["variable"] == "cb")["elasticity"]
+        effects = tmp_path / "effects"
+        assert run(
+            "effects", "--indices", out / "indices.csv", "--macro", macro, "--index", "sdc_ki",
+            "--elasticity", cb, "--out-dir", effects, "--seed", 6,
+        ) == 0
+        assert tree_bytes(out / "effects_sdc_ki") == tree_bytes(effects)
+        effects_manifest = json.loads((effects / "manifest.json").read_text())
+        assert effects_manifest["config_hash"] == sha256_text(
+            f"elasticity={float(cb)!r},index=sdc_ki"
+        )
 
     def test_report_deterministic(self, small_dataset, tmp_path):
         outs = []

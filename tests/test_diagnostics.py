@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leaguebalance import InputError, NumericalError
 from leaguebalance.econometrics import (
@@ -11,7 +13,8 @@ from leaguebalance.econometrics import (
     sur_egls_fit,
 )
 from leaguebalance.econometrics.diagnostics import jarque_bera_stat
-from support import dgp_design, fit_from_residuals
+from leaguebalance.econometrics.sur import pairwise_sigma
+from support import dgp_design, fit_from_residuals, pairwise_oracle
 from test_sur import stacked_design
 
 
@@ -46,15 +49,19 @@ class TestBreuschPaganLm:
         assert breusch_pagan_lm(fit).p_value < 1e-6
 
     def test_non_overlapping_pair_noted(self):
-        fit = fit_from_residuals({"A": np.sin(np.arange(10.0)), "B": np.cos(np.arange(10.0))})
-        fit.years_by_country["B"] = np.arange(100, 110)
+        fit = fit_from_residuals(
+            {"A": np.sin(np.arange(10.0)), "B": np.cos(np.arange(10.0))},
+            years_by_country={"B": np.arange(100, 110)},
+        )
         with pytest.raises(InputError, match="no country pair"):
             breusch_pagan_lm(fit)
 
     def test_partial_overlap_reduces_df_with_note(self):
         rng = np.random.default_rng(3)
-        fit = fit_from_residuals({c: rng.standard_normal(12) for c in "ABC"})
-        fit.years_by_country["C"] = np.arange(200, 212)  # no overlap with A or B
+        fit = fit_from_residuals(
+            {c: rng.standard_normal(12) for c in "ABC"},
+            years_by_country={"C": np.arange(200, 212)},  # no overlap with A or B
+        )
         result = breusch_pagan_lm(fit)
         assert result.df == 1  # only the A/B pair remains
         assert "A/C" in result.note and "B/C" in result.note
@@ -63,6 +70,52 @@ class TestBreuschPaganLm:
         fit = fit_from_residuals({"A": np.sin(np.arange(10.0))})
         with pytest.raises(InputError, match="at least 2"):
             breusch_pagan_lm(fit)
+
+
+@st.composite
+def unbalanced_residuals(draw):
+    """Residual series on a random unbalanced presence grid: one contiguous
+    span of years per country, countries in random name order."""
+    names = draw(st.permutations(["C0", "C1", "C2", "C3", "C4", "C5"]))
+    n = draw(st.integers(2, 6))
+    resid, years = {}, {}
+    for name in names[:n]:
+        start = draw(st.integers(0, 12))
+        length = draw(st.integers(2, 14))
+        values = draw(st.lists(st.integers(-1000, 1000), min_size=length, max_size=length))
+        resid[name] = np.array(values) / 100.0
+        years[name] = np.arange(start, start + length)
+    return resid, years
+
+
+class TestResidualGrid:
+    """The grid computations equal a per-pair loop over the country series."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(unbalanced_residuals())
+    def test_grid_matches_per_pair_loop(self, case):
+        resid, years = case
+        oracle = pairwise_oracle(resid, years)
+        fit = fit_from_residuals(resid, years_by_country=years)
+        order = [fit.grid_countries.index(c) for c in oracle["countries"]]
+        sigma = pairwise_sigma(fit.resid_grid, ~np.isnan(fit.resid_grid))
+        assert np.allclose(sigma[np.ix_(order, order)], oracle["sigma"], rtol=1e-12, atol=1e-12)
+
+        if oracle["df"] == 0:
+            with pytest.raises(InputError, match="no country pair"):
+                breusch_pagan_lm(fit)
+        else:
+            lm = breusch_pagan_lm(fit)
+            assert lm.statistic == pytest.approx(oracle["lm"], rel=1e-10, abs=1e-12)
+            assert lm.df == oracle["df"]
+            assert lm.note == oracle["note"]
+
+        if np.isnan(oracle["dw"]):
+            with pytest.raises(NumericalError, match="degenerate"):
+                durbin_watson_panel(fit)
+        else:
+            dw = durbin_watson_panel(fit)
+            assert dw.statistic == pytest.approx(oracle["dw"], rel=1e-12)
 
 
 class TestDurbinWatson:
