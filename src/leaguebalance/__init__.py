@@ -14,7 +14,9 @@ from .catalog import (
     BIDIMENSIONAL_PAIRS,
     DYNAMIC_INDEX_NAMES,
     SEASONAL_INDEX_NAMES,
+    PRIZE_LEVELS,
     IndexValue,
+    PrizeLevel,
 )
 from .dynamic import (
     GIndexResult,
@@ -44,8 +46,6 @@ from .panel import (
 )
 from .pipeline import compute_all_indices, compute_pairwise, compute_seasonal, series_from_values
 from .seasonal import (
-    ReferenceDistribution,
-    WeightScheme,
     acr_top,
     adjusted_gini,
     cu_percentages,

@@ -1,23 +1,78 @@
-"""Names and value records for the seventeen competitive-balance indices."""
+"""Names and value records for the seventeen competitive-balance indices,
+and the prize-level table of the concentration family."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from .errors import InputError
 
-SEASONAL_INDEX_NAMES = ("namsi", "hhi_star", "agini", "ncr1", "acr_k", "ncr_i", "scr_ki")
-PAIRWISE_INDEX_NAMES = ("tau", "dn1", "adn_k", "dn_i", "sdn_ki")
-WINDOWED_INDEX_NAMES = ("g",)
+
+@dataclass(frozen=True)
+class PrizeLevel:
+    """One prize level of the concentration family and its three indices.
+
+    ``weights(K, I, n)`` gives the rank weights of an n-team league as
+    ``(top, bottom)``: ``top[j]`` weights rank j + 1 and ``bottom[j]``
+    weights rank n - len(bottom) + j + 1.  The seasonal index and its
+    dynamic twin use the same weights; outside the level's domain of K and
+    I the call raises InputError.
+    """
+
+    seasonal: str
+    dynamic: str
+    bidimensional: str
+    weights: Callable[[int, int, int], tuple[np.ndarray, np.ndarray]]
+
+
+_NO_PLACES = np.zeros(0)
+
+
+def _check_places(what: str, count: int, n: int) -> None:
+    if not (1 <= count < n):
+        raise InputError(f"{what}={count} out of range for n={n}")
+
+
+def _title(K: int, I: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.ones(1), _NO_PLACES
+
+
+def _top_k(K: int, I: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    _check_places("K", K, n)
+    return np.arange(K, 0, -1.0), _NO_PLACES  # K + 1 - r
+
+
+def _relegation(K: int, I: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    _check_places("I", I, n)
+    return _NO_PLACES, np.ones(I)
+
+
+def _all_levels(K: int, I: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # K + 2 - r keeps every top weight above the relegation weight 1
+    _check_places("K", K, n)
+    _check_places("I", I, n)
+    if K + I >= n:
+        raise InputError(f"K+I={K + I} must be < n={n}")
+    return np.arange(K + 1, 1, -1.0), np.ones(I)
+
+
+PRIZE_LEVELS = (
+    PrizeLevel("ncr1", "dn1", "dc1", _title),
+    PrizeLevel("acr_k", "adn_k", "adc_k", _top_k),
+    PrizeLevel("ncr_i", "dn_i", "dc_i", _relegation),
+    PrizeLevel("scr_ki", "sdn_ki", "sdc_ki", _all_levels),
+)
+TITLE, TOP_K, RELEGATION, ALL_LEVELS = PRIZE_LEVELS
+
+SEASONAL_INDEX_NAMES = ("namsi", "hhi_star", "agini") + tuple(lv.seasonal for lv in PRIZE_LEVELS)
+PAIRWISE_INDEX_NAMES = ("tau",) + tuple(lv.dynamic for lv in PRIZE_LEVELS)
 DYNAMIC_INDEX_NAMES = ("g",) + PAIRWISE_INDEX_NAMES
 
 # bi-dimensional index -> (seasonal component, dynamic component)
-BIDIMENSIONAL_PAIRS = {
-    "dc1": ("ncr1", "dn1"),
-    "adc_k": ("acr_k", "adn_k"),
-    "dc_i": ("ncr_i", "dn_i"),
-    "sdc_ki": ("scr_ki", "sdn_ki"),
-}
+BIDIMENSIONAL_PAIRS = {lv.bidimensional: (lv.seasonal, lv.dynamic) for lv in PRIZE_LEVELS}
 BIDIMENSIONAL_INDEX_NAMES = tuple(BIDIMENSIONAL_PAIRS)
 
 ALL_INDEX_NAMES = SEASONAL_INDEX_NAMES + DYNAMIC_INDEX_NAMES + BIDIMENSIONAL_INDEX_NAMES

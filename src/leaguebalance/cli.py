@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as _stats
+from scipy.special import ndtr
 
 from .catalog import ALL_INDEX_NAMES, IndexValue
 from .econometrics import (
@@ -34,12 +34,21 @@ from .econometrics import (
 )
 from .errors import ConfigError, InputError, LeagueBalanceError, NumericalError
 from .manifest import sha256_file, sha256_text, write_manifest
-from .panel import Config, build_panel, parse_league_csv, parse_macro_csv
+from .panel import (
+    Config,
+    _check_header,
+    _parse_float,
+    _parse_int,
+    build_panel,
+    parse_league_csv,
+    parse_macro_csv,
+)
 from .pipeline import compute_all_indices, series_from_values
 from .reports import fmt, stars, write_csv, write_text_table
 from .simulate import DgpParams, LeagueSimParams, simulate_dgp, simulate_league
 
 PANEL_VARIABLES = ("ln_att", "ln_pop", "ln_rgni", "ln_un")
+INDEX_COLUMNS = ("country", "season", "index", "value")
 
 
 def _load_config(args) -> tuple[Config, str]:
@@ -63,25 +72,27 @@ def _index_names(arg: str) -> list[str]:
 
 
 def read_index_csv(path: str) -> list[IndexValue]:
+    """Parse an ``indices.csv``; each (country, season, index) may appear once."""
     out = []
+    seen: set[tuple[str, int, str]] = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        expected = ("country", "season", "index", "value")
-        if reader.fieldnames is None or tuple(reader.fieldnames) != expected:
-            raise InputError(f"{path}: bad header; expected {','.join(expected)}")
+        _check_header(reader.fieldnames, INDEX_COLUMNS, path)
         for row in reader:
             where = f"{path}:{reader.line_num}"
-            try:
-                out.append(
-                    IndexValue(
-                        name=row["index"],
-                        country=row["country"],
-                        season=int(row["season"]),
-                        value=float(row["value"]),
-                    )
+            season = _parse_int(row["season"], "season", where)
+            key = (row["country"], season, row["index"])
+            if key in seen:
+                raise InputError(f"{where}: duplicate (country, season, index) {key}")
+            seen.add(key)
+            out.append(
+                IndexValue(
+                    name=row["index"],
+                    country=row["country"],
+                    season=season,
+                    value=_parse_float(row["value"], "value", where),
                 )
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"{where}: {exc}") from None
+            )
     if not out:
         raise InputError(f"{path}: no data rows")
     return out
@@ -98,7 +109,7 @@ def _indices(league_path, config: Config, out_dir) -> tuple[list[IndexValue], li
     artifacts = [
         write_csv(
             out / "indices.csv",
-            ("country", "season", "index", "value"),
+            INDEX_COLUMNS,
             [(v.country, v.season, v.name, v.value) for v in values],
         ),
         write_csv(
@@ -129,16 +140,21 @@ def _panel_series(panel, variable: str) -> dict[str, np.ndarray]:
     }
 
 
-def _unit_root(macro, config: Config, max_lag, out_dir) -> list[str]:
+def _unit_root(macro, max_lag, out_dir) -> list[str]:
     """ADF-Fisher tests of the panel variables, written to unit_root.csv and .txt."""
-    panel = build_panel([], macro, config)
+    panel = build_panel([], macro)
     if not panel.rows:
         raise InputError("empty panel")
     rows = []
     for variable in PANEL_VARIABLES:
         series = _panel_series(panel, variable)
         for case in ("c", "ct"):
-            results = [adf_test(y, case, max_lag) for y in series.values()]
+            results = []
+            for country, y in series.items():
+                try:
+                    results.append(adf_test(y, case, max_lag))
+                except NumericalError as exc:
+                    raise NumericalError(f"{variable} for {country}: {exc}") from None
             combined = fisher_panel_unit_root([r.p_value for r in results])
             lags = [r.lag for r in results]
             rows.append(
@@ -167,8 +183,8 @@ def _unit_root(macro, config: Config, max_lag, out_dir) -> list[str]:
 
 
 def cmd_unit_root(args) -> int:
-    config, config_hash = _load_config(args)
-    artifacts = _unit_root(parse_macro_csv(args.macro), config, args.max_lag, args.out_dir)
+    _, config_hash = _load_config(args)
+    artifacts = _unit_root(parse_macro_csv(args.macro), args.max_lag, args.out_dir)
     inputs = {"macro": sha256_file(args.macro)}
     write_manifest(args.out_dir, "unit-root", args.seed, inputs, config_hash, artifacts)
     print("wrote unit-root report")
@@ -215,7 +231,7 @@ def fit_index_model(panel, index_values, name: str, spec: RegressionSpec, iterat
         se_c = math.sqrt(fit.cov[i, i])
         se_r = math.sqrt(fit.cov_robust[i, i])
         z = fit.beta[i] / se_r if se_r > 0 else float("inf")
-        p = float(2.0 * _stats.norm.sf(abs(z)))
+        p = float(2.0 * ndtr(-abs(z)))
         coef_rows.append((term, float(fit.beta[i]), se_c, se_r, z, p, stars(p)))
 
     longrun_rows = [
@@ -359,7 +375,7 @@ def cmd_fit(args) -> int:
     else:
         raise InputError("fit needs --indices or --league")
 
-    panel = build_panel(leagues, macro, config)
+    panel = build_panel(leagues, macro)
     reports, artifacts = _fit(panel, index_values, names, args, config, args.out_dir)
     write_manifest(args.out_dir, "fit", args.seed, inputs, config_hash, artifacts)
     print(f"fitted {len(reports)} model(s): {', '.join(r.name for r in reports)}")
@@ -463,6 +479,7 @@ def cmd_simulate(args) -> int:
     )
     if args.kind == "league":
         dispersion = math.inf if args.dispersion == "inf" else float(args.dispersion)
+        K, I = Config().levels_for(args.country, args.start_season, args.n_teams)
         params = LeagueSimParams(
             n_teams=args.n_teams,
             n_seasons=n_seasons,
@@ -470,8 +487,8 @@ def cmd_simulate(args) -> int:
             country=args.country,
             start_season=args.start_season,
             churn=args.churn,
-            K=min(3, (args.n_teams - 1) // 2),
-            I=min(3, args.n_teams - 1 - min(3, (args.n_teams - 1) // 2)),
+            K=K,
+            I=I,
         )
         leagues = simulate_league(params, seed=args.seed)
         artifacts = [_write_league_csv(out / "league.csv", leagues)]
@@ -486,7 +503,7 @@ def cmd_simulate(args) -> int:
             _write_macro_csv(out / "macro.csv", sim.macro),
             write_csv(
                 out / "indices.csv",
-                ("country", "season", "index", "value"),
+                INDEX_COLUMNS,
                 [(v.country, v.season, v.name, v.value) for v in sim.indices],
             ),
         ]
@@ -516,10 +533,10 @@ def cmd_report(args) -> int:
     out = Path(args.out_dir)
     values, artifacts = _indices(args.league, config, out)
     macro = parse_macro_csv(args.macro)
-    artifacts += _unit_root(macro, config, None, out)
+    artifacts += _unit_root(macro, None, out)
     index_values = _quantised(values)
     reports, fit_artifacts = _fit(
-        build_panel([], macro, config), index_values, names, args, config, out
+        build_panel([], macro), index_values, names, args, config, out
     )
     artifacts += fit_artifacts
     inputs = {"league": sha256_file(args.league), "macro": sha256_file(args.macro)}

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import BIDIMENSIONAL_PAIRS, IndexValue
+from .catalog import ALL_LEVELS, PRIZE_LEVELS, RELEGATION, TITLE, TOP_K, IndexValue, PrizeLevel
 from .errors import InputError
 from .panel import LeagueSeason
-from .seasonal import WeightScheme
 
 
 @dataclass(frozen=True)
@@ -37,10 +36,6 @@ class SeasonPair:
                 f"({self.curr.country}): seasons {self.prev.season} and {self.curr.season} "
                 "are not consecutive"
             )
-
-    def prev_rank(self, team: str) -> int | None:
-        """Previous-season rank of ``team``, or None if it was absent."""
-        return self.prev.rank_of().get(team)
 
 
 @dataclass(frozen=True)
@@ -130,62 +125,42 @@ def _persistence(prev_rank: int | None, rank: int, n_prev: int) -> float:
     return 1.0 - min(abs(prev_rank - rank), n_prev - 1) / (n_prev - 1.0)
 
 
-def dn_champion(pair: SeasonPair) -> float:
-    """Champion persistence across two seasons; 1 iff the champion repeats.
-
-    A champion promoted from outside the league counts as previous rank
-    n_prev + 1 and the value clamps at 0.
-    """
-    champion = pair.curr.records[0].team
-    n_prev = pair.prev.n
-    p = pair.prev_rank(champion)
-    if p is None:
-        p = n_prev + 1
-    return max(0.0, 1.0 - (p - 1.0) / (n_prev - 1.0))
-
-
-def adn_top(pair: SeasonPair, K: int) -> float:
-    """Weighted persistence of the current top K places (weights K+1-r)."""
-    if not (1 <= K < pair.curr.n):
-        raise InputError(f"K={K} out of range for n={pair.curr.n}")
+def _weighted_persistence(pair: SeasonPair, level: PrizeLevel, K: int, I: int) -> float:
+    """sum_r v_r * persistence_r / sum_r v_r over the level's weighted places
+    of the current season, with the level's rank weights v."""
+    curr = pair.curr
+    top, bottom = level.weights(K, I, curr.n)
+    ranks = list(range(1, top.size + 1)) + list(range(curr.n - bottom.size + 1, curr.n + 1))
+    prev_ranks = pair.prev.rank_of()
     n_prev = pair.prev.n
     num = 0.0
     den = 0.0
-    for r in range(1, K + 1):
-        team = pair.curr.records[r - 1].team
-        v = K + 1.0 - r
-        num += v * _persistence(pair.prev_rank(team), r, n_prev)
+    for r, v in zip(ranks, np.concatenate([top, bottom])):
+        num += v * _persistence(prev_ranks.get(curr.records[r - 1].team), r, n_prev)
         den += v
-    return num / den
+    return float(num / den)
+
+
+def dn_champion(pair: SeasonPair) -> float:
+    """Champion persistence across two seasons; 1 iff the champion repeats,
+    0 for a champion promoted from outside the league."""
+    return _weighted_persistence(pair, TITLE, 0, 0)
+
+
+def adn_top(pair: SeasonPair, K: int) -> float:
+    """Weighted persistence of the current top K places (``catalog.TOP_K``)."""
+    return _weighted_persistence(pair, TOP_K, K, 0)
 
 
 def dn_relegation(pair: SeasonPair, I: int) -> float:
     """Mean persistence of the current relegation-zone places."""
-    n = pair.curr.n
-    if not (1 <= I < n):
-        raise InputError(f"I={I} out of range for n={n}")
-    n_prev = pair.prev.n
-    values = [
-        _persistence(pair.prev_rank(pair.curr.records[r - 1].team), r, n_prev)
-        for r in range(n - I + 1, n + 1)
-    ]
-    return float(np.mean(values))
+    return _weighted_persistence(pair, RELEGATION, 0, I)
 
 
 def sdn(pair: SeasonPair, K: int, I: int) -> float:
     """Weighted persistence over top-K and relegation places, using the same
     rank weights as the seasonal three-level concentration ratio."""
-    n = pair.curr.n
-    scheme = WeightScheme.for_league(K, I, n)
-    n_prev = pair.prev.n
-    num = 0.0
-    den = 0.0
-    for r in list(range(1, K + 1)) + list(range(n - I + 1, n + 1)):
-        team = pair.curr.records[r - 1].team
-        w = scheme.weights[r - 1]
-        num += w * _persistence(pair.prev_rank(team), r, n_prev)
-        den += w
-    return num / den
+    return _weighted_persistence(pair, ALL_LEVELS, K, I)
 
 
 @dataclass(frozen=True)
@@ -237,11 +212,12 @@ def g_index(window: TopKWindow) -> float:
 def combine_bidimensional(seasonal: IndexValue, dynamic: IndexValue) -> IndexValue:
     """Average a seasonal index with its dynamic counterpart.
 
-    Valid pairings: (ncr1, dn1) -> dc1, (acr_k, adn_k) -> adc_k,
-    (ncr_i, dn_i) -> dc_i, (scr_ki, sdn_ki) -> sdc_ki.
+    Valid pairings are the prize levels of ``catalog.PRIZE_LEVELS``:
+    (ncr1, dn1) -> dc1, (acr_k, adn_k) -> adc_k, (ncr_i, dn_i) -> dc_i,
+    (scr_ki, sdn_ki) -> sdc_ki.
     """
-    for name, (s_name, d_name) in BIDIMENSIONAL_PAIRS.items():
-        if (seasonal.name, dynamic.name) == (s_name, d_name):
+    for level in PRIZE_LEVELS:
+        if (seasonal.name, dynamic.name) == (level.seasonal, level.dynamic):
             break
     else:
         raise InputError(
@@ -253,7 +229,7 @@ def combine_bidimensional(seasonal: IndexValue, dynamic: IndexValue) -> IndexVal
             f"but {dynamic.name} is for ({dynamic.country}, {dynamic.season})"
         )
     return IndexValue(
-        name=name,
+        name=level.bidimensional,
         country=seasonal.country,
         season=seasonal.season,
         value=(seasonal.value + dynamic.value) / 2.0,

@@ -49,7 +49,6 @@ class DesignMatrix:
     columns: list[str]
     countries: np.ndarray  # per-row country id
     years: np.ndarray  # per-row season
-    response: str
     spec: RegressionSpec
     country_list: list[str] = field(default_factory=list)
 
@@ -186,7 +185,6 @@ def build_adl_design(panel: PanelDataset, index_series, spec: RegressionSpec) ->
         columns=var_names,
         countries=np.concatenate(country_rows),
         years=np.concatenate(year_rows).astype(int),
-        response="d_ln_att",
         spec=spec,
         country_list=countries,
     )
@@ -240,7 +238,6 @@ def build_adl_lag_design(panel: PanelDataset, index_series, spec: RegressionSpec
         columns=var_names,
         countries=np.concatenate(country_rows),
         years=np.concatenate(year_rows).astype(int),
-        response="ln_att",
         spec=spec,
         country_list=countries,
     )

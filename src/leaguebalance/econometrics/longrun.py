@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from ..errors import InputError, NumericalError
 from .base import FitResult
@@ -80,7 +80,7 @@ def long_run_effects(fit: FitResult, spec: RegressionSpec) -> list[LongRunEffect
                 estimate=est,
                 se=se,
                 z=z,
-                p_value=float(2.0 * stats.norm.sf(abs(z))),
+                p_value=float(2.0 * ndtr(-abs(z))),
             )
         )
     return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from ..errors import InputError, NumericalError
 from .base import TestResult
@@ -37,6 +37,10 @@ _QUANT_GRID = np.concatenate(
 )
 
 _table_cache: dict | None = None
+
+# Below this ratio of extreme singular values, x'x (condition number squared)
+# has no correct digit left and the t-statistic's variance is noise.
+_RANK_TOL = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass
@@ -159,6 +163,17 @@ def adf_p_value(statistic: float, case: str, t_len: int) -> float:
     return (1.0 - w) * p_at(lo) + w * p_at(hi)
 
 
+def _lstsq(x: np.ndarray, resp: np.ndarray, p: int) -> np.ndarray:
+    """Least-squares coefficients; NumericalError if x is numerically rank deficient."""
+    coef, _, _, sv = np.linalg.lstsq(x, resp, rcond=None)
+    if sv[-1] <= sv[0] * _RANK_TOL:
+        raise NumericalError(
+            f"ADF regression at lag {p} is rank deficient: "
+            "the series is a deterministic trend up to rounding"
+        )
+    return coef
+
+
 def _adf_regression(y: np.ndarray, p: int, case: str):
     """Regress dy_t on deterministics, y_{t-1} and p lagged differences."""
     dy = np.diff(y)
@@ -172,7 +187,7 @@ def _adf_regression(y: np.ndarray, p: int, case: str):
         rows.append(dy[p - j : dy.size - j])
     x = np.column_stack(rows)
     resp = dy[p:]
-    coef, *_ = np.linalg.lstsq(x, resp, rcond=None)
+    coef = _lstsq(x, resp, p)
     resid = resp - x @ coef
     rss = float(resid @ resid)
     return x, resp, coef, rss
@@ -211,7 +226,7 @@ def adf_test(series, deterministic: str = "c", max_lag: int | None = None) -> Ad
         x_all, resp_all, _, _ = _adf_regression(y, p, deterministic)
         x = x_all[-t_common:]
         resp = resp_all[-t_common:]
-        coef, *_ = np.linalg.lstsq(x, resp, rcond=None)
+        coef = _lstsq(x, resp, p)
         resid = resp - x @ coef
         rss = float(resid @ resid)
         if rss <= 0.0:
@@ -264,5 +279,5 @@ def fisher_panel_unit_root(p_values) -> TestResult:
         name="adf_fisher",
         statistic=lam,
         df=df,
-        p_value=float(stats.chi2.sf(lam, df)),
+        p_value=float(chdtrc(df, lam)),
     )

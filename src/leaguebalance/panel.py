@@ -131,17 +131,9 @@ class PanelDataset:
     """
 
     rows: tuple[PanelRow, ...]
-    origin: int
-    trend_degree: int = 2
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def countries(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for row in self.rows:
-            seen.setdefault(row.country, None)
-        return list(seen)
 
     def by_country(self) -> dict[str, tuple[PanelRow, ...]]:
         out: dict[str, list[PanelRow]] = {}
@@ -367,18 +359,13 @@ def winning_percentages(season: LeagueSeason) -> np.ndarray:
     return np.array([(2.0 * r.wins + r.draws) / (2.0 * games) for r in season.records])
 
 
-def build_panel(
-    leagues: list[LeagueSeason],
-    macro: list[MacroObservation],
-    config: Config | None = None,
-) -> PanelDataset:
+def build_panel(leagues: list[LeagueSeason], macro: list[MacroObservation]) -> PanelDataset:
     """Assemble the regression panel from macro observations.
 
     Logs all four macro series, adds the post-1997 dummy and the global
     trend.  When ``leagues`` is non-empty, every macro (country, season)
     must have a matching league table so indices can be attached later.
     """
-    config = config or Config()
     if not macro:
         raise InputError("empty macro data")
     keyed: dict[tuple[str, int], MacroObservation] = {}
@@ -429,4 +416,4 @@ def build_panel(
                     t=obs.season - origin + 1,
                 )
             )
-    return PanelDataset(rows=tuple(rows), origin=origin, trend_degree=config.trend_degree)
+    return PanelDataset(rows=tuple(rows))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import dynamic as dyn
 from . import seasonal as seas
-from .catalog import ALL_INDEX_NAMES, BIDIMENSIONAL_PAIRS, IndexValue
+from .catalog import ALL_INDEX_NAMES, PRIZE_LEVELS, IndexValue
 from .errors import InputError
 from .panel import Config, LeagueSeason, winning_percentages
 
@@ -70,8 +70,7 @@ def compute_all_indices(
     bi-dimensional averages exist where both components do.  Output is
     sorted by (country, season, index).
 
-    ``names`` restricts the output (components of requested bi-dimensional
-    indices are computed as needed); G windows are only scored when g is
+    ``names`` restricts the output; G windows are only scored when g is
     requested.
     """
     config = config or Config()
@@ -79,10 +78,6 @@ def compute_all_indices(
     unknown = requested - set(ALL_INDEX_NAMES)
     if unknown:
         raise InputError(f"unknown index name(s): {sorted(unknown)}")
-    needed = set(requested)
-    for b_name, (s_name, d_name) in BIDIMENSIONAL_PAIRS.items():
-        if b_name in requested:
-            needed.update((s_name, d_name))
     by_country: dict[str, list[LeagueSeason]] = {}
     for lg in leagues:
         by_country.setdefault(lg.country, []).append(lg)
@@ -93,12 +88,20 @@ def compute_all_indices(
     g_diags: list[GDiagnostic] = []
     for country in sorted(by_country):
         seasons = by_country[country]
+        prev = None
         for lg in seasons:
-            values.extend(compute_seasonal(lg))
-        for prev, curr in zip(seasons, seasons[1:]):
-            if curr.season == prev.season + 1:
-                values.extend(compute_pairwise(dyn.SeasonPair(prev=prev, curr=curr)))
-        if "g" in needed:
+            season_values = compute_seasonal(lg)
+            if prev is not None and lg.season == prev.season + 1:
+                season_values += compute_pairwise(dyn.SeasonPair(prev=prev, curr=lg))
+                by_name = {v.name: v for v in season_values}
+                season_values += [
+                    dyn.combine_bidimensional(by_name[level.seasonal], by_name[level.dynamic])
+                    for level in PRIZE_LEVELS
+                    if level.bidimensional in requested
+                ]
+            values.extend(season_values)
+            prev = lg
+        if "g" in requested:
             t = config.g_window
             for end in range(t - 1, len(seasons)):
                 chunk = seasons[end - t + 1 : end + 1]
@@ -113,20 +116,8 @@ def compute_all_indices(
                     )
                     g_diags.append(GDiagnostic(country, window.end_season, detail.expected))
 
-    keyed = {(v.name, v.country, v.season): v for v in values}
-    for name, (s_name, d_name) in BIDIMENSIONAL_PAIRS.items():
-        if name not in requested:
-            continue
-        for (v_name, country, season), v in list(keyed.items()):
-            if v_name != s_name:
-                continue
-            d = keyed.get((d_name, country, season))
-            if d is not None:
-                combined = dyn.combine_bidimensional(v, d)
-                keyed[(name, country, season)] = combined
-
     out = sorted(
-        (v for v in keyed.values() if v.name in requested),
+        (v for v in values if v.name in requested),
         key=lambda v: (v.country, v.season, v.name),
     )
     return out, g_diags

@@ -7,16 +7,17 @@ percentages (n-i)/(n-1).
 
 The concentration-ratio family weights ranking places by their sporting
 value: the title race, the K continental-qualification places and the I
-relegation places.
+relegation places.  Each prize level's rank weights come from
+``catalog.PRIZE_LEVELS``, shared with the dynamic twins.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import ALL_LEVELS, RELEGATION, TITLE, TOP_K, PrizeLevel
 from .errors import InputError
 
 
@@ -36,53 +37,6 @@ def cu_percentages(n: int) -> np.ndarray:
     if n < 2:
         raise InputError(f"degenerate league with n={n} (need n >= 2)")
     return (n - 1.0 - np.arange(n)) / (n - 1.0)
-
-
-@dataclass(frozen=True)
-class ReferenceDistribution:
-    """Reference vectors for an n-team league: completely unbalanced and balanced."""
-
-    n: int
-    w_cu: np.ndarray
-    share_cu: np.ndarray
-    w_pb: np.ndarray
-
-    @classmethod
-    def for_league(cls, n: int) -> "ReferenceDistribution":
-        w_cu = cu_percentages(n)
-        return cls(n=n, w_cu=w_cu, share_cu=w_cu / w_cu.sum(), w_pb=np.full(n, 0.5))
-
-
-@dataclass(frozen=True)
-class WeightScheme:
-    """Rank weights for the three-level concentration indices.
-
-    Top-K places get K+2-r (strictly decreasing, all above the relegation
-    weight), relegation places get 1, middle places get 0.
-    """
-
-    K: int
-    I: int
-    n: int
-    weights: np.ndarray
-
-    @classmethod
-    def for_league(cls, K: int, I: int, n: int) -> "WeightScheme":
-        _check_levels(K, I, n)
-        w = np.zeros(n)
-        ranks = np.arange(1, n + 1)
-        w[ranks <= K] = K + 2 - ranks[ranks <= K]
-        w[ranks > n - I] = 1.0
-        return cls(K=K, I=I, n=n, weights=w)
-
-
-def _check_levels(K: int, I: int, n: int) -> None:
-    if not (1 <= K < n):
-        raise InputError(f"K={K} out of range for n={n}")
-    if not (1 <= I < n):
-        raise InputError(f"I={I} out of range for n={n}")
-    if K + I >= n:
-        raise InputError(f"K+I={K + I} must be < n={n}")
 
 
 def _as_percentages(w, name: str) -> np.ndarray:
@@ -145,8 +99,8 @@ def hhi_star(w) -> float:
     n = arr.size
     shares = arr / arr.sum()
     hhi = float(np.sum(shares**2))
-    ref = ReferenceDistribution.for_league(n)
-    hhi_cu = float(np.sum(ref.share_cu**2))
+    w_cu = cu_percentages(n)
+    hhi_cu = float(np.sum((w_cu / w_cu.sum()) ** 2))
     return _clamp01((hhi - 1.0 / n) / (hhi_cu - 1.0 / n), "hhi_star")
 
 
@@ -163,60 +117,44 @@ def adjusted_gini(w) -> float:
     return _clamp01(_gini(arr) / _gini(w_cu), "adjusted_gini")
 
 
+def _concentration(w, level: PrizeLevel, K: int, I: int, name: str) -> float:
+    """Concentration ratio of one prize level.
+
+    sum_r v_r s_r (w_r - 0.5) / sum_r v_r s_r (w_cu_r - 0.5) over the
+    level's rank weights v, with s = +1 on top places and -1 on relegation
+    places: the level's excess over the balanced season relative to the
+    completely unbalanced one.
+    """
+    arr = _as_percentages(w, name)
+    n = arr.size
+    top, bottom = level.weights(K, I, n)
+
+    def spread(x: np.ndarray) -> float:
+        return float(top @ (x[: top.size] - 0.5) + bottom @ (0.5 - x[n - bottom.size :]))
+
+    return _clamp01(spread(arr) / spread(cu_percentages(n)), name)
+
+
 def ncr_champion(w) -> float:
     """Concentration ratio for the champion: 2 * (w_rank1 - 0.5)."""
-    arr = _as_percentages(w, "ncr_champion")
-    return _clamp01(2.0 * (arr[0] - 0.5), "ncr_champion")
+    return _concentration(w, TITLE, 0, 0, "ncr_champion")
 
 
 def acr_top(w, K: int) -> float:
-    """Adjusted concentration ratio over the top K ranking places.
-
-    Weighted top-K excess over the balanced level, normalised by the same
-    expression at the completely unbalanced season; weights v_j = K+1-j.
-    """
-    arr = _as_percentages(w, "acr_top")
-    n = arr.size
-    if not (1 <= K < n):
-        raise InputError(f"K={K} out of range for n={n}")
-    v = np.arange(K, 0, -1, dtype=float)
-    w_cu = cu_percentages(n)
-    s = float(v @ arr[:K])
-    s_pb = 0.5 * v.sum()
-    s_cu = float(v @ w_cu[:K])
-    return _clamp01((s - s_pb) / (s_cu - s_pb), "acr_top")
+    """Adjusted concentration ratio over the top K ranking places (``catalog.TOP_K``)."""
+    return _concentration(w, TOP_K, K, 0, "acr_top")
 
 
 def ncr_relegation(w, I: int) -> float:
-    """Concentration ratio for the relegation zone.
+    """Concentration ratio for the bottom I (relegation) places.
 
-    (0.5*I - B) / (0.5*I - I(I-1)/(2(n-1))) where B is the bottom-I sum of
-    winning percentages; the floor term is what the bottom I teams collect
-    from playing each other.
+    Equals (0.5*I - B) / (0.5*I - I(I-1)/(2(n-1))) with B the bottom-I sum
+    of winning percentages; the floor term is what the bottom I teams
+    collect from playing each other.
     """
-    arr = _as_percentages(w, "ncr_relegation")
-    n = arr.size
-    if not (1 <= I < n):
-        raise InputError(f"I={I} out of range for n={n}")
-    bottom = float(arr[n - I:].sum())
-    floor = I * (I - 1) / (2.0 * (n - 1))
-    return _clamp01((0.5 * I - bottom) / (0.5 * I - floor), "ncr_relegation")
+    return _concentration(w, RELEGATION, 0, I, "ncr_relegation")
 
 
 def scr(w, K: int, I: int) -> float:
-    """Special concentration ratio over all three levels.
-
-    Weighted sum of top-K excesses and relegation shortfalls relative to
-    the balanced level, normalised at the completely unbalanced season.
-    """
-    arr = _as_percentages(w, "scr")
-    n = arr.size
-    scheme = WeightScheme.for_league(K, I, n)
-    w_cu = cu_percentages(n)
-
-    def level_spread(x: np.ndarray) -> float:
-        top = scheme.weights[:K] @ (x[:K] - 0.5)
-        rel = scheme.weights[n - I:] @ (0.5 - x[n - I:])
-        return float(top + rel)
-
-    return _clamp01(level_spread(arr) / level_spread(w_cu), "scr")
+    """Special concentration ratio over all three prize levels (``catalog.ALL_LEVELS``)."""
+    return _concentration(w, ALL_LEVELS, K, I, "scr")

@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -106,6 +108,21 @@ class TestUnitRootCommand:
         for r in rows:
             assert 0.0 <= float(r["p_value"]) <= 1.0
             assert "-" in r["lags"]
+
+    def test_deterministic_trend_is_numerical_error(self, small_dataset, tmp_path, capsys):
+        # population growing exactly 1 % a season: ln_pop is a straight line
+        lines = Path(small_dataset["macro"]).read_text().splitlines()
+        rows = [lines[0]]
+        for k, line in enumerate(lines[1:]):
+            fields = line.split(",")
+            fields[3] = f"{5e6 * 1.01 ** (k % 24):.6f}"
+            rows.append(",".join(fields))
+        macro = tmp_path / "macro.csv"
+        macro.write_text("\n".join(rows) + "\n")
+        assert run("unit-root", "--macro", macro, "--out-dir", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert "numerical error: ln_pop for AAA" in err
+        assert "rank deficient" in err
 
     def test_empty_macro_is_input_error(self, tmp_path):
         empty = tmp_path / "macro.csv"
@@ -228,6 +245,20 @@ class TestEffectsCommand:
         ) == 2
 
 
+    def test_duplicate_index_row_is_input_error(self, small_dataset, tmp_path, capsys):
+        indices = tmp_path / "i.csv"
+        indices.write_text(
+            "country,season,index,value\nAAA,1990,scr_ki,0.4\nAAA,1991,scr_ki,0.6\n"
+            "AAA,1990,scr_ki,0.999\n"
+        )
+        assert run(
+            "effects", "--indices", indices, "--macro", small_dataset["macro"],
+            "--index", "scr_ki", "--elasticity", "-1.0", "--out-dir", tmp_path / "o",
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"{indices}:4: duplicate (country, season, index)" in err
+
+
 class TestReportCommand:
     def test_end_to_end(self, small_dataset, tmp_path):
         out = tmp_path / "rep"
@@ -321,3 +352,11 @@ class TestSimulateCommand:
         truth = json.loads((out / "truth.json").read_text())
         assert "long_run" in truth and "cb" in truth["long_run"]
         assert (out / "macro.csv").exists() and (out / "indices.csv").exists()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    code = "import sys, leaguebalance.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from leaguebalance import (
     InputError,
-    WeightScheme,
     acr_top,
     adjusted_gini,
     cu_percentages,
@@ -124,26 +123,6 @@ def test_scr_hand_value():
     s_cu = 3 * 0.5 + 2 * 0.3 + 1 * 0.3 + 1 * 0.5
     assert (s, s_cu) == (pytest.approx(1.5), pytest.approx(2.9))
     assert scr(w, K=2, I=2) == pytest.approx(s / s_cu, abs=1e-12)
-
-
-# ---------------------------------------------------------------- weights
-
-
-def test_weight_scheme_strict_ordering():
-    for n, k, i in [(6, 2, 2), (12, 3, 3), (20, 5, 4)]:
-        w = WeightScheme.for_league(k, i, n).weights
-        top = w[:k]
-        assert np.all(np.diff(top) < 0)
-        assert top[-1] > 1.0  # lowest top weight above relegation weight
-        assert np.all(w[k : n - i] == 0.0)
-        assert np.all(w[n - i :] == 1.0)
-
-
-def test_weight_scheme_rejects_bad_levels():
-    with pytest.raises(InputError):
-        WeightScheme.for_league(3, 3, 6)
-    with pytest.raises(InputError):
-        WeightScheme.for_league(0, 1, 6)
 
 
 # ---------------------------------------------------------------- errors & clamps

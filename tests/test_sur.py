@@ -52,7 +52,6 @@ def stacked_design(countries, t_len, x_maker, y_maker, shared_slopes=False, seed
         columns=columns,
         countries=np.array(rows_c, dtype=object),
         years=np.array(rows_t),
-        response="y",
         spec=RegressionSpec(index_name="scr_ki"),
         country_list=list(countries),
     )
@@ -82,7 +81,6 @@ def unbalanced_design(seed, n_countries=4, span=30, k=2):
         columns=columns,
         countries=np.array(rows_c, dtype=object),
         years=np.array(rows_t),
-        response="y",
         spec=RegressionSpec(index_name="scr_ki"),
         country_list=countries,
     )

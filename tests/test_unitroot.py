@@ -76,6 +76,11 @@ class TestAdfTest:
         with pytest.raises(NumericalError, match="constant"):
             adf_test(np.ones(50))
 
+    @pytest.mark.parametrize("case", ["c", "ct"])
+    def test_deterministic_trend_is_rank_deficient(self, case):
+        with pytest.raises(NumericalError, match="rank deficient"):
+            adf_test(np.arange(30.0), case)
+
     def test_too_short(self):
         with pytest.raises(InputError, match="too short"):
             adf_test(np.arange(8.0), max_lag=6)
