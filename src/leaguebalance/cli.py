@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 from .catalog import ALL_INDEX_NAMES, IndexValue
 from .econometrics import (
@@ -32,6 +31,7 @@ from .econometrics import (
     sur_egls_fit,
     white_cross_section_cov,
 )
+from .econometrics.tails import two_sided_normal
 from .errors import ConfigError, InputError, LeagueBalanceError, NumericalError
 from .manifest import sha256_file, sha256_text, write_manifest
 from .panel import (
@@ -85,14 +85,11 @@ def read_index_csv(path: str) -> list[IndexValue]:
             if key in seen:
                 raise InputError(f"{where}: duplicate (country, season, index) {key}")
             seen.add(key)
-            out.append(
-                IndexValue(
-                    name=row["index"],
-                    country=row["country"],
-                    season=season,
-                    value=_parse_float(row["value"], "value", where),
-                )
-            )
+            value = _parse_float(row["value"], "value", where)
+            try:
+                out.append(IndexValue(row["index"], row["country"], season, value))
+            except InputError as exc:
+                raise InputError(f"{where}: {exc}") from None
     if not out:
         raise InputError(f"{path}: no data rows")
     return out
@@ -231,7 +228,7 @@ def fit_index_model(panel, index_values, name: str, spec: RegressionSpec, iterat
         se_c = math.sqrt(fit.cov[i, i])
         se_r = math.sqrt(fit.cov_robust[i, i])
         z = fit.beta[i] / se_r if se_r > 0 else float("inf")
-        p = float(2.0 * ndtr(-abs(z)))
+        p = two_sided_normal(z)
         coef_rows.append((term, float(fit.beta[i]), se_c, se_r, z, p, stars(p)))
 
     longrun_rows = [

@@ -3,7 +3,7 @@ feasible GLS with cross-equation correlation, diagnostics, and long-run
 effects."""
 
 from .base import FitResult, TestResult
-from .design import DesignMatrix, RegressionSpec, build_adl_design, build_adl_lag_design
+from .design import DesignMatrix, RegressionSpec, build_adl_design
 from .diagnostics import breusch_pagan_lm, durbin_watson_panel, jarque_bera, ramsey_reset
 from .longrun import EffectResult, LongRunEffect, attendance_effect, long_run_effects
 from .ols import ols_fit
@@ -22,7 +22,6 @@ __all__ = [
     "attendance_effect",
     "breusch_pagan_lm",
     "build_adl_design",
-    "build_adl_lag_design",
     "durbin_watson_panel",
     "fisher_panel_unit_root",
     "jarque_bera",

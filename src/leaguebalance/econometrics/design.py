@@ -1,11 +1,11 @@
 """ADL design matrices for the pooled attendance regression.
 
-Two equivalent parameterisations of the same autoregressive distributed lag
-relation are supported: the plain lag form (levels of every variable at lags
-0..q) and the levels-and-differences form, in which each covariate enters as
-one lagged level (its cumulated lag coefficient) plus current and lagged
-first differences, and lagged attendance enters with a free coefficient
-whose negation is the error-correction loading A(1).
+The autoregressive distributed lag relation is fitted in its
+levels-and-differences form: each covariate enters as one lagged level (its
+cumulated lag coefficient) plus current and lagged first differences, and
+lagged attendance enters with a free coefficient whose negation is the
+error-correction loading A(1).  It spans the same column space as the plain
+lag form (levels of every variable at lags 0..q).
 """
 
 from __future__ import annotations
@@ -188,70 +188,3 @@ def build_adl_design(panel: PanelDataset, index_series, spec: RegressionSpec) ->
         spec=spec,
         country_list=countries,
     )
-
-
-def build_adl_lag_design(panel: PanelDataset, index_series, spec: RegressionSpec) -> DesignMatrix:
-    """Plain lag-form design: log attendance on its own lags 1..q and lags
-    0..q of every covariate, plus intercepts and deterministics.
-
-    Spans the same column space as :func:`build_adl_design`, so least
-    squares gives identical fitted values and residuals.
-    """
-    q = spec.adl_order
-    data, countries = _aligned_series(panel, index_series, spec)
-
-    var_names: list[str] = [f"const[{c}]" for c in countries]
-    var_names.extend(f"ln_att_lag{l}" for l in range(1, q + 1))
-    for v in COVARIATES:
-        var_names.append(f"ln_{v}")
-        var_names.extend(f"ln_{v}_lag{l}" for l in range(1, q + 1))
-    det_names = (["d97"] if spec.include_d97 else []) + trend_columns(spec.trend_degree)
-    var_names.extend(det_names)
-
-    y_parts, x_parts, country_rows, year_rows = [], [], [], []
-    for ci, country in enumerate(countries):
-        d = data[country]
-        n = d["season"].size
-        sl = slice(q, n)
-        rows = n - q
-        cols: list[np.ndarray] = []
-        for cj in range(len(countries)):
-            cols.append(np.full(rows, 1.0 if cj == ci else 0.0))
-        att = d["att"]
-        for l in range(1, q + 1):
-            cols.append(att[q - l : n - l])
-        for v in COVARIATES:
-            x = d[v]
-            for l in range(0, q + 1):
-                cols.append(x[q - l : n - l])
-        det_cols, _ = _deterministic_block(d, sl, spec)
-        cols.extend(det_cols)
-
-        y_parts.append(att[sl])
-        x_parts.append(np.column_stack(cols))
-        country_rows.append(np.full(rows, country, dtype=object))
-        year_rows.append(d["season"][sl])
-
-    return DesignMatrix(
-        y=np.concatenate(y_parts),
-        X=np.vstack(x_parts),
-        columns=var_names,
-        countries=np.concatenate(country_rows),
-        years=np.concatenate(year_rows).astype(int),
-        spec=spec,
-        country_list=countries,
-    )
-
-
-def cumulated_lag_coefficients(fit, spec: RegressionSpec) -> dict[str, float]:
-    """B_j(1) and A(1) implied by a lag-form fit: sums of lag coefficients."""
-    out: dict[str, float] = {}
-    for v in COVARIATES:
-        total = fit.coef(f"ln_{v}")
-        for l in range(1, spec.adl_order + 1):
-            total += fit.coef(f"ln_{v}_lag{l}")
-        out[v] = total
-    out["att_a1"] = 1.0 - sum(
-        fit.coef(f"ln_att_lag{l}") for l in range(1, spec.adl_order + 1)
-    )
-    return out

@@ -7,11 +7,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..errors import InputError, NumericalError
 from .base import FitResult
 from .design import COVARIATES, RegressionSpec, trend_columns
+from .tails import two_sided_normal
 
 _A1_TOL = 1e-8
 
@@ -80,7 +80,7 @@ def long_run_effects(fit: FitResult, spec: RegressionSpec) -> list[LongRunEffect
                 estimate=est,
                 se=se,
                 z=z,
-                p_value=float(2.0 * ndtr(-abs(z))),
+                p_value=two_sided_normal(z),
             )
         )
     return out

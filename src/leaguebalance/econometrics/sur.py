@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from ..errors import InputError, NumericalError
 from .base import FitResult
@@ -96,6 +95,16 @@ def repair_covariance(sigma: np.ndarray) -> np.ndarray:
     return (eigvec * np.maximum(eigval, _EIG_FLOOR)) @ eigvec.T
 
 
+def _lower_inverse(chol: np.ndarray) -> np.ndarray:
+    """L^-1 of a lower-triangular L by forward substitution, one row at a
+    time; the entries above the diagonal stay exactly 0."""
+    eye = np.eye(chol.shape[0])
+    inv = np.zeros_like(chol)
+    for i in range(chol.shape[0]):
+        inv[i] = (eye[i] - chol[i, :i] @ inv[:i]) / chol[i, i]
+    return inv
+
+
 def _whiten(grid: _YearGrid, sigma: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
     """The (years, countries, m) grid ``cols`` premultiplied year by year by
     L^-1, with L L' the block of ``sigma`` for the countries present; one
@@ -108,8 +117,7 @@ def _whiten(grid: _YearGrid, sigma: np.ndarray, cols: np.ndarray) -> list[np.nda
             raise NumericalError(f"year covariance block not positive definite: {exc}") from exc
         # L^-1 times all years at once: a triangular solve over every year's
         # columns is large enough to wake BLAS threads, these calls are not
-        chol_inv = sla.solve_triangular(chol, np.eye(present.size), lower=True)
-        blocks.append(np.matmul(chol_inv, cols[np.ix_(years, present)]))
+        blocks.append(np.matmul(_lower_inverse(chol), cols[np.ix_(years, present)]))
     return blocks
 
 

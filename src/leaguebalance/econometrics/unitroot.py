@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.special import chdtrc
 
 from ..errors import InputError, NumericalError
 from .base import TestResult
+from .tails import chi2_sf
 
 ADF_CASES = ("c", "ct")
 ADF_T_GRID = (25, 50, 100, 200, 400)
@@ -41,6 +41,10 @@ _table_cache: dict | None = None
 # Below this ratio of extreme singular values, x'x (condition number squared)
 # has no correct digit left and the t-statistic's variance is noise.
 _RANK_TOL = math.sqrt(np.finfo(float).eps)
+# The same bound on the residual: at or below sqrt(eps) of the response's
+# norm (RSS below eps times its sum of squares) the regression fits exactly
+# up to rounding and the residual variance is noise.
+_RSS_TOL = np.finfo(float).eps
 
 
 @dataclass
@@ -236,6 +240,11 @@ def adf_test(series, deterministic: str = "c", max_lag: int | None = None) -> Ad
             best_sic, best_p = sic, p
 
     x, resp, coef, rss = _adf_regression(y, best_p, deterministic)
+    if rss <= _RSS_TOL * float(resp @ resp):
+        raise NumericalError(
+            f"ADF regression at lag {best_p} fits exactly: "
+            "the series is a deterministic trend up to rounding"
+        )
     t_eff = resp.size
     k = x.shape[1]
     rho_idx = n_det
@@ -279,5 +288,5 @@ def fisher_panel_unit_root(p_values) -> TestResult:
         name="adf_fisher",
         statistic=lam,
         df=df,
-        p_value=float(chdtrc(df, lam)),
+        p_value=chi2_sf(df, lam),
     )

@@ -8,7 +8,6 @@ import platform
 from pathlib import Path
 
 import numpy
-import scipy
 
 from . import __version__
 
@@ -48,7 +47,6 @@ def write_manifest(out_dir, command: str, seed, inputs: dict, config_hash: str, 
         "versions": {
             "leaguebalance": __version__,
             "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
     }

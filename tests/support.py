@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from leaguebalance.econometrics import FitResult
-from leaguebalance.panel import LeagueSeason, TeamSeasonRecord
+from leaguebalance.econometrics import DesignMatrix, FitResult, RegressionSpec
+from leaguebalance.econometrics.design import (
+    COVARIATES,
+    _aligned_series,
+    _deterministic_block,
+    trend_columns,
+)
+from leaguebalance.panel import LeagueSeason, PanelDataset, TeamSeasonRecord
 
 HOME, DRAW, AWAY = 0, 1, 2
 
@@ -217,3 +223,70 @@ def dgp_design(seed: int = 0, params=None, **spec_kw):
     spec = RegressionSpec(index_name=index_name, **spec_kw)
     design = build_adl_design(panel, series_from_values(sim.indices, index_name), spec)
     return design, sim, spec
+
+
+def build_adl_lag_design(panel: PanelDataset, index_series, spec: RegressionSpec) -> DesignMatrix:
+    """Plain lag-form design: log attendance on its own lags 1..q and lags
+    0..q of every covariate, plus intercepts and deterministics.
+
+    Spans the same column space as ``build_adl_design``, so least
+    squares gives identical fitted values and residuals.
+    """
+    q = spec.adl_order
+    data, countries = _aligned_series(panel, index_series, spec)
+
+    var_names: list[str] = [f"const[{c}]" for c in countries]
+    var_names.extend(f"ln_att_lag{l}" for l in range(1, q + 1))
+    for v in COVARIATES:
+        var_names.append(f"ln_{v}")
+        var_names.extend(f"ln_{v}_lag{l}" for l in range(1, q + 1))
+    det_names = (["d97"] if spec.include_d97 else []) + trend_columns(spec.trend_degree)
+    var_names.extend(det_names)
+
+    y_parts, x_parts, country_rows, year_rows = [], [], [], []
+    for ci, country in enumerate(countries):
+        d = data[country]
+        n = d["season"].size
+        sl = slice(q, n)
+        rows = n - q
+        cols: list[np.ndarray] = []
+        for cj in range(len(countries)):
+            cols.append(np.full(rows, 1.0 if cj == ci else 0.0))
+        att = d["att"]
+        for l in range(1, q + 1):
+            cols.append(att[q - l : n - l])
+        for v in COVARIATES:
+            x = d[v]
+            for l in range(0, q + 1):
+                cols.append(x[q - l : n - l])
+        det_cols, _ = _deterministic_block(d, sl, spec)
+        cols.extend(det_cols)
+
+        y_parts.append(att[sl])
+        x_parts.append(np.column_stack(cols))
+        country_rows.append(np.full(rows, country, dtype=object))
+        year_rows.append(d["season"][sl])
+
+    return DesignMatrix(
+        y=np.concatenate(y_parts),
+        X=np.vstack(x_parts),
+        columns=var_names,
+        countries=np.concatenate(country_rows),
+        years=np.concatenate(year_rows).astype(int),
+        spec=spec,
+        country_list=countries,
+    )
+
+
+def cumulated_lag_coefficients(fit, spec: RegressionSpec) -> dict[str, float]:
+    """B_j(1) and A(1) implied by a lag-form fit: sums of lag coefficients."""
+    out: dict[str, float] = {}
+    for v in COVARIATES:
+        total = fit.coef(f"ln_{v}")
+        for l in range(1, spec.adl_order + 1):
+            total += fit.coef(f"ln_{v}_lag{l}")
+        out[v] = total
+    out["att_a1"] = 1.0 - sum(
+        fit.coef(f"ln_att_lag{l}") for l in range(1, spec.adl_order + 1)
+    )
+    return out

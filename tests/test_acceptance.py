@@ -44,7 +44,6 @@ from leaguebalance.econometrics import (
     attendance_effect,
     breusch_pagan_lm,
     build_adl_design,
-    build_adl_lag_design,
     durbin_watson_panel,
     fisher_panel_unit_root,
     long_run_effects,
@@ -54,12 +53,19 @@ from leaguebalance.econometrics import (
     sur_egls_fit,
     white_cross_section_cov,
 )
-from leaguebalance.econometrics.design import cumulated_lag_coefficients
 from leaguebalance.econometrics.diagnostics import jarque_bera_stat
 from leaguebalance.panel import MacroObservation
 from leaguebalance.pipeline import series_from_values
 from leaguebalance.simulate import DgpParams, LeagueSimParams, simulate_dgp, simulate_league
-from support import all_draw_season, cu_season, drr_matches, fit_from_residuals, reranked
+from support import (
+    all_draw_season,
+    build_adl_lag_design,
+    cu_season,
+    cumulated_lag_coefficients,
+    drr_matches,
+    fit_from_residuals,
+    reranked,
+)
 from test_longrun import EFFECT_TABLE, reference_fit
 from test_sur import stacked_design
 

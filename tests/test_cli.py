@@ -109,8 +109,10 @@ class TestUnitRootCommand:
             assert 0.0 <= float(r["p_value"]) <= 1.0
             assert "-" in r["lags"]
 
-    def test_deterministic_trend_is_numerical_error(self, small_dataset, tmp_path, capsys):
-        # population growing exactly 1 % a season: ln_pop is a straight line
+    @staticmethod
+    def straight_line_pop(small_dataset, tmp_path) -> Path:
+        """The test macro with population growing exactly 1 % a season, so
+        ln_pop is a straight line."""
         lines = Path(small_dataset["macro"]).read_text().splitlines()
         rows = [lines[0]]
         for k, line in enumerate(lines[1:]):
@@ -119,10 +121,24 @@ class TestUnitRootCommand:
             rows.append(",".join(fields))
         macro = tmp_path / "macro.csv"
         macro.write_text("\n".join(rows) + "\n")
+        return macro
+
+    def test_deterministic_trend_is_numerical_error(self, small_dataset, tmp_path, capsys):
+        macro = self.straight_line_pop(small_dataset, tmp_path)
         assert run("unit-root", "--macro", macro, "--out-dir", tmp_path / "o") == 3
         err = capsys.readouterr().err
         assert "numerical error: ln_pop for AAA" in err
         assert "rank deficient" in err
+
+    def test_exact_fit_at_lag_zero_is_numerical_error(self, small_dataset, tmp_path, capsys):
+        # at lag 0 the regressors [1, y_{t-1}] have full rank, but they fit
+        # the constant differences exactly
+        macro = self.straight_line_pop(small_dataset, tmp_path)
+        assert run(
+            "unit-root", "--macro", macro, "--max-lag", 0, "--out-dir", tmp_path / "o"
+        ) == 3
+        err = capsys.readouterr().err
+        assert "numerical error: ln_pop for AAA: ADF regression at lag 0 fits exactly" in err
 
     def test_empty_macro_is_input_error(self, tmp_path):
         empty = tmp_path / "macro.csv"
@@ -258,6 +274,20 @@ class TestEffectsCommand:
         err = capsys.readouterr().err
         assert f"{indices}:4: duplicate (country, season, index)" in err
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [("AAA,1991,foo,0.6", "unknown index name 'foo'"), ("AAA,1991,scr_ki,1.5", "out of [0, 1]")],
+    )
+    def test_rejected_index_value_names_its_line(self, small_dataset, tmp_path, capsys, row, message):
+        indices = tmp_path / "i.csv"
+        indices.write_text(f"country,season,index,value\nAAA,1990,scr_ki,0.4\n{row}\n")
+        assert run(
+            "effects", "--indices", indices, "--macro", small_dataset["macro"],
+            "--index", "scr_ki", "--elasticity", "-1.0", "--out-dir", tmp_path / "o",
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {indices}:3: " in err and message in err
+
 
 class TestReportCommand:
     def test_end_to_end(self, small_dataset, tmp_path):
@@ -354,9 +384,9 @@ class TestSimulateCommand:
         assert (out / "macro.csv").exists() and (out / "indices.csv").exists()
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    code = "import sys, leaguebalance.cli; print('scipy.stats' in sys.modules)"
+def test_cli_import_loads_no_scipy():
+    code = "import sys, leaguebalance.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

@@ -5,14 +5,12 @@ from leaguebalance import InputError, NumericalError, build_panel
 from leaguebalance.econometrics import (
     RegressionSpec,
     build_adl_design,
-    build_adl_lag_design,
     ols_fit,
 )
-from leaguebalance.econometrics.design import cumulated_lag_coefficients
 from leaguebalance.panel import MacroObservation
 from leaguebalance.pipeline import series_from_values
 from leaguebalance.simulate import DgpParams, simulate_dgp
-from support import dgp_design
+from support import build_adl_lag_design, cumulated_lag_coefficients, dgp_design
 
 
 class TestOlsFit:

@@ -15,7 +15,7 @@ from leaguebalance.econometrics import (
     white_cross_section_cov,
 )
 from leaguebalance.econometrics.design import DesignMatrix
-from leaguebalance.econometrics.sur import pairwise_sigma, repair_covariance
+from leaguebalance.econometrics.sur import _lower_inverse, pairwise_sigma, repair_covariance
 from support import dgp_design
 
 
@@ -227,6 +227,19 @@ class TestGridGls:
         fit = sur_egls_fit(design, sigma=random_sigma(rng, n) * np.outer(spread, spread) * scale)
         fit.residuals = rng.standard_normal(design.nobs) * rng.uniform(0.0, 1e3, design.nobs)
         assert np.all(np.diag(white_cross_section_cov(fit, design)) >= 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 20), st.integers(0, 2**32 - 1))
+def test_lower_inverse_matches_triangular_solve(n, seed):
+    from scipy.linalg import solve_triangular
+
+    b = np.random.default_rng(seed).standard_normal((n, n))
+    chol = np.linalg.cholesky(b @ b.T + n * np.eye(n))
+    inv = _lower_inverse(chol)
+    assert np.all(inv[np.triu_indices(n, 1)] == 0.0)
+    ref = solve_triangular(chol, np.eye(n), lower=True)
+    assert np.abs(inv - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestSigmaEstimation:

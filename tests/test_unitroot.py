@@ -81,6 +81,14 @@ class TestAdfTest:
         with pytest.raises(NumericalError, match="rank deficient"):
             adf_test(np.arange(30.0), case)
 
+    def test_exact_fit_with_full_rank_regressors_is_rejected(self):
+        # [1, y_{t-1}] has full rank on a straight line, but the constant
+        # alone fits the differences: the residual is rounding noise
+        with pytest.raises(NumericalError, match="lag 0 fits exactly"):
+            adf_test(np.arange(30.0), "c", max_lag=0)
+        with pytest.raises(NumericalError, match="fits exactly"):
+            adf_test(0.3 + 0.01 * np.arange(40.0), "c", max_lag=0)
+
     def test_too_short(self):
         with pytest.raises(InputError, match="too short"):
             adf_test(np.arange(8.0), max_lag=6)
