@@ -77,7 +77,16 @@ BIDIMENSIONAL_INDEX_NAMES = tuple(BIDIMENSIONAL_PAIRS)
 
 ALL_INDEX_NAMES = SEASONAL_INDEX_NAMES + DYNAMIC_INDEX_NAMES + BIDIMENSIONAL_INDEX_NAMES
 
+_KNOWN_NAMES = frozenset(ALL_INDEX_NAMES)
 _VALUE_TOL = 1e-9
+
+
+def check_index_value(name: str, country: str, season: int, value: float) -> None:
+    """Raise InputError unless ``name`` is a known index and ``value`` lies in [0, 1]."""
+    if name not in _KNOWN_NAMES:
+        raise InputError(f"unknown index name {name!r}")
+    if not (-_VALUE_TOL <= value <= 1.0 + _VALUE_TOL):
+        raise InputError(f"{name} for ({country}, {season}) out of [0, 1]: {value}")
 
 
 @dataclass(frozen=True)
@@ -90,9 +99,4 @@ class IndexValue:
     value: float
 
     def __post_init__(self) -> None:
-        if self.name not in ALL_INDEX_NAMES:
-            raise InputError(f"unknown index name {self.name!r}")
-        if not (-_VALUE_TOL <= self.value <= 1.0 + _VALUE_TOL):
-            raise InputError(
-                f"{self.name} for ({self.country}, {self.season}) out of [0, 1]: {self.value}"
-            )
+        check_index_value(self.name, self.country, self.season, self.value)

@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 input or schema error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import ALL_INDEX_NAMES, IndexValue
+from .catalog import ALL_INDEX_NAMES, IndexValue, check_index_value
 from .econometrics import (
     RegressionSpec,
     adf_test,
@@ -36,16 +35,15 @@ from .errors import ConfigError, InputError, LeagueBalanceError, NumericalError
 from .manifest import sha256_file, sha256_text, write_manifest
 from .panel import (
     Config,
-    _check_header,
     _parse_float,
     _parse_int,
     build_panel,
+    csv_rows,
     parse_league_csv,
     parse_macro_csv,
 )
 from .pipeline import compute_all_indices, series_from_values
 from .reports import fmt, stars, write_csv, write_text_table
-from .simulate import DgpParams, LeagueSimParams, simulate_dgp, simulate_league
 
 PANEL_VARIABLES = ("ln_att", "ln_pop", "ln_rgni", "ln_un")
 INDEX_COLUMNS = ("country", "season", "index", "value")
@@ -71,26 +69,30 @@ def _index_names(arg: str) -> list[str]:
     return [arg]
 
 
-def read_index_csv(path: str) -> list[IndexValue]:
-    """Parse an ``indices.csv``; each (country, season, index) may appear once."""
+def read_index_csv(path: str, names: list[str]) -> list[IndexValue]:
+    """The values of the indices in ``names`` from an ``indices.csv``.
+
+    Every row is validated, requested or not; each (country, season, index)
+    may appear once.
+    """
+    wanted = frozenset(names)
     out = []
     seen: set[tuple[str, int, str]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader.fieldnames, INDEX_COLUMNS, path)
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            season = _parse_int(row["season"], "season", where)
-            key = (row["country"], season, row["index"])
-            if key in seen:
-                raise InputError(f"{where}: duplicate (country, season, index) {key}")
-            seen.add(key)
-            value = _parse_float(row["value"], "value", where)
-            try:
-                out.append(IndexValue(row["index"], row["country"], season, value))
-            except InputError as exc:
-                raise InputError(f"{where}: {exc}") from None
-    if not out:
+    for line, (country, season, name, value) in csv_rows(path, INDEX_COLUMNS):
+        where = f"{path}:{line}"
+        season = _parse_int(season, "season", where)
+        key = (country, season, name)
+        if key in seen:
+            raise InputError(f"{where}: duplicate (country, season, index) {key}")
+        seen.add(key)
+        value = _parse_float(value, "value", where)
+        try:
+            check_index_value(name, country, season, value)
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from None
+        if name in wanted:
+            out.append(IndexValue(name, country, season, value))
+    if not seen:
         raise InputError(f"{path}: no data rows")
     return out
 
@@ -361,7 +363,7 @@ def cmd_fit(args) -> int:
     macro = parse_macro_csv(args.macro)
 
     if args.indices:
-        index_values = read_index_csv(args.indices)
+        index_values = read_index_csv(args.indices, names)
         leagues = []
         inputs["indices"] = sha256_file(args.indices)
     elif args.league:
@@ -432,7 +434,7 @@ def _effects(index_values, macro, index: str, elasticity: float, out_dir, seed, 
 
 
 def cmd_effects(args) -> int:
-    index_values = read_index_csv(args.indices)
+    index_values = read_index_csv(args.indices, [args.index])
     macro = parse_macro_csv(args.macro)
     inputs = {"indices": sha256_file(args.indices), "macro": sha256_file(args.macro)}
     _effects(index_values, macro, args.index, args.elasticity, args.out_dir, args.seed, inputs)
@@ -470,6 +472,9 @@ def _write_macro_csv(path, macro) -> str:
 
 
 def cmd_simulate(args) -> int:
+    # imported here: the simulators serve this command only
+    from .simulate import DgpParams, LeagueSimParams, simulate_dgp, simulate_league
+
     out = _out_dir(args.out_dir)
     n_seasons = args.n_seasons if args.n_seasons is not None else (
         10 if args.kind == "league" else 50
@@ -531,7 +536,7 @@ def cmd_report(args) -> int:
     values, artifacts = _indices(args.league, config, out)
     macro = parse_macro_csv(args.macro)
     artifacts += _unit_root(macro, None, out)
-    index_values = _quantised(values)
+    index_values = _quantised([v for v in values if v.name in names])
     reports, fit_artifacts = _fit(
         build_panel([], macro), index_values, names, args, config, out
     )

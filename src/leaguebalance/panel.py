@@ -247,11 +247,24 @@ def _parse_float(value: str, what: str, where: str) -> float:
     return out
 
 
-def _check_header(fieldnames, expected, path: str) -> None:
-    if fieldnames is None or tuple(fieldnames) != tuple(expected):
-        raise InputError(
-            f"{path}: bad header {fieldnames}; expected {','.join(expected)}"
-        )
+def csv_rows(path, columns):
+    """Yield ``(line, fields)`` for every data row of a CSV whose header is ``columns``.
+
+    Blank lines are skipped; a row with more or fewer fields than the header
+    is an InputError naming its line.
+    """
+    n = len(columns)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != tuple(columns):
+            raise InputError(f"{path}: bad header {header}; expected {','.join(columns)}")
+        for fields in reader:
+            if not fields:
+                continue
+            if len(fields) != n:
+                raise InputError(f"{path}:{reader.line_num}: expected {n} fields, got {len(fields)}")
+            yield reader.line_num, fields
 
 
 def parse_league_csv(path: str, config: Config | None = None) -> list[LeagueSeason]:
@@ -264,33 +277,32 @@ def parse_league_csv(path: str, config: Config | None = None) -> list[LeagueSeas
     """
     config = config or Config()
     groups: dict[tuple[str, int], list[tuple[int, TeamSeasonRecord]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader.fieldnames, LEAGUE_COLUMNS, path)
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            country = (row["country"] or "").strip()
-            if not country:
-                raise InputError(f"{where}: empty country")
-            if config.countries is not None and country not in config.countries:
-                raise InputError(f"{where}: unknown country {country!r}")
-            season = _parse_int(row["season"], "season", where)
-            team = (row["team"] or "").strip()
-            if not team:
-                raise InputError(f"{where}: empty team id")
-            rec = TeamSeasonRecord(
-                team=team,
-                rank=_parse_int(row["rank"], "rank", where),
-                wins=_parse_int(row["wins"], "wins", where),
-                draws=_parse_int(row["draws"], "draws", where),
-                losses=_parse_int(row["losses"], "losses", where),
-                points=_parse_int(row["points"], "points", where),
-            )
-            if rec.rank < 1:
-                raise InputError(f"{where}: rank must be >= 1")
-            if min(rec.wins, rec.draws, rec.losses, rec.points) < 0:
-                raise InputError(f"{where}: negative count for team {team}")
-            groups.setdefault((country, season), []).append((reader.line_num, rec))
+    for line, (country, season, team, rank, wins, draws, losses, points) in csv_rows(
+        path, LEAGUE_COLUMNS
+    ):
+        where = f"{path}:{line}"
+        country = country.strip()
+        if not country:
+            raise InputError(f"{where}: empty country")
+        if config.countries is not None and country not in config.countries:
+            raise InputError(f"{where}: unknown country {country!r}")
+        season = _parse_int(season, "season", where)
+        team = team.strip()
+        if not team:
+            raise InputError(f"{where}: empty team id")
+        rec = TeamSeasonRecord(
+            team=team,
+            rank=_parse_int(rank, "rank", where),
+            wins=_parse_int(wins, "wins", where),
+            draws=_parse_int(draws, "draws", where),
+            losses=_parse_int(losses, "losses", where),
+            points=_parse_int(points, "points", where),
+        )
+        if rec.rank < 1:
+            raise InputError(f"{where}: rank must be >= 1")
+        if min(rec.wins, rec.draws, rec.losses, rec.points) < 0:
+            raise InputError(f"{where}: negative count for team {team}")
+        groups.setdefault((country, season), []).append((line, rec))
 
     if not groups:
         raise InputError(f"{path}: no data rows")
@@ -318,29 +330,28 @@ def parse_macro_csv(path: str) -> list[MacroObservation]:
     """Parse the macro covariate CSV (one row per country-season)."""
     out: list[MacroObservation] = []
     seen: set[tuple[str, int]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader.fieldnames, MACRO_COLUMNS, path)
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            country = (row["country"] or "").strip()
-            if not country:
-                raise InputError(f"{where}: empty country")
-            season = _parse_int(row["season"], "season", where)
-            key = (country, season)
-            if key in seen:
-                raise InputError(f"{where}: duplicate (country, season) {key}")
-            seen.add(key)
-            out.append(
-                MacroObservation(
-                    country=country,
-                    season=season,
-                    attendance_per_game=_parse_float(row["attendance_avg"], "attendance_avg", where),
-                    population=_parse_float(row["population"], "population", where),
-                    rgni=_parse_float(row["rgni_real"], "rgni_real", where),
-                    unemployment=_parse_float(row["unemployment_rate"], "unemployment_rate", where),
-                )
+    for line, (country, season, attendance, population, rgni, unemployment) in csv_rows(
+        path, MACRO_COLUMNS
+    ):
+        where = f"{path}:{line}"
+        country = country.strip()
+        if not country:
+            raise InputError(f"{where}: empty country")
+        season = _parse_int(season, "season", where)
+        key = (country, season)
+        if key in seen:
+            raise InputError(f"{where}: duplicate (country, season) {key}")
+        seen.add(key)
+        out.append(
+            MacroObservation(
+                country=country,
+                season=season,
+                attendance_per_game=_parse_float(attendance, "attendance_avg", where),
+                population=_parse_float(population, "population", where),
+                rgni=_parse_float(rgni, "rgni_real", where),
+                unemployment=_parse_float(unemployment, "unemployment_rate", where),
             )
+        )
     if not out:
         raise InputError(f"{path}: no data rows")
     return out

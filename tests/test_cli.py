@@ -73,6 +73,14 @@ class TestIndicesCommand:
         # windows of 4 over 24 seasons -> 21 end-seasons
         assert len(rows) == 21
 
+    def test_extra_field_is_input_error(self, small_dataset, tmp_path, capsys):
+        lines = Path(small_dataset["league"]).read_text().splitlines()
+        lines[2] += ",9"
+        league = tmp_path / "league.csv"
+        league.write_text("\n".join(lines) + "\n")
+        assert run("indices", "--league", league, "--out-dir", tmp_path / "o") == 2
+        assert f"input error: {league}:3: expected 8 fields, got 9" in capsys.readouterr().err
+
     def test_byte_determinism_across_runs(self, small_dataset, tmp_path):
         outs = []
         for tag in ("a", "b"):
@@ -139,6 +147,14 @@ class TestUnitRootCommand:
         ) == 3
         err = capsys.readouterr().err
         assert "numerical error: ln_pop for AAA: ADF regression at lag 0 fits exactly" in err
+
+    def test_extra_field_is_input_error(self, small_dataset, tmp_path, capsys):
+        lines = Path(small_dataset["macro"]).read_text().splitlines()
+        lines[1] += ",9"
+        macro = tmp_path / "macro.csv"
+        macro.write_text("\n".join(lines) + "\n")
+        assert run("unit-root", "--macro", macro, "--out-dir", tmp_path / "o") == 2
+        assert f"input error: {macro}:2: expected 6 fields, got 7" in capsys.readouterr().err
 
     def test_empty_macro_is_input_error(self, tmp_path):
         empty = tmp_path / "macro.csv"
@@ -276,7 +292,11 @@ class TestEffectsCommand:
 
     @pytest.mark.parametrize(
         "row, message",
-        [("AAA,1991,foo,0.6", "unknown index name 'foo'"), ("AAA,1991,scr_ki,1.5", "out of [0, 1]")],
+        [
+            ("AAA,1991,foo,0.6", "unknown index name 'foo'"),
+            ("AAA,1991,scr_ki,1.5", "out of [0, 1]"),
+            ("AAA,1991,dn1,1.5", "out of [0, 1]"),  # rows of other indices are checked too
+        ],
     )
     def test_rejected_index_value_names_its_line(self, small_dataset, tmp_path, capsys, row, message):
         indices = tmp_path / "i.csv"
@@ -287,6 +307,29 @@ class TestEffectsCommand:
         ) == 2
         err = capsys.readouterr().err
         assert f"input error: {indices}:3: " in err and message in err
+
+
+    @pytest.mark.parametrize(
+        "row, count",
+        [("AAA,1991,scr_ki,0.6,x", 5), ("AAA,1991,scr_ki", 3)],
+    )
+    def test_field_count_is_input_error(self, small_dataset, tmp_path, capsys, row, count):
+        indices = tmp_path / "i.csv"
+        indices.write_text(f"country,season,index,value\nAAA,1990,scr_ki,0.4\n{row}\n")
+        assert run(
+            "effects", "--indices", indices, "--macro", small_dataset["macro"],
+            "--index", "scr_ki", "--elasticity", "-1.0", "--out-dir", tmp_path / "o",
+        ) == 2
+        assert f"input error: {indices}:3: expected 4 fields, got {count}" in capsys.readouterr().err
+
+    def test_header_only_file_is_input_error(self, small_dataset, tmp_path, capsys):
+        indices = tmp_path / "i.csv"
+        indices.write_text("country,season,index,value\n\n")
+        assert run(
+            "effects", "--indices", indices, "--macro", small_dataset["macro"],
+            "--index", "scr_ki", "--elasticity", "-1.0", "--out-dir", tmp_path / "o",
+        ) == 2
+        assert f"input error: {indices}: no data rows" in capsys.readouterr().err
 
 
 class TestReportCommand:
@@ -384,9 +427,22 @@ class TestSimulateCommand:
         assert (out / "macro.csv").exists() and (out / "indices.csv").exists()
 
 
-def test_cli_import_loads_no_scipy():
-    code = "import sys, leaguebalance.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+def loaded_modules(prefix: str) -> list[str]:
+    """Modules starting with ``prefix`` that a fresh ``import leaguebalance.cli`` loads."""
+    code = (
+        "import json, sys, leaguebalance.cli; "
+        f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[]"
+    return json.loads(out)
+
+
+def test_cli_import_loads_no_scipy():
+    assert loaded_modules("scipy") == []
+
+
+def test_cli_import_loads_no_simulators():
+    assert "leaguebalance.simulate" not in loaded_modules("leaguebalance")
+    assert "leaguebalance.econometrics" in loaded_modules("leaguebalance")
