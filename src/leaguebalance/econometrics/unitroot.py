@@ -11,7 +11,9 @@ referred to a chi-squared distribution with 2n degrees of freedom.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -36,10 +38,9 @@ _QUANT_GRID = np.concatenate(
     ]
 )
 
-_table_cache: dict | None = None
-
-# Below this ratio of extreme singular values, x'x (condition number squared)
-# has no correct digit left and the t-statistic's variance is noise.
+# A unit-norm regressor closer than this to the span of the ones before it
+# leaves x'x (condition number squared) with no correct digit, and the
+# t-statistic's variance is noise.
 _RANK_TOL = math.sqrt(np.finfo(float).eps)
 # The same bound on the residual: at or below sqrt(eps) of the response's
 # norm (RSS below eps times its sum of squares) the regression fits exactly
@@ -121,20 +122,24 @@ def write_adf_table(rows, path) -> None:
             writer.writerow([case, t_len, f"{q:.6g}", f"{v:.10g}"])
 
 
-def _load_table() -> dict:
-    global _table_cache
-    if _table_cache is not None:
-        return _table_cache
-    table: dict[tuple[str, int], list[tuple[float, float]]] = {}
+@functools.cache
+def _quantile_table() -> dict[str, tuple[tuple[int, ...], list[tuple[np.ndarray, np.ndarray]]]]:
+    """The shipped quantile table, parsed once: per case, the sorted T buckets
+    and each bucket's (values, quantiles) arrays in quantile order."""
+    cells: dict[tuple[str, int], list[tuple[float, float]]] = {}
     ref = resources.files("leaguebalance").joinpath("data/adf_quantiles.csv")
-    with ref.open("r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    for row in csv.DictReader(lines):
-        key = (row["case"], int(row["T"]))
-        table.setdefault(key, []).append((float(row["quantile"]), float(row["value"])))
-    for key in table:
-        table[key].sort()
-    _table_cache = table
+    with ref.open("r", encoding="utf-8", newline="") as fh:
+        next(fh), next(fh)  # the version comment and the column names
+        for case, t_len, q, v in csv.reader(fh):
+            cells.setdefault((case, int(t_len)), []).append((float(q), float(v)))
+    table = {}
+    for case in ADF_CASES:
+        buckets = tuple(sorted(t for c, t in cells if c == case))
+        grids = []
+        for t_len in buckets:
+            qs, vs = zip(*sorted(cells[(case, t_len)]))
+            grids.append((np.array(vs), np.array(qs)))
+        table[case] = (buckets, grids)
     return table
 
 
@@ -146,55 +151,62 @@ def adf_p_value(statistic: float, case: str, t_len: int) -> float:
     """
     if case not in ADF_CASES:
         raise InputError(f"unknown deterministic case {case!r}")
-    table = _load_table()
+    buckets, grids = _quantile_table()[case]
 
-    def p_at(t_bucket: int) -> float:
-        grid = table[(case, t_bucket)]
-        qs = np.array([q for q, _ in grid])
-        vs = np.array([v for _, v in grid])
+    def p_at(i: int) -> float:
+        vs, qs = grids[i]
         return float(np.interp(statistic, vs, qs))
 
-    ts = sorted({t for c, t in table if c == case})
-    if t_len <= ts[0]:
-        return p_at(ts[0])
-    if t_len >= ts[-1]:
-        return p_at(ts[-1])
-    hi = min(t for t in ts if t >= t_len)
-    lo = max(t for t in ts if t <= t_len)
-    if lo == hi:
-        return p_at(lo)
-    w = (1.0 / t_len - 1.0 / lo) / (1.0 / hi - 1.0 / lo)
-    return (1.0 - w) * p_at(lo) + w * p_at(hi)
+    if t_len <= buckets[0]:
+        return p_at(0)
+    if t_len >= buckets[-1]:
+        return p_at(-1)
+    hi = bisect.bisect_left(buckets, t_len)
+    if buckets[hi] == t_len:
+        return p_at(hi)
+    lo_t, hi_t = buckets[hi - 1], buckets[hi]
+    w = (1.0 / t_len - 1.0 / lo_t) / (1.0 / hi_t - 1.0 / lo_t)
+    return (1.0 - w) * p_at(hi - 1) + w * p_at(hi)
 
 
-def _lstsq(x: np.ndarray, resp: np.ndarray, p: int) -> np.ndarray:
-    """Least-squares coefficients; NumericalError if x is numerically rank deficient."""
-    coef, _, _, sv = np.linalg.lstsq(x, resp, rcond=None)
-    if sv[-1] <= sv[0] * _RANK_TOL:
-        raise NumericalError(
-            f"ADF regression at lag {p} is rank deficient: "
-            "the series is a deterministic trend up to rounding"
-        )
-    return coef
+def _lagged_design(y: np.ndarray, dy: np.ndarray, lags: int, case: str) -> np.ndarray:
+    """``[deterministics, y_{t-1}, dy_{t-1}, ..., dy_{t-lags}, dy_t]`` over the
+    observations t >= lags, one row each.
 
-
-def _adf_regression(y: np.ndarray, p: int, case: str):
-    """Regress dy_t on deterministics, y_{t-1} and p lagged differences."""
-    dy = np.diff(y)
-    t_eff = dy.size - p
-    rows = []
-    rows.append(np.ones(t_eff))
+    y_{t-1} is taken relative to its first value.  The constant is a
+    regressor, so the shift moves only the intercept; for a series far from
+    zero, such as a log population near 16.5, it keeps the QR from spending
+    the digits of the level on the small deviations from trend.
+    """
+    t = np.arange(lags, dy.size, dtype=float)
+    cols = [np.ones(t.size)]
     if case == "ct":
-        rows.append(np.arange(p + 1, dy.size + 1, dtype=float))
-    rows.append(y[p:-1])
-    for j in range(1, p + 1):
-        rows.append(dy[p - j : dy.size - j])
-    x = np.column_stack(rows)
-    resp = dy[p:]
-    coef = _lstsq(x, resp, p)
-    resid = resp - x @ coef
-    rss = float(resid @ resid)
-    return x, resp, coef, rss
+        cols.append(t + 1.0)
+    cols.append(y[lags:-1] - y[lags])
+    cols.extend(dy[lags - j : dy.size - j] for j in range(1, lags + 1))
+    cols.append(dy[lags:])
+    return np.column_stack(cols)
+
+
+def _scaled_r(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R factor of ``[X | y]`` with every column of X scaled to unit norm,
+    and |diag R| of the X block.
+
+    Scaling a regressor changes neither the residuals nor the t-statistics,
+    and with unit columns |r_ii| <= 1 is the distance of column i from the
+    span of the ones before it: a scale-free rank measure.
+    """
+    norms = np.linalg.norm(z[:, :-1], axis=0)
+    norms[norms == 0.0] = 1.0
+    r = np.linalg.qr(z / np.append(norms, 1.0), mode="r")
+    return r, np.abs(np.diag(r)[:-1])
+
+
+def _rank_deficient(p: int) -> NumericalError:
+    return NumericalError(
+        f"ADF regression at lag {p} is rank deficient: "
+        "the series is a deterministic trend up to rounding"
+    )
 
 
 def adf_test(series, deterministic: str = "c", max_lag: int | None = None) -> AdfResult:
@@ -205,6 +217,13 @@ def adf_test(series, deterministic: str = "c", max_lag: int | None = None) -> Ad
     counts 0..max_lag over a common sample, picks the SIC minimiser, refits
     it on the longest available sample, and converts the t-statistic on rho
     into a simulated p-value.
+
+    The lag search takes one R factor of the max-lag design on the common
+    sample: the lag columns come last, so lag p's residual sum of squares is
+    the tail sum of squares of R's last column below its first k_p rows.
+    The refit takes one more, with rho last among the regressors: the last
+    row of R^-1 is then 1/r_rho,rho, so the t-statistic is
+    r_rho,y / |r_rho,rho| over the residual standard error.
     """
     y = np.asarray(series, dtype=float).reshape(-1)
     if deterministic not in ADF_CASES:
@@ -225,32 +244,37 @@ def adf_test(series, deterministic: str = "c", max_lag: int | None = None) -> Ad
     # lag choice on the common sample implied by max_lag
     dy = np.diff(y)
     t_common = dy.size - max_lag
+    r, diag = _scaled_r(_lagged_design(y, dy, max_lag, deterministic))
+    weak = np.flatnonzero(diag <= _RANK_TOL)
+    if weak.size:
+        # column i enters the regressions at lag i - n_det
+        raise _rank_deficient(max(0, int(weak[0]) - n_det))
+    qty = r[:, -1]
     best_p, best_sic = 0, math.inf
     for p in range(max_lag + 1):
-        x_all, resp_all, _, _ = _adf_regression(y, p, deterministic)
-        x = x_all[-t_common:]
-        resp = resp_all[-t_common:]
-        coef = _lstsq(x, resp, p)
-        resid = resp - x @ coef
-        rss = float(resid @ resid)
+        k = n_det + 1 + p
+        rss = float(qty[k:] @ qty[k:])
         if rss <= 0.0:
             rss = np.finfo(float).tiny
-        sic = math.log(rss / t_common) + x.shape[1] * math.log(t_common) / t_common
+        sic = math.log(rss / t_common) + k * math.log(t_common) / t_common
         if sic < best_sic - 1e-12:
             best_sic, best_p = sic, p
 
-    x, resp, coef, rss = _adf_regression(y, best_p, deterministic)
+    z = _lagged_design(y, dy, best_p, deterministic)
+    k = z.shape[1] - 1
+    rho_last = [*range(n_det), *range(n_det + 1, k), n_det, k]
+    r, diag = _scaled_r(z[:, rho_last])
+    if diag.min() <= _RANK_TOL:
+        raise _rank_deficient(best_p)
+    resp = z[:, -1]
+    rss = float(r[k, k] ** 2)
     if rss <= _RSS_TOL * float(resp @ resp):
         raise NumericalError(
             f"ADF regression at lag {best_p} fits exactly: "
             "the series is a deterministic trend up to rounding"
         )
     t_eff = resp.size
-    k = x.shape[1]
-    rho_idx = n_det
-    xtx_inv = np.linalg.inv(x.T @ x)
-    se = math.sqrt(rss / (t_eff - k) * xtx_inv[rho_idx, rho_idx])
-    tstat = float(coef[rho_idx] / se)
+    tstat = math.copysign(1.0, r[k - 1, k - 1]) * float(r[k - 1, k]) / math.sqrt(rss / (t_eff - k))
     p_value = adf_p_value(tstat, deterministic, t_eff + 1)
     return AdfResult(
         name=f"adf_{deterministic}",

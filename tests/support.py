@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from leaguebalance.econometrics import DesignMatrix, FitResult, RegressionSpec
@@ -290,3 +293,81 @@ def cumulated_lag_coefficients(fit, spec: RegressionSpec) -> dict[str, float]:
         fit.coef(f"ln_att_lag{l}") for l in range(1, spec.adl_order + 1)
     )
     return out
+
+
+def _adf_lag_regression(y: np.ndarray, p: int, case: str):
+    """ADF regressors ``[deterministics, y_{t-1}, dy_{t-1..t-p}]`` and response
+    ``dy_t`` over the longest sample for lag ``p``."""
+    dy = np.diff(y)
+    cols = [np.ones(dy.size - p)]
+    if case == "ct":
+        cols.append(np.arange(p + 1, dy.size + 1, dtype=float))
+    cols.append(y[p:-1])
+    cols.extend(dy[p - j : dy.size - j] for j in range(1, p + 1))
+    return np.column_stack(cols), dy[p:]
+
+
+def adf_lstsq_reference(y, case: str, max_lag: int) -> tuple[int, float]:
+    """Per-lag ``lstsq`` reference for ``adf_test``: (chosen lag, t-statistic).
+
+    Fits every lag 0..max_lag separately on the common sample, picks the SIC
+    minimiser with the same 1e-12 tie rule, refits it on its longest sample
+    and forms the t-statistic from ``inv(x'x)``.  No rank or exact-fit checks.
+    """
+    y = np.asarray(y, dtype=float)
+    n_det = 1 if case == "c" else 2
+    t_common = y.size - 1 - max_lag
+    best_p, best_sic = 0, math.inf
+    for p in range(max_lag + 1):
+        x, resp = _adf_lag_regression(y, p, case)
+        x, resp = x[-t_common:], resp[-t_common:]
+        coef = np.linalg.lstsq(x, resp, rcond=None)[0]
+        resid = resp - x @ coef
+        rss = max(float(resid @ resid), np.finfo(float).tiny)
+        sic = math.log(rss / t_common) + x.shape[1] * math.log(t_common) / t_common
+        if sic < best_sic - 1e-12:
+            best_sic, best_p = sic, p
+    x, resp = _adf_lag_regression(y, best_p, case)
+    coef = np.linalg.lstsq(x, resp, rcond=None)[0]
+    resid = resp - x @ coef
+    dof = resp.size - x.shape[1]
+    se = math.sqrt(float(resid @ resid) / dof * np.linalg.inv(x.T @ x)[n_det, n_det])
+    return best_p, float(coef[n_det] / se)
+
+
+def adf_exact_tstat(y, case: str, lag: int) -> float:
+    """t-statistic on y_{t-1} of the ADF regression at ``lag`` over its longest
+    sample, solved in exact rational arithmetic on the float inputs.
+
+    The differences are exact too, so the only rounding is the final
+    square root of the exact t-squared.
+    """
+    ys = [Fraction(float(v)) for v in np.asarray(y, dtype=float)]
+    dy = [b - a for a, b in zip(ys, ys[1:])]
+    rows, resp = [], []
+    for t in range(lag, len(dy)):
+        row = [Fraction(1)] + ([Fraction(t + 1)] if case == "ct" else [])
+        row.append(ys[t])
+        row.extend(dy[t - j] for j in range(1, lag + 1))
+        rows.append(row)
+        resp.append(dy[t])
+    k = len(rows[0])
+    rho = k - 1 - lag
+    xty = [sum(r[i] * v for r, v in zip(rows, resp)) for i in range(k)]
+    # normal equations with two right-hand sides: x'y and the unit vector at rho
+    a = [
+        [sum(r[i] * r[j] for r in rows) for j in range(k)] + [xty[i], Fraction(int(i == rho))]
+        for i in range(k)
+    ]
+    for c in range(k):
+        piv = next(i for i in range(c, k) if a[i][c] != 0)
+        a[c], a[piv] = a[piv], a[c]
+        for i in range(k):
+            if i != c and a[i][c] != 0:
+                f = a[i][c] / a[c][c]
+                a[i] = [u - f * v for u, v in zip(a[i], a[c])]
+    beta = [a[i][k] / a[i][i] for i in range(k)]
+    inv_rho = a[rho][k + 1] / a[rho][rho]
+    rss = sum(v * v for v in resp) - sum(b * c for b, c in zip(beta, xty))
+    t_squared = beta[rho] ** 2 / (rss / (len(resp) - k) * inv_rho)
+    return math.copysign(math.sqrt(t_squared), beta[rho])

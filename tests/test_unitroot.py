@@ -1,7 +1,10 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leaguebalance import InputError, NumericalError
 from leaguebalance.econometrics import adf_test, fisher_panel_unit_root
@@ -9,7 +12,9 @@ from leaguebalance.econometrics.unitroot import (
     ADF_CASES,
     adf_p_value,
     generate_adf_table,
+    write_adf_table,
 )
+from support import adf_exact_tstat, adf_lstsq_reference
 
 
 class TestFisherCombination:
@@ -70,6 +75,14 @@ class TestAdfPValueTable:
                     hi = mid
             assert med[(case, 0.05)] == pytest.approx(lo, abs=0.08)
 
+    def test_regenerated_t25_cells_match_shipped_bytes(self, tmp_path):
+        path = tmp_path / "adf_quantiles.csv"
+        write_adf_table(generate_adf_table(t_grid=(25,)), path)
+        shipped = resources.files("leaguebalance").joinpath("data/adf_quantiles.csv")
+        lines = shipped.read_bytes().splitlines(keepends=True)
+        expected = lines[:2] + [ln for ln in lines if ln.startswith((b"c,25,", b"ct,25,"))]
+        assert path.read_bytes() == b"".join(expected)
+
 
 class TestAdfTest:
     def test_constant_series_degenerate(self):
@@ -88,6 +101,39 @@ class TestAdfTest:
             adf_test(np.arange(30.0), "c", max_lag=0)
         with pytest.raises(NumericalError, match="fits exactly"):
             adf_test(0.3 + 0.01 * np.arange(40.0), "c", max_lag=0)
+
+    @pytest.mark.parametrize("case", ADF_CASES)
+    def test_scale_invariant(self, case):
+        w = np.cumsum(np.random.default_rng(3).standard_normal(48))
+        base = adf_test(w, case)
+        for scale in (1e-12, 1e-8, 1.0, 1e8, 1e12):
+            result = adf_test(scale * w, case)
+            assert result.lag == base.lag
+            assert result.statistic == pytest.approx(base.statistic, rel=1e-12, abs=0.0)
+
+    def test_statistic_matches_exact_arithmetic(self):
+        # a log population: the level is large against the deviations from
+        # its trend, which the normal equations lose digits on
+        rng = np.random.default_rng(48)
+        y = 16.5 + 0.005 * np.arange(48.0) + 0.001 * rng.standard_normal(48)
+        result = adf_test(y, "ct")
+        exact = adf_exact_tstat(y, "ct", result.lag)
+        assert result.statistic == pytest.approx(exact, rel=1e-11, abs=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=20, max_value=80),
+        st.sampled_from(ADF_CASES),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_lag_choice_matches_per_lag_lstsq(self, t_len, case, seed):
+        y = np.cumsum(np.random.default_rng(seed).standard_normal(t_len))
+        result = adf_test(y, case)
+        n_det = 1 if case == "c" else 2
+        default_max_lag = min(int(12 * (t_len / 100.0) ** 0.25), (t_len - n_det - 5) // 2)
+        lag, statistic = adf_lstsq_reference(y, case, default_max_lag)
+        assert result.lag == lag
+        assert result.statistic == pytest.approx(statistic, rel=1e-8, abs=0.0)
 
     def test_too_short(self):
         with pytest.raises(InputError, match="too short"):
