@@ -132,24 +132,16 @@ def cmd_indices(args) -> int:
 # ---------------------------------------------------------------- unit root
 
 
-def _panel_series(panel, variable: str) -> dict[str, np.ndarray]:
-    return {
-        country: np.array([getattr(row, variable) for row in rows])
-        for country, rows in panel.by_country().items()
-    }
-
-
 def _unit_root(macro, max_lag, out_dir) -> list[str]:
     """ADF-Fisher tests of the panel variables, written to unit_root.csv and .txt."""
     panel = build_panel([], macro)
-    if not panel.rows:
-        raise InputError("empty panel")
     rows = []
     for variable in PANEL_VARIABLES:
-        series = _panel_series(panel, variable)
+        grid = getattr(panel, variable)
         for case in ("c", "ct"):
             results = []
-            for country, y in series.items():
+            for j, country in enumerate(panel.countries):
+                y = grid[panel.present[:, j], j]
                 try:
                     results.append(adf_test(y, case, max_lag))
                 except NumericalError as exc:
@@ -204,23 +196,11 @@ class IndexFitReport:
     iterations: int
 
 
-def _check_index_variation(design, name: str) -> None:
-    col = design.X[:, design.columns.index("ln_cb_lag1")]
-    for country in design.country_list:
-        values = col[design.countries == country]
-        if values.size and float(values.std()) == 0.0:
-            raise NumericalError(
-                f"index {name!r} is constant in-sample for {country}; "
-                "its level is collinear with the country intercept"
-            )
-
-
 def fit_index_model(panel, index_values, name: str, spec: RegressionSpec, iterate: bool):
     series = series_from_values(index_values, name)
     if not series:
         raise InputError(f"no values for index {name!r}")
     design = build_adl_design(panel, series, spec)
-    _check_index_variation(design, name)
     fit = sur_egls_fit(design, iterate=iterate)
     fit.cov_robust = white_cross_section_cov(fit, design)
     effects = long_run_effects(fit, spec)

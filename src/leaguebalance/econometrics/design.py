@@ -16,11 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InputError, NumericalError
-from ..panel import PanelDataset
+from ..panel import D97_CUTOFF, PanelDataset
 
 COVARIATES = ("cb", "pop", "rgni", "un")
 
-_PANEL_FIELD = {"pop": "ln_pop", "rgni": "ln_rgni", "un": "ln_un"}
+
+def trend_columns(degree: int) -> list[str]:
+    return [f"t{g}" if g > 1 else "t" for g in range(1, degree + 1)]
 
 
 @dataclass(frozen=True)
@@ -31,13 +33,17 @@ class RegressionSpec:
     adl_order: int = 2
     trend_degree: int = 2
     include_d97: bool = True
-    countries: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.adl_order < 1:
             raise InputError("adl_order must be >= 1")
         if self.trend_degree < 0:
             raise InputError("trend_degree must be >= 0")
+
+    def deterministic_columns(self) -> list[str]:
+        """The deterministic regressors in design order: d97 when included,
+        then the trend powers t, t2, ..."""
+        return (["d97"] if self.include_d97 else []) + trend_columns(self.trend_degree)
 
 
 @dataclass(frozen=True)
@@ -49,7 +55,6 @@ class DesignMatrix:
     columns: list[str]
     countries: np.ndarray  # per-row country id
     years: np.ndarray  # per-row season
-    spec: RegressionSpec
     country_list: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -61,130 +66,77 @@ class DesignMatrix:
         return int(self.y.size)
 
 
-def trend_columns(degree: int) -> list[str]:
-    return [f"t{g}" if g > 1 else "t" for g in range(1, degree + 1)]
-
-
-def _aligned_series(panel: PanelDataset, index_series, spec: RegressionSpec):
-    """Per-country aligned arrays of ln values, trimmed to index coverage."""
-    by_country = panel.by_country()
-    countries = list(by_country)
-    if spec.countries is not None:
-        missing = [c for c in spec.countries if c not in by_country]
-        if missing:
-            raise InputError(f"countries not in panel: {missing}")
-        countries = list(spec.countries)
-
-    out = {}
-    for country in countries:
-        rows = by_country[country]
-        have = [r for r in rows if (country, r.season) in index_series]
-        if len(have) < spec.adl_order + 1:
-            raise InputError(
-                f"alignment error: index {spec.index_name!r} covers only {len(have)} "
-                f"season(s) of {country}, need at least {spec.adl_order + 1}"
-            )
-        seasons = [r.season for r in have]
-        for a, b in zip(seasons, seasons[1:]):
-            if b != a + 1:
-                raise InputError(
-                    f"alignment error: index {spec.index_name!r} has a gap for {country} "
-                    f"between {a} and {b}"
-                )
-        ln_cb = []
-        for r in have:
-            value = index_series[(country, r.season)]
-            if value <= 0.0:
-                raise InputError(
-                    f"log-domain error: index {spec.index_name!r} is {value} "
-                    f"for ({country}, {r.season})"
-                )
-            ln_cb.append(math.log(value))
-        out[country] = {
-            "season": np.array(seasons),
-            "t": np.array([r.t for r in have], dtype=float),
-            "d97": np.array([r.d97 for r in have], dtype=float),
-            "cb": np.array(ln_cb),
-            "att": np.array([r.ln_att for r in have]),
-            "pop": np.array([r.ln_pop for r in have]),
-            "rgni": np.array([r.ln_rgni for r in have]),
-            "un": np.array([r.ln_un for r in have]),
-        }
-    return out, countries
-
-
-def _deterministic_block(data, sl, spec: RegressionSpec):
-    cols: list[np.ndarray] = []
-    names: list[str] = []
-    if spec.include_d97:
-        cols.append(data["d97"][sl])
-        names.append("d97")
-    for g in range(1, spec.trend_degree + 1):
-        cols.append(data["t"][sl] ** g)
-        names.append(trend_columns(spec.trend_degree)[g - 1])
-    return cols, names
-
-
 def build_adl_design(panel: PanelDataset, index_series, spec: RegressionSpec) -> DesignMatrix:
-    """Levels-and-differences design for the attendance model.
+    """Levels-and-differences design for the attendance model, read off the
+    panel's (seasons, countries) grid.
 
     Response is the first difference of log attendance.  Regressors per
     covariate x: x_{t-1} in levels plus differences dx_t, dx_{t-1}, ...,
     dx_{t-q+1}; lagged log attendance and its lagged differences; country
-    intercepts; d97 and polynomial trend.  The first q rows of each country
-    are dropped for lag availability.
+    intercepts; d97 and polynomial trend.  A grid cell is a row when its
+    country has the index in that season and in the q seasons before, so
+    the first q seasons of each country's index coverage are dropped.  Rows
+    run country by country, seasons ascending.
 
     ``index_series`` maps (country, season) to the raw index value, which
-    enters in logs.
+    enters in logs.  Every country's coverage must be at least q+1
+    consecutive seasons of the panel.
     """
     q = spec.adl_order
-    data, countries = _aligned_series(panel, index_series, spec)
+    seasons = panel.seasons.tolist()
+    covered = np.zeros(panel.present.shape, dtype=bool)
+    cb = np.full(panel.present.shape, np.nan)
+    for j, country in enumerate(panel.countries):
+        have = [
+            i for i in np.flatnonzero(panel.present[:, j]).tolist()
+            if (country, seasons[i]) in index_series
+        ]
+        if len(have) < q + 1:
+            raise InputError(
+                f"alignment error: index {spec.index_name!r} covers only {len(have)} "
+                f"season(s) of {country}, need at least {q + 1}"
+            )
+        for a, b in zip(have, have[1:]):
+            if b != a + 1:
+                raise InputError(
+                    f"alignment error: index {spec.index_name!r} has a gap for {country} "
+                    f"between {seasons[a]} and {seasons[b]}"
+                )
+        for i in have:
+            value = index_series[(country, seasons[i])]
+            if value <= 0.0:
+                raise InputError(
+                    f"log-domain error: index {spec.index_name!r} is {value} "
+                    f"for ({country}, {seasons[i]})"
+                )
+            cb[i, j] = math.log(value)
+        covered[have, j] = True
 
-    var_names: list[str] = [f"const[{c}]" for c in countries]
-    for v in COVARIATES:
-        var_names.append(f"ln_{v}_lag1")
-        var_names.append(f"d_ln_{v}")
-        var_names.extend(f"d_ln_{v}_lag{l}" for l in range(1, q))
-    var_names.append("ln_att_lag1")
-    var_names.extend(f"d_ln_att_lag{l}" for l in range(1, q))
-    det_names = (["d97"] if spec.include_d97 else []) + trend_columns(spec.trend_degree)
-    var_names.extend(det_names)
+    usable = np.zeros_like(covered)
+    usable[q:] = np.all([covered[q - l : covered.shape[0] - l] for l in range(q + 1)], axis=0)
+    jj, ii = np.nonzero(usable.T)  # country-major, seasons ascending
 
-    y_parts, x_parts, country_rows, year_rows = [], [], [], []
-    for ci, country in enumerate(countries):
-        d = data[country]
-        n = d["season"].size
-        sl = slice(q, n)
-        rows = n - q
-        cols: list[np.ndarray] = []
-        for cj in range(len(countries)):
-            cols.append(np.full(rows, 1.0 if cj == ci else 0.0))
-        for v in COVARIATES:
-            x = d[v]
-            dx = np.diff(x)  # dx[i] = x[i+1] - x[i]
-            cols.append(x[q - 1 : n - 1])  # x_{t-1}
-            cols.append(dx[q - 1 :])  # dx_t
-            for l in range(1, q):
-                cols.append(dx[q - 1 - l : n - 1 - l])
-        att = d["att"]
-        datt = np.diff(att)
-        cols.append(att[q - 1 : n - 1])
-        for l in range(1, q):
-            cols.append(datt[q - 1 - l : n - 1 - l])
-        det_cols, _ = _deterministic_block(d, sl, spec)
-        cols.extend(det_cols)
-
-        y_parts.append(datt[q - 1 :])
-        x_parts.append(np.column_stack(cols))
-        country_rows.append(np.full(rows, country, dtype=object))
-        year_rows.append(d["season"][sl])
+    columns: list[str] = [f"const[{c}]" for c in panel.countries]
+    cols = [(jj == j).astype(float) for j in range(len(panel.countries))]
+    for v, grid in zip(COVARIATES, (cb, panel.ln_pop, panel.ln_rgni, panel.ln_un)):
+        diff = np.diff(grid, axis=0, prepend=np.nan)  # diff[i] = grid[i] - grid[i-1]
+        columns += [f"ln_{v}_lag1", f"d_ln_{v}"] + [f"d_ln_{v}_lag{l}" for l in range(1, q)]
+        cols += [grid[ii - 1, jj]] + [diff[ii - l, jj] for l in range(q)]
+    datt = np.diff(panel.ln_att, axis=0, prepend=np.nan)
+    columns += ["ln_att_lag1"] + [f"d_ln_att_lag{l}" for l in range(1, q)]
+    cols += [panel.ln_att[ii - 1, jj]] + [datt[ii - l, jj] for l in range(1, q)]
+    years = panel.seasons[ii]
+    trend = (years - panel.seasons[0] + 1).astype(float)
+    det = {"d97": (years > D97_CUTOFF).astype(float)}
+    det.update((name, trend**g) for g, name in enumerate(trend_columns(spec.trend_degree), 1))
+    columns += spec.deterministic_columns()
+    cols += [det[name] for name in spec.deterministic_columns()]
 
     return DesignMatrix(
-        y=np.concatenate(y_parts),
-        X=np.vstack(x_parts),
-        columns=var_names,
-        countries=np.concatenate(country_rows),
-        years=np.concatenate(year_rows).astype(int),
-        spec=spec,
-        country_list=countries,
+        y=datt[ii, jj],
+        X=np.column_stack(cols),
+        columns=columns,
+        countries=np.array(panel.countries, dtype=object)[jj],
+        years=years.astype(int),
+        country_list=list(panel.countries),
     )

@@ -10,7 +10,7 @@ import numpy as np
 
 from ..errors import InputError, NumericalError
 from .base import FitResult
-from .design import COVARIATES, RegressionSpec, trend_columns
+from .design import COVARIATES, RegressionSpec
 from .tails import two_sided_normal
 
 _A1_TOL = 1e-8
@@ -66,9 +66,7 @@ def long_run_effects(fit: FitResult, spec: RegressionSpec) -> list[LongRunEffect
         )
     cov = fit.cov_robust if fit.cov_robust is not None else fit.cov
     targets = [(v, f"ln_{v}_lag1") for v in COVARIATES]
-    if spec.include_d97 and "d97" in fit.coef_names:
-        targets.append(("d97", "d97"))
-    targets.extend((t, t) for t in trend_columns(spec.trend_degree))
+    targets.extend((name, name) for name in spec.deterministic_columns())
 
     out = []
     for label, col in targets:

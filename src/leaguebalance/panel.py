@@ -104,45 +104,25 @@ class MacroObservation:
     unemployment: float
 
 
-@dataclass(frozen=True)
-class PanelRow:
-    country: str
-    season: int
-    ln_att: float
-    ln_pop: float
-    ln_rgni: float
-    ln_un: float
-    d97: int
-    t: int
-
-    @property
-    def t2(self) -> int:
-        return self.t * self.t
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PanelDataset:
-    """Unbalanced country-by-season panel of logs, d97 dummy and trend.
+    """Unbalanced country-by-season panel on one (seasons, countries) grid.
 
-    Rows are sorted by (country, season); within a country seasons are
-    consecutive.  The trend ``t`` counts calendar seasons from a global
-    origin shared by all countries, so the same season has the same ``t``
-    everywhere.
+    ``countries`` is sorted and ``seasons`` runs consecutively from the first
+    to the last season of any country.  ``present[i, j]`` marks the seasons
+    country j has; within a country they are consecutive.  The four log
+    series are (seasons, countries) arrays, NaN where a country is absent.
+    The trend counts calendar seasons from ``seasons[0]``, so the same season
+    has the same trend value everywhere.
     """
 
-    rows: tuple[PanelRow, ...]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def by_country(self) -> dict[str, tuple[PanelRow, ...]]:
-        out: dict[str, list[PanelRow]] = {}
-        for row in self.rows:
-            out.setdefault(row.country, []).append(row)
-        return {c: tuple(v) for c, v in out.items()}
-
-    def season_counts(self) -> dict[str, int]:
-        return {c: len(v) for c, v in self.by_country().items()}
+    countries: tuple[str, ...]
+    seasons: np.ndarray
+    present: np.ndarray
+    ln_att: np.ndarray
+    ln_pop: np.ndarray
+    ln_rgni: np.ndarray
+    ln_un: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -373,9 +353,9 @@ def winning_percentages(season: LeagueSeason) -> np.ndarray:
 def build_panel(leagues: list[LeagueSeason], macro: list[MacroObservation]) -> PanelDataset:
     """Assemble the regression panel from macro observations.
 
-    Logs all four macro series, adds the post-1997 dummy and the global
-    trend.  When ``leagues`` is non-empty, every macro (country, season)
-    must have a matching league table so indices can be attached later.
+    Logs all four macro series onto the (seasons, countries) grid.  When
+    ``leagues`` is non-empty, every macro (country, season) must have a
+    matching league table so indices can be attached later.
     """
     if not macro:
         raise InputError("empty macro data")
@@ -401,30 +381,18 @@ def build_panel(leagues: list[LeagueSeason], macro: list[MacroObservation]) -> P
             if b != a + 1:
                 raise InputError(f"season gap for {country} between {a} and {b}")
 
-    origin = min(o.season for o in keyed.values())
-    rows: list[PanelRow] = []
-    for country, obs_list in by_country.items():
+    first = min(o.season for o in keyed.values())
+    last = max(o.season for o in keyed.values())
+    present = np.zeros((last - first + 1, len(by_country)), dtype=bool)
+    logs = np.full((4, *present.shape), np.nan)
+    for j, (country, obs_list) in enumerate(by_country.items()):
         for obs in obs_list:
-            for what, value in (
-                ("attendance_avg", obs.attendance_per_game),
-                ("population", obs.population),
-                ("rgni_real", obs.rgni),
-                ("unemployment_rate", obs.unemployment),
-            ):
+            values = (obs.attendance_per_game, obs.population, obs.rgni, obs.unemployment)
+            for what, value in zip(MACRO_COLUMNS[2:], values):
                 if value <= 0.0:
                     raise InputError(
                         f"log-domain error: non-positive {what} for ({country}, {obs.season})"
                     )
-            rows.append(
-                PanelRow(
-                    country=country,
-                    season=obs.season,
-                    ln_att=math.log(obs.attendance_per_game),
-                    ln_pop=math.log(obs.population),
-                    ln_rgni=math.log(obs.rgni),
-                    ln_un=math.log(obs.unemployment),
-                    d97=int(obs.season > D97_CUTOFF),
-                    t=obs.season - origin + 1,
-                )
-            )
-    return PanelDataset(rows=tuple(rows))
+            present[obs.season - first, j] = True
+            logs[:, obs.season - first, j] = [math.log(v) for v in values]
+    return PanelDataset(tuple(by_country), np.arange(first, last + 1), present, *logs)

@@ -8,13 +8,9 @@ from fractions import Fraction
 import numpy as np
 
 from leaguebalance.econometrics import DesignMatrix, FitResult, RegressionSpec
-from leaguebalance.econometrics.design import (
-    COVARIATES,
-    _aligned_series,
-    _deterministic_block,
-    trend_columns,
-)
-from leaguebalance.panel import LeagueSeason, PanelDataset, TeamSeasonRecord
+from leaguebalance.econometrics.design import COVARIATES
+from leaguebalance.errors import InputError
+from leaguebalance.panel import D97_CUTOFF, LeagueSeason, PanelDataset, TeamSeasonRecord
 
 HOME, DRAW, AWAY = 0, 1, 2
 
@@ -228,6 +224,106 @@ def dgp_design(seed: int = 0, params=None, **spec_kw):
     return design, sim, spec
 
 
+def _aligned_series(panel: PanelDataset, index_series, spec: RegressionSpec):
+    """Per-country arrays of the panel's seasons, trend, d97 and logs,
+    trimmed to the index coverage, with the design's alignment checks."""
+    seasons = panel.seasons.tolist()
+    out = {}
+    for j, country in enumerate(panel.countries):
+        rows = np.flatnonzero(panel.present[:, j]).tolist()
+        have = [i for i in rows if (country, seasons[i]) in index_series]
+        if len(have) < spec.adl_order + 1:
+            raise InputError(
+                f"alignment error: index {spec.index_name!r} covers only {len(have)} "
+                f"season(s) of {country}, need at least {spec.adl_order + 1}"
+            )
+        for a, b in zip(have, have[1:]):
+            if seasons[b] != seasons[a] + 1:
+                raise InputError(
+                    f"alignment error: index {spec.index_name!r} has a gap for {country} "
+                    f"between {seasons[a]} and {seasons[b]}"
+                )
+        ln_cb = []
+        for i in have:
+            value = index_series[(country, seasons[i])]
+            if value <= 0.0:
+                raise InputError(
+                    f"log-domain error: index {spec.index_name!r} is {value} "
+                    f"for ({country}, {seasons[i]})"
+                )
+            ln_cb.append(math.log(value))
+        out[country] = {
+            "season": np.array([seasons[i] for i in have]),
+            "t": np.array([seasons[i] - seasons[0] + 1 for i in have], dtype=float),
+            "d97": np.array([int(seasons[i] > D97_CUTOFF) for i in have], dtype=float),
+            "cb": np.array(ln_cb),
+            "att": np.array([float(panel.ln_att[i, j]) for i in have]),
+            "pop": np.array([float(panel.ln_pop[i, j]) for i in have]),
+            "rgni": np.array([float(panel.ln_rgni[i, j]) for i in have]),
+            "un": np.array([float(panel.ln_un[i, j]) for i in have]),
+        }
+    return out, list(panel.countries)
+
+
+def _deterministic_block(data, sl, spec: RegressionSpec) -> list[np.ndarray]:
+    """d97 and the trend powers of one country, in ``deterministic_columns`` order."""
+    d97 = [data["d97"][sl]] if spec.include_d97 else []
+    return d97 + [data["t"][sl] ** g for g in range(1, spec.trend_degree + 1)]
+
+
+def _stacked(data, countries, spec, var_names, country_columns) -> DesignMatrix:
+    """Stack per-country (response, columns) blocks below intercept dummies."""
+    q = spec.adl_order
+    y_parts, x_parts, country_rows, year_rows = [], [], [], []
+    for ci, country in enumerate(countries):
+        d = data[country]
+        n = d["season"].size
+        rows = n - q
+        cols = [np.full(rows, 1.0 if cj == ci else 0.0) for cj in range(len(countries))]
+        y, more = country_columns(d, n)
+        cols.extend(more)
+        cols.extend(_deterministic_block(d, slice(q, n), spec))
+        y_parts.append(y)
+        x_parts.append(np.column_stack(cols))
+        country_rows.append(np.full(rows, country, dtype=object))
+        year_rows.append(d["season"][q:])
+    return DesignMatrix(
+        y=np.concatenate(y_parts),
+        X=np.vstack(x_parts),
+        columns=[f"const[{c}]" for c in countries] + var_names + spec.deterministic_columns(),
+        countries=np.concatenate(country_rows),
+        years=np.concatenate(year_rows).astype(int),
+        country_list=countries,
+    )
+
+
+def adl_design_reference(panel: PanelDataset, index_series, spec: RegressionSpec) -> DesignMatrix:
+    """Per-country reference for ``build_adl_design``: each country's series
+    trimmed to its index coverage, its columns sliced from them, and the
+    country blocks stacked."""
+    q = spec.adl_order
+    data, countries = _aligned_series(panel, index_series, spec)
+    var_names: list[str] = []
+    for v in COVARIATES:
+        var_names += [f"ln_{v}_lag1", f"d_ln_{v}"] + [f"d_ln_{v}_lag{l}" for l in range(1, q)]
+    var_names += ["ln_att_lag1"] + [f"d_ln_att_lag{l}" for l in range(1, q)]
+
+    def country_columns(d, n):
+        cols = []
+        for v in COVARIATES:
+            x = d[v]
+            dx = np.diff(x)  # dx[i] = x[i+1] - x[i]
+            cols.append(x[q - 1 : n - 1])  # x_{t-1}
+            cols.append(dx[q - 1 :])  # dx_t
+            cols.extend(dx[q - 1 - l : n - 1 - l] for l in range(1, q))
+        datt = np.diff(d["att"])
+        cols.append(d["att"][q - 1 : n - 1])
+        cols.extend(datt[q - 1 - l : n - 1 - l] for l in range(1, q))
+        return datt[q - 1 :], cols
+
+    return _stacked(data, countries, spec, var_names, country_columns)
+
+
 def build_adl_lag_design(panel: PanelDataset, index_series, spec: RegressionSpec) -> DesignMatrix:
     """Plain lag-form design: log attendance on its own lags 1..q and lags
     0..q of every covariate, plus intercepts and deterministics.
@@ -237,48 +333,17 @@ def build_adl_lag_design(panel: PanelDataset, index_series, spec: RegressionSpec
     """
     q = spec.adl_order
     data, countries = _aligned_series(panel, index_series, spec)
-
-    var_names: list[str] = [f"const[{c}]" for c in countries]
-    var_names.extend(f"ln_att_lag{l}" for l in range(1, q + 1))
+    var_names = [f"ln_att_lag{l}" for l in range(1, q + 1)]
     for v in COVARIATES:
-        var_names.append(f"ln_{v}")
-        var_names.extend(f"ln_{v}_lag{l}" for l in range(1, q + 1))
-    det_names = (["d97"] if spec.include_d97 else []) + trend_columns(spec.trend_degree)
-    var_names.extend(det_names)
+        var_names += [f"ln_{v}"] + [f"ln_{v}_lag{l}" for l in range(1, q + 1)]
 
-    y_parts, x_parts, country_rows, year_rows = [], [], [], []
-    for ci, country in enumerate(countries):
-        d = data[country]
-        n = d["season"].size
-        sl = slice(q, n)
-        rows = n - q
-        cols: list[np.ndarray] = []
-        for cj in range(len(countries)):
-            cols.append(np.full(rows, 1.0 if cj == ci else 0.0))
-        att = d["att"]
-        for l in range(1, q + 1):
-            cols.append(att[q - l : n - l])
+    def country_columns(d, n):
+        cols = [d["att"][q - l : n - l] for l in range(1, q + 1)]
         for v in COVARIATES:
-            x = d[v]
-            for l in range(0, q + 1):
-                cols.append(x[q - l : n - l])
-        det_cols, _ = _deterministic_block(d, sl, spec)
-        cols.extend(det_cols)
+            cols.extend(d[v][q - l : n - l] for l in range(0, q + 1))
+        return d["att"][q:], cols
 
-        y_parts.append(att[sl])
-        x_parts.append(np.column_stack(cols))
-        country_rows.append(np.full(rows, country, dtype=object))
-        year_rows.append(d["season"][sl])
-
-    return DesignMatrix(
-        y=np.concatenate(y_parts),
-        X=np.vstack(x_parts),
-        columns=var_names,
-        countries=np.concatenate(country_rows),
-        years=np.concatenate(year_rows).astype(int),
-        spec=spec,
-        country_list=countries,
-    )
+    return _stacked(data, countries, spec, var_names, country_columns)
 
 
 def cumulated_lag_coefficients(fit, spec: RegressionSpec) -> dict[str, float]:

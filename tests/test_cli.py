@@ -206,7 +206,7 @@ class TestFitCommand:
             terms = {r["term"] for r in csv.DictReader(fh)}
         assert "d97" not in terms
 
-    def test_constant_index_is_numerical_error(self, small_dataset, tmp_path):
+    def test_constant_index_is_numerical_error(self, small_dataset, tmp_path, capsys):
         indices = tmp_path / "flat.csv"
         with open(small_dataset["macro"], newline="") as fh:
             keys = [(r["country"], r["season"]) for r in csv.DictReader(fh)]
@@ -219,6 +219,32 @@ class TestFitCommand:
             "fit", "--macro", small_dataset["macro"], "--indices", indices,
             "--index", "scr_ki", "--out-dir", tmp_path / "o",
         ) == 3
+        # the index level is then a sum of the country intercepts
+        assert "singular design: dependent columns ln_cb_lag1" in capsys.readouterr().err
+
+    def test_index_constant_in_one_country_is_estimable(self, tmp_path):
+        # slopes are shared across countries, so a flat index in one country
+        # leaves ln_cb_lag1 identified by the others
+        from leaguebalance.cli import INDEX_COLUMNS, _write_macro_csv
+        from leaguebalance.reports import write_csv
+        from leaguebalance.simulate import simulate_dgp
+
+        sim = simulate_dgp(seed=1)
+        macro, indices = tmp_path / "macro.csv", tmp_path / "indices.csv"
+        _write_macro_csv(macro, sim.macro)
+        write_csv(indices, INDEX_COLUMNS, [
+            (v.country, v.season, v.name, 0.4 if v.country == "C3" else v.value)
+            for v in sim.indices
+        ])
+        out = tmp_path / "fit"
+        assert run(
+            "fit", "--macro", macro, "--indices", indices, "--index", "sdc_ki",
+            "--iterate-sur", "--out-dir", out,
+        ) == 0
+        with open(out / "fit_sdc_ki_coefficients.csv", newline="") as fh:
+            rows = {r["term"]: r for r in csv.DictReader(fh)}
+        coef, se = float(rows["ln_cb_lag1"]["coef"]), float(rows["ln_cb_lag1"]["se_robust"])
+        assert abs(coef - (-0.6)) < 3.0 * se
 
     def test_fit_composes_with_indices_command(self, small_dataset, tmp_path):
         idx_out = tmp_path / "idx"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leaguebalance import InputError, NumericalError, build_panel
 from leaguebalance.econometrics import (
@@ -10,7 +12,12 @@ from leaguebalance.econometrics import (
 from leaguebalance.panel import MacroObservation
 from leaguebalance.pipeline import series_from_values
 from leaguebalance.simulate import DgpParams, simulate_dgp
-from support import build_adl_lag_design, cumulated_lag_coefficients, dgp_design
+from support import (
+    adl_design_reference,
+    build_adl_lag_design,
+    cumulated_lag_coefficients,
+    dgp_design,
+)
 
 
 class TestOlsFit:
@@ -110,6 +117,91 @@ class TestDesign:
         series[key] = 0.0
         with pytest.raises(InputError, match="log-domain"):
             build_adl_design(panel, series, RegressionSpec(index_name="sdc_ki"))
+
+
+@st.composite
+def unbalanced_inputs(draw):
+    """A random unbalanced panel, an index series over it and a spec.
+
+    Countries enter and leave at random seasons around the 1997 cutoff; each
+    country's index coverage is its seasons trimmed at either end.  A country
+    may carry one fault: coverage too short for the lag order, a gap, a
+    non-positive value, or keys outside the panel that the design must ignore.
+    """
+    names = draw(st.permutations(["ITA", "BEL", "SWE", "ENG", "GRE"]))
+    countries = names[: draw(st.integers(1, 4))]
+    q = draw(st.integers(1, 3))
+    spec = RegressionSpec(
+        "sdc_ki",
+        adl_order=q,
+        trend_degree=draw(st.integers(0, 3)),
+        include_d97=draw(st.booleans()),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    faults = [None] * 6 + ["short", "gap", "zero", "outside"]
+    macro, series = [], {}
+    for country in countries:
+        start, length = draw(st.integers(1985, 2000)), draw(st.integers(10, 16))
+        seasons = list(range(start, start + length))
+        for season in seasons:
+            att, pop, rgni, un = rng.uniform(0.5, 2.0, size=4) * (1e4, 1e7, 2e4, 8.0)
+            macro.append(MacroObservation(country, season, att, pop, rgni, un))
+        fault = draw(st.sampled_from(faults))
+        lo = draw(st.integers(0, 3))
+        hi = lo + draw(st.integers(1, q)) if fault == "short" else length - draw(st.integers(0, 3))
+        covered = seasons[lo:hi]
+        for season in covered:
+            series[(country, season)] = float(rng.uniform(0.05, 1.0))
+        if fault == "gap":
+            del series[(country, draw(st.sampled_from(covered[1:-1])))]
+        elif fault == "zero":
+            series[(country, draw(st.sampled_from(covered)))] = draw(st.sampled_from([0.0, -0.25]))
+        elif fault == "outside":
+            series[(country, start - 1)] = series[(country, start + length)] = 0.5
+            series[("XYZ", start)] = 0.5
+    return build_panel([], macro), series, spec
+
+
+def _design_or_error(builder, panel, series, spec):
+    try:
+        return builder(panel, series, spec)
+    except InputError as exc:
+        return str(exc)
+
+
+class TestDesignAgainstReference:
+    """The grid builder against the per-country reference in ``support``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(unbalanced_inputs())
+    def test_same_design_or_same_error(self, inputs):
+        panel, series, spec = inputs
+        got = _design_or_error(build_adl_design, panel, series, spec)
+        want = _design_or_error(adl_design_reference, panel, series, spec)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert not isinstance(got, str), got
+        for name in ("y", "X"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        assert got.columns == want.columns
+        assert got.countries.tolist() == want.countries.tolist()
+        assert got.years.tolist() == want.years.tolist()
+        assert got.country_list == want.country_list
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dgp_design_matches_reference(self, seed):
+        sim = simulate_dgp(seed=seed)
+        panel = build_panel([], sim.macro)
+        series = series_from_values(sim.indices, "sdc_ki")
+        spec = RegressionSpec(index_name="sdc_ki")
+        got = build_adl_design(panel, series, spec)
+        want = adl_design_reference(panel, series, spec)
+        assert got.X.tobytes() == want.X.tobytes()
+        assert got.y.tobytes() == want.y.tobytes()
+        assert got.columns == want.columns
 
 
 class TestReparameterization:

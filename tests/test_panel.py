@@ -14,6 +14,7 @@ from leaguebalance import (
     parse_league_csv,
     winning_percentages,
 )
+from leaguebalance.econometrics import RegressionSpec, build_adl_design
 from support import all_draw_season, cu_season, random_outcomes, season_from_outcomes
 
 LEAGUE_HEADER = "country,season,team,rank,wins,draws,losses,points\n"
@@ -142,9 +143,14 @@ def macro_rows(country, seasons, un=8.0):
 class TestBuildPanel:
     def test_d97_cutoff(self):
         panel = build_panel([], macro_rows("BEL", range(1995, 2001)))
-        by_season = {r.season: r.d97 for r in panel.rows}
+        series = {("BEL", s): 0.5 for s in range(1995, 2001)}
+        design = build_adl_design(panel, series, RegressionSpec("scr_ki", adl_order=1))
+        column = design.X[:, design.columns.index("d97")]
+        by_season = dict(zip(design.years.tolist(), column.tolist()))
         assert by_season[1997] == 0
         assert by_season[1998] == 1
+        t = design.X[:, design.columns.index("t")]
+        assert np.array_equal(design.X[:, design.columns.index("t2")], t * t)
 
     def test_log_domain_error_names_key(self):
         rows = macro_rows("BEL", range(1995, 2000))
@@ -159,16 +165,20 @@ class TestBuildPanel:
 
     def test_trend_shared_across_countries(self):
         panel = build_panel([], macro_rows("BEL", [1990, 1991]) + macro_rows("ENG", [1989, 1990, 1991]))
-        t = {(r.country, r.season): r.t for r in panel.rows}
+        # the design's trend is the season's row on the grid, counted from 1
+        t = {
+            (c, s): i + 1
+            for i, s in enumerate(panel.seasons.tolist())
+            for j, c in enumerate(panel.countries)
+            if panel.present[i, j]
+        }
         assert t[("ENG", 1989)] == 1
         assert t[("BEL", 1990)] == t[("ENG", 1990)] == 2
 
     def test_logs_match_inputs(self):
         panel = build_panel([], macro_rows("BEL", [1990]))
-        row = panel.rows[0]
-        assert row.ln_att == pytest.approx(math.log(10_000.0 + 1990))
-        assert row.ln_un == pytest.approx(math.log(8.0))
-        assert row.t2 == row.t * row.t
+        assert panel.ln_att[0, 0] == pytest.approx(math.log(10_000.0 + 1990))
+        assert panel.ln_un[0, 0] == pytest.approx(math.log(8.0))
 
     def test_league_alignment_checked_when_leagues_given(self):
         leagues = [all_draw_season(4, "BEL", 1990)]
@@ -177,7 +187,10 @@ class TestBuildPanel:
 
     def test_deterministic(self):
         rows = macro_rows("BEL", range(1980, 2000)) + macro_rows("SWE", range(1985, 1999))
-        assert build_panel([], rows) == build_panel([], rows)
+        a, b = build_panel([], rows), build_panel([], rows)
+        assert a.countries == b.countries
+        for name in ("seasons", "present", "ln_att", "ln_pop", "ln_rgni", "ln_un"):
+            assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
 
     def test_unbalanced_counts(self):
         table1 = {
@@ -189,6 +202,8 @@ class TestBuildPanel:
         for country, (lo, hi) in table1.items():
             rows.extend(macro_rows(country, range(lo, hi + 1)))
         panel = build_panel([], rows)
-        counts = panel.season_counts()
-        assert [counts[c] for c in ("BEL", "ENG", "FRA", "GER", "GRE", "ITA", "NOR", "SWE")] == \
-            [43, 50, 50, 46, 50, 50, 46, 50]
+        assert panel.countries == ("BEL", "ENG", "FRA", "GER", "GRE", "ITA", "NOR", "SWE")
+        assert panel.present.sum(axis=0).tolist() == [43, 50, 50, 46, 50, 50, 46, 50]
+        assert panel.seasons.tolist() == list(range(1959, 2009))
+        for name in ("ln_att", "ln_pop", "ln_rgni", "ln_un"):
+            assert np.array_equal(np.isnan(getattr(panel, name)), ~panel.present), name

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from leaguebalance import InputError, NumericalError
 from leaguebalance.econometrics import (
-    RegressionSpec,
     long_run_effects,
     ols_fit,
     ols_fit_design,
@@ -52,7 +51,6 @@ def stacked_design(countries, t_len, x_maker, y_maker, shared_slopes=False, seed
         columns=columns,
         countries=np.array(rows_c, dtype=object),
         years=np.array(rows_t),
-        spec=RegressionSpec(index_name="scr_ki"),
         country_list=list(countries),
     )
 
@@ -81,7 +79,6 @@ def unbalanced_design(seed, n_countries=4, span=30, k=2):
         columns=columns,
         countries=np.array(rows_c, dtype=object),
         years=np.array(rows_t),
-        spec=RegressionSpec(index_name="scr_ki"),
         country_list=countries,
     )
 
