@@ -132,9 +132,8 @@ def cmd_indices(args) -> int:
 # ---------------------------------------------------------------- unit root
 
 
-def _unit_root(macro, max_lag, out_dir) -> list[str]:
+def _unit_root(panel, max_lag, out_dir) -> list[str]:
     """ADF-Fisher tests of the panel variables, written to unit_root.csv and .txt."""
-    panel = build_panel([], macro)
     rows = []
     for variable in PANEL_VARIABLES:
         grid = getattr(panel, variable)
@@ -175,7 +174,8 @@ def _unit_root(macro, max_lag, out_dir) -> list[str]:
 
 def cmd_unit_root(args) -> int:
     _, config_hash = _load_config(args)
-    artifacts = _unit_root(parse_macro_csv(args.macro), args.max_lag, args.out_dir)
+    panel = build_panel([], parse_macro_csv(args.macro))
+    artifacts = _unit_root(panel, args.max_lag, args.out_dir)
     inputs = {"macro": sha256_file(args.macro)}
     write_manifest(args.out_dir, "unit-root", args.seed, inputs, config_hash, artifacts)
     print("wrote unit-root report")
@@ -460,12 +460,11 @@ def cmd_simulate(args) -> int:
         10 if args.kind == "league" else 50
     )
     if args.kind == "league":
-        dispersion = math.inf if args.dispersion == "inf" else float(args.dispersion)
         K, I = Config().levels_for(args.country, args.start_season, args.n_teams)
         params = LeagueSimParams(
             n_teams=args.n_teams,
             n_seasons=n_seasons,
-            dispersion=dispersion,
+            dispersion=args.dispersion,
             country=args.country,
             start_season=args.start_season,
             churn=args.churn,
@@ -515,11 +514,10 @@ def cmd_report(args) -> int:
     out = Path(args.out_dir)
     values, artifacts = _indices(args.league, config, out)
     macro = parse_macro_csv(args.macro)
-    artifacts += _unit_root(macro, None, out)
+    panel = build_panel([], macro)
+    artifacts += _unit_root(panel, None, out)
     index_values = _quantised([v for v in values if v.name in names])
-    reports, fit_artifacts = _fit(
-        build_panel([], macro), index_values, names, args, config, out
-    )
+    reports, fit_artifacts = _fit(panel, index_values, names, args, config, out)
     artifacts += fit_artifacts
     inputs = {"league": sha256_file(args.league), "macro": sha256_file(args.macro)}
     effects_inputs = {"indices": sha256_file(out / "indices.csv"), "macro": inputs["macro"]}
@@ -586,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("league", "dgp"), required=True)
     p.add_argument("--n-teams", type=int, default=12)
     p.add_argument("--n-seasons", type=int, default=None, help="default 10 (league) or 50 (dgp)")
-    p.add_argument("--dispersion", default="2.0", help="float or 'inf'")
+    p.add_argument("--dispersion", type=float, default=2.0, help="float or 'inf'")
     p.add_argument("--churn", type=int, default=0)
     p.add_argument("--country", default="SIM")
     p.add_argument("--start-season", type=int, default=1990)

@@ -7,7 +7,7 @@ from .design import DesignMatrix, RegressionSpec, build_adl_design
 from .diagnostics import breusch_pagan_lm, durbin_watson_panel, jarque_bera, ramsey_reset
 from .longrun import EffectResult, LongRunEffect, attendance_effect, long_run_effects
 from .ols import ols_fit
-from .sur import ols_fit_design, sur_egls_fit, white_cross_section_cov
+from .sur import sur_egls_fit, white_cross_section_cov
 from .unitroot import AdfResult, adf_test, fisher_panel_unit_root
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "jarque_bera",
     "long_run_effects",
     "ols_fit",
-    "ols_fit_design",
     "sur_egls_fit",
     "white_cross_section_cov",
 ]

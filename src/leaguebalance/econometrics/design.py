@@ -11,7 +11,7 @@ lag form (levels of every variable at lags 0..q).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,24 +46,66 @@ class RegressionSpec:
         return (["d97"] if self.include_d97 else []) + trend_columns(self.trend_degree)
 
 
+class YearGrid:
+    """The design rows on a dense (years, countries) grid.
+
+    ``row[t, j]`` is the design row of season ``years[t]`` and country j
+    (``country_list`` order), -1 where the country has no row that season
+    (``mask`` False).  ``years`` holds only seasons with at least one row.
+    ``patterns`` pairs each distinct presence pattern (the columns present)
+    with its years, in ``np.unique(mask, axis=0)`` order.
+    """
+
+    def __init__(self, years: np.ndarray, row: np.ndarray) -> None:
+        self.years, self.row, self.mask = years, row, row >= 0
+        keys, which = np.unique(self.mask, axis=0, return_inverse=True)
+        which = which.reshape(-1)
+        self.patterns = [
+            (np.flatnonzero(key), np.flatnonzero(which == p)) for p, key in enumerate(keys)
+        ]
+
+    def fill(self, values: np.ndarray, empty: float = 0.0) -> np.ndarray:
+        """Per-row ``values`` (design rows along axis 0) placed on the grid."""
+        out = np.full(self.row.shape + values.shape[1:], empty)
+        out[self.mask] = values[self.row[self.mask]]
+        return out
+
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Grid year and country index of each design row, in row order."""
+        t, j = np.nonzero(self.mask)
+        order = np.argsort(self.row[t, j])
+        return t[order], j[order]
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Stacked regression rows with country and year labels per row."""
+    """Stacked regression rows and the grid cell of each row."""
 
     y: np.ndarray
     X: np.ndarray
     columns: list[str]
-    countries: np.ndarray  # per-row country id
-    years: np.ndarray  # per-row season
-    country_list: list[str] = field(default_factory=list)
+    country_list: list[str]
+    grid: YearGrid
 
     def __post_init__(self) -> None:
         if self.X.shape != (self.y.size, len(self.columns)):
             raise NumericalError("design matrix shape does not match columns/response")
+        if not np.array_equal(np.sort(self.grid.row[self.grid.mask]), np.arange(self.nobs)):
+            raise NumericalError("design grid must hold each row in exactly one cell")
 
     @property
     def nobs(self) -> int:
         return int(self.y.size)
+
+    @property
+    def countries(self) -> np.ndarray:
+        """Per-row country label."""
+        return np.array(self.country_list, dtype=object)[self.grid.cells()[1]]
+
+    @property
+    def years(self) -> np.ndarray:
+        """Per-row season."""
+        return self.grid.years[self.grid.cells()[0]]
 
 
 def build_adl_design(panel: PanelDataset, index_series, spec: RegressionSpec) -> DesignMatrix:
@@ -76,7 +118,8 @@ def build_adl_design(panel: PanelDataset, index_series, spec: RegressionSpec) ->
     intercepts; d97 and polynomial trend.  A grid cell is a row when its
     country has the index in that season and in the q seasons before, so
     the first q seasons of each country's index coverage are dropped.  Rows
-    run country by country, seasons ascending.
+    run country by country, seasons ascending; the design's grid maps them
+    to their (season, country) cells.
 
     ``index_series`` maps (country, season) to the raw index value, which
     enters in logs.  Every country's coverage must be at least q+1
@@ -115,6 +158,9 @@ def build_adl_design(panel: PanelDataset, index_series, spec: RegressionSpec) ->
     usable = np.zeros_like(covered)
     usable[q:] = np.all([covered[q - l : covered.shape[0] - l] for l in range(q + 1)], axis=0)
     jj, ii = np.nonzero(usable.T)  # country-major, seasons ascending
+    row = np.full(usable.shape, -1)
+    row[ii, jj] = np.arange(ii.size)
+    keep = usable.any(axis=1)  # a season without rows is no year of the grid
 
     columns: list[str] = [f"const[{c}]" for c in panel.countries]
     cols = [(jj == j).astype(float) for j in range(len(panel.countries))]
@@ -136,7 +182,6 @@ def build_adl_design(panel: PanelDataset, index_series, spec: RegressionSpec) ->
         y=datt[ii, jj],
         X=np.column_stack(cols),
         columns=columns,
-        countries=np.array(panel.countries, dtype=object)[jj],
-        years=years.astype(int),
         country_list=list(panel.countries),
+        grid=YearGrid(panel.seasons[keep], row[keep]),
     )

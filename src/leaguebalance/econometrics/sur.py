@@ -4,10 +4,10 @@ The attendance equations share slopes across countries (country-specific
 intercepts only), so the system collapses to one stacked regression whose
 error covariance is block-diagonal by year: within a year, errors of the
 countries present are correlated with country-pair covariances estimated
-from residuals over overlapping years (Schmidt 1977).  The design's rows
-sit on one dense (years, countries) grid; years sharing a presence pattern
-share a covariance block, so GLS whitens ``[X | y]`` with one Cholesky
-factor per pattern and solves the whitened system by QR.
+from residuals over overlapping years (Schmidt 1977).  The design carries
+the dense (years, countries) grid of its rows; years sharing a presence
+pattern share a covariance block, so GLS whitens ``[X | y]`` with one
+Cholesky factor per pattern and solves the whitened system by QR.
 
 On a balanced panel, iterating the feasible GLS to convergence gives the
 maximum-likelihood estimate under normality (Oberhofer & Kmenta 1974).  On
@@ -18,48 +18,15 @@ not converge; such a fit records ``converged=False``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import InputError, NumericalError
 from .base import FitResult
-from .design import DesignMatrix
+from .design import DesignMatrix, YearGrid
 from .ols import ols_fit, qr_solve
 
 _EIG_FLOOR = 1e-10
-
-
-@dataclass(frozen=True)
-class _YearGrid:
-    """``row[t, j]``: design row of year t and country j (``country_list``
-    order), -1 where absent (``mask`` False).  ``patterns`` pairs each
-    distinct presence pattern (the columns present) with its years."""
-
-    row: np.ndarray
-    mask: np.ndarray
-    patterns: list[tuple[np.ndarray, np.ndarray]]
-
-    def fill(self, values: np.ndarray, empty: float = 0.0) -> np.ndarray:
-        """Per-row ``values`` (design rows along axis 0) placed on the grid."""
-        out = np.full(self.row.shape + values.shape[1:], empty)
-        out[self.mask] = values[self.row[self.mask]]
-        return out
-
-
-def _year_grid(design: DesignMatrix) -> _YearGrid:
-    years, t_idx = np.unique(design.years, return_inverse=True)
-    code = {c: j for j, c in enumerate(design.country_list)}
-    c_idx = np.array([code[c] for c in design.countries.tolist()], dtype=int)
-    row = np.full((years.size, len(code)), -1)
-    row[t_idx.reshape(-1), c_idx] = np.arange(design.nobs)
-    mask = row >= 0
-    if np.count_nonzero(mask) != design.nobs:
-        raise InputError("design has more than one row for a (country, year)")
-    keys, which = np.unique(mask, axis=0, return_inverse=True)
-    which = which.reshape(-1)
-    patterns = [(np.flatnonzero(key), np.flatnonzero(which == p)) for p, key in enumerate(keys)]
-    return _YearGrid(row, mask, patterns)
 
 
 def pairwise_sigma(resid: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -105,7 +72,7 @@ def _lower_inverse(chol: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _whiten(grid: _YearGrid, sigma: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+def _whiten(grid: YearGrid, sigma: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
     """The (years, countries, m) grid ``cols`` premultiplied year by year by
     L^-1, with L L' the block of ``sigma`` for the countries present; one
     (years, countries present, m) block per presence pattern."""
@@ -121,7 +88,7 @@ def _whiten(grid: _YearGrid, sigma: np.ndarray, cols: np.ndarray) -> list[np.nda
     return blocks
 
 
-def _gls(grid: _YearGrid, xy: np.ndarray, sigma: np.ndarray, names: list[str]):
+def _gls(grid: YearGrid, xy: np.ndarray, sigma: np.ndarray, names: list[str]):
     """GLS coefficients and R^-1 of the whitened design; ``xy`` is the
     grid of ``[X | y]``."""
     white = np.concatenate([b.reshape(-1, b.shape[-1]) for b in _whiten(grid, sigma, xy)])
@@ -153,7 +120,6 @@ def _fgls_cov_factor(design: DesignMatrix) -> float:
 
 def _finalize(
     design: DesignMatrix,
-    grid: _YearGrid,
     beta: np.ndarray,
     rinv: np.ndarray,
     sigma: np.ndarray,
@@ -177,7 +143,7 @@ def _finalize(
         nobs=n,
         k=k,
         r2_adj=1.0 - (1.0 - r2) * (n - 1) / (n - k),
-        resid_grid=grid.fill(resid, np.nan),
+        resid_grid=design.grid.fill(resid, np.nan),
         grid_countries=list(design.country_list),
         sigma=sigma,
         **status,
@@ -208,7 +174,7 @@ def sur_egls_fit(
     n = len(design.country_list)
     if n < 2:
         raise InputError("system estimation needs at least 2 countries")
-    grid = _year_grid(design)
+    grid = design.grid
     xy = grid.fill(np.column_stack([design.X, design.y]))
 
     if sigma is not None:
@@ -218,7 +184,7 @@ def sur_egls_fit(
         if not np.all(np.isfinite(sigma)):
             raise InputError("sigma has non-finite entries")
         beta, rinv = _gls(grid, xy, sigma, design.columns)
-        return _finalize(design, grid, beta, rinv, sigma, iterations=0)
+        return _finalize(design, beta, rinv, sigma, iterations=0)
 
     first = ols_fit(design.y, design.X, design.columns)
     sigma_hat = repair_covariance(pairwise_sigma(grid.fill(first.residuals), grid.mask))
@@ -243,20 +209,9 @@ def sur_egls_fit(
             stacklevel=2,
         )
     return _finalize(
-        design, grid, beta, rinv, sigma_hat, _fgls_cov_factor(design),
+        design, beta, rinv, sigma_hat, _fgls_cov_factor(design),
         iterations=iterations, converged=converged, final_delta=delta,
     )
-
-
-def ols_fit_design(design: DesignMatrix) -> FitResult:
-    """Pooled OLS on a design, with the residual grid and the diagonal
-    cross-country covariance filled in."""
-    fit = ols_fit(design.y, design.X, design.columns)
-    grid = _year_grid(design)
-    fit.resid_grid = grid.fill(fit.residuals, np.nan)
-    fit.grid_countries = list(design.country_list)
-    fit.sigma = np.diag(np.diag(pairwise_sigma(fit.resid_grid, grid.mask)))
-    return fit
 
 
 def white_cross_section_cov(fit: FitResult, design: DesignMatrix) -> np.ndarray:
@@ -275,7 +230,7 @@ def white_cross_section_cov(fit: FitResult, design: DesignMatrix) -> np.ndarray:
         raise NumericalError("fit carries no cross-country covariance; run the system fit first")
     if fit.residuals is None or fit.residuals.size != design.nobs:
         raise NumericalError("fit residuals do not match the design")
-    grid = _year_grid(design)
+    grid = design.grid
     k = len(design.columns)
     if grid.row.shape[0] < k:
         warnings.warn(

@@ -164,12 +164,21 @@ class Config:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        known = {"levels", "g_window", "trend_degree", "default_K", "default_I", "countries"}
-        unknown = set(raw) - known
+        convert = {
+            "default_K": int, "default_I": int, "g_window": int, "trend_degree": int,
+            "levels": list, "countries": lambda v: None if v is None else tuple(map(str, v)),
+        }
+        unknown = set(raw) - set(convert)
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+        fields = {}
+        for key, value in raw.items():
+            try:
+                fields[key] = convert[key](value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{path}: bad {key}: {exc}") from exc
         rules = []
-        for i, entry in enumerate(raw.get("levels", [])):
+        for i, entry in enumerate(fields.pop("levels", [])):
             try:
                 rules.append(
                     LevelsRule(
@@ -180,17 +189,9 @@ class Config:
                         I=int(entry["I"]),
                     )
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{path}: bad levels entry #{i}: {exc}") from exc
-        countries = raw.get("countries")
-        return cls(
-            default_K=int(raw.get("default_K", 3)),
-            default_I=int(raw.get("default_I", 3)),
-            g_window=int(raw.get("g_window", 5)),
-            trend_degree=int(raw.get("trend_degree", 2)),
-            levels=tuple(rules),
-            countries=tuple(str(c) for c in countries) if countries is not None else None,
-        )
+        return cls(levels=tuple(rules), **fields)
 
     def levels_for(self, country: str, season: int, n_teams: int) -> tuple[int, int]:
         """Resolve (K, I) for a country-season, shrinking defaults to fit small leagues.

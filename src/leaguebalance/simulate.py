@@ -36,7 +36,7 @@ class LeagueSimParams:
             raise InputError("n_teams must be >= 3")
         if self.n_seasons < 1:
             raise InputError("n_seasons must be >= 1")
-        if self.dispersion < 0:
+        if not self.dispersion >= 0:  # NaN too
             raise InputError("dispersion must be >= 0")
         if not (0 <= self.churn <= self.n_teams // 2):
             raise InputError("churn must be between 0 and n_teams/2")

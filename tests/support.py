@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from leaguebalance.econometrics import DesignMatrix, FitResult, RegressionSpec
-from leaguebalance.econometrics.design import COVARIATES
+from leaguebalance.econometrics import DesignMatrix, FitResult, RegressionSpec, ols_fit
+from leaguebalance.econometrics.design import COVARIATES, YearGrid
+from leaguebalance.econometrics.sur import pairwise_sigma
 from leaguebalance.errors import InputError
 from leaguebalance.panel import D97_CUTOFF, LeagueSeason, PanelDataset, TeamSeasonRecord
 
@@ -271,6 +272,45 @@ def _deterministic_block(data, sl, spec: RegressionSpec) -> list[np.ndarray]:
     return d97 + [data["t"][sl] ** g for g in range(1, spec.trend_degree + 1)]
 
 
+def year_grid_reference(countries, years, country_list):
+    """The (years, countries) grid worked out from per-row labels: the
+    distinct years ascending, ``row[t, j]`` the row of year t and country j
+    (-1 where absent), the presence mask and the (countries present, years)
+    pairs of each distinct mask row in ``np.unique`` order.  The reference
+    for the grid ``build_adl_design`` hands to its ``DesignMatrix``."""
+    years_out, t_idx = np.unique(np.asarray(years), return_inverse=True)
+    code = {c: j for j, c in enumerate(country_list)}
+    c_idx = np.array([code[c] for c in list(countries)], dtype=int)
+    row = np.full((years_out.size, len(code)), -1)
+    row[t_idx.reshape(-1), c_idx] = np.arange(c_idx.size)
+    mask = row >= 0
+    if np.count_nonzero(mask) != c_idx.size:
+        raise InputError("design has more than one row for a (country, year)")
+    keys, which = np.unique(mask, axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    patterns = [(np.flatnonzero(key), np.flatnonzero(which == p)) for p, key in enumerate(keys)]
+    return years_out, row, mask, patterns
+
+
+def labelled_design(y, X, columns, countries, years, country_list) -> DesignMatrix:
+    """A ``DesignMatrix`` from per-row country and year labels."""
+    grid_years, row, _, _ = year_grid_reference(countries, years, country_list)
+    return DesignMatrix(
+        y=y, X=X, columns=columns, country_list=list(country_list),
+        grid=YearGrid(grid_years, row),
+    )
+
+
+def ols_fit_design(design: DesignMatrix) -> FitResult:
+    """Pooled OLS on a design, with the residual grid and the diagonal
+    cross-country covariance filled in."""
+    fit = ols_fit(design.y, design.X, design.columns)
+    fit.resid_grid = design.grid.fill(fit.residuals, np.nan)
+    fit.grid_countries = list(design.country_list)
+    fit.sigma = np.diag(np.diag(pairwise_sigma(fit.resid_grid, design.grid.mask)))
+    return fit
+
+
 def _stacked(data, countries, spec, var_names, country_columns) -> DesignMatrix:
     """Stack per-country (response, columns) blocks below intercept dummies."""
     q = spec.adl_order
@@ -287,7 +327,7 @@ def _stacked(data, countries, spec, var_names, country_columns) -> DesignMatrix:
         x_parts.append(np.column_stack(cols))
         country_rows.append(np.full(rows, country, dtype=object))
         year_rows.append(d["season"][q:])
-    return DesignMatrix(
+    return labelled_design(
         y=np.concatenate(y_parts),
         X=np.vstack(x_parts),
         columns=[f"const[{c}]" for c in countries] + var_names + spec.deterministic_columns(),

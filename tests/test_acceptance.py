@@ -48,7 +48,6 @@ from leaguebalance.econometrics import (
     fisher_panel_unit_root,
     long_run_effects,
     ols_fit,
-    ols_fit_design,
     ramsey_reset,
     sur_egls_fit,
     white_cross_section_cov,
@@ -64,6 +63,7 @@ from support import (
     cumulated_lag_coefficients,
     drr_matches,
     fit_from_residuals,
+    ols_fit_design,
     reranked,
 )
 from test_longrun import EFFECT_TABLE, reference_fit

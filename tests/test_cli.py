@@ -8,6 +8,7 @@ import pytest
 
 from leaguebalance.cli import main
 from leaguebalance.manifest import sha256_file, sha256_text
+from leaguebalance.panel import Config
 
 
 def run(*argv) -> int:
@@ -56,6 +57,35 @@ class TestIndicesCommand:
             "indices", "--league", small_dataset["league"], "--config", cfg,
             "--out-dir", tmp_path / "o",
         ) == 4
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '"default_K": [3]',
+            '"default_I": {"K": 3}',
+            '"g_window": "five"',
+            '"g_window": 1e400',
+            '"trend_degree": null',
+            '"countries": 5',
+            '"levels": 3',
+        ],
+    )
+    def test_bad_config_value_is_config_error(self, small_dataset, tmp_path, capsys, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{" + entry + "}")
+        assert run(
+            "indices", "--league", small_dataset["league"], "--config", cfg,
+            "--out-dir", tmp_path / "o",
+        ) == 4
+        key = entry.split('"')[1]
+        assert f"config error: {cfg}: bad {key}: " in capsys.readouterr().err
+
+    def test_config_values_accepted_as_before(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"g_window": "4", "trend_degree": 1.0, "default_K": true, "countries": null}')
+        config = Config.from_json(str(cfg))
+        assert (config.g_window, config.trend_degree, config.default_K) == (4, 1, 1)
+        assert config.countries is None and config.default_I == 3 and config.levels == ()
 
     def test_config_levels_applied(self, small_dataset, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -441,6 +471,19 @@ class TestSimulateCommand:
         leagues = parse_league_csv(str(out / "league.csv"))
         assert len(leagues) == 6
         assert all(lg.n == 8 for lg in leagues)
+
+    @pytest.mark.parametrize("value, code", [("abc", 2), ("nan", 2), ("-1", 2), ("inf", 0)])
+    def test_dispersion_is_a_number_or_inf(self, tmp_path, value, code):
+        out = tmp_path / "sim"
+        try:
+            got = run(
+                "simulate", "--kind", "league", "--n-teams", 6, "--n-seasons", 2,
+                "--dispersion", value, "--out-dir", out,
+            )
+        except SystemExit as exc:  # argparse rejects a value that is no float
+            got = exc.code
+        assert got == code
+        assert (out / "league.csv").exists() == (code == 0)
 
     def test_dgp_truth_file(self, tmp_path):
         out = tmp_path / "dgp"

@@ -8,13 +8,12 @@ from leaguebalance.econometrics import (
     breusch_pagan_lm,
     durbin_watson_panel,
     jarque_bera,
-    ols_fit_design,
     ramsey_reset,
     sur_egls_fit,
 )
 from leaguebalance.econometrics.diagnostics import jarque_bera_stat
 from leaguebalance.econometrics.sur import pairwise_sigma
-from support import dgp_design, fit_from_residuals, pairwise_oracle
+from support import dgp_design, fit_from_residuals, ols_fit_design, pairwise_oracle
 from test_sur import stacked_design
 
 

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from leaguebalance import InputError, NumericalError, build_panel
 from leaguebalance.econometrics import (
+    DesignMatrix,
     RegressionSpec,
     build_adl_design,
     ols_fit,
 )
+from leaguebalance.econometrics.design import YearGrid
 from leaguebalance.panel import MacroObservation
 from leaguebalance.pipeline import series_from_values
 from leaguebalance.simulate import DgpParams, simulate_dgp
@@ -17,6 +19,8 @@ from support import (
     build_adl_lag_design,
     cumulated_lag_coefficients,
     dgp_design,
+    labelled_design,
+    year_grid_reference,
 )
 
 
@@ -202,6 +206,78 @@ class TestDesignAgainstReference:
         assert got.X.tobytes() == want.X.tobytes()
         assert got.y.tobytes() == want.y.tobytes()
         assert got.columns == want.columns
+
+
+def assert_grid_matches_reference(design, want):
+    """``design.grid`` equals the grid worked out from ``want``'s per-row
+    labels, and no year of it is all-absent."""
+    years, row, mask, patterns = year_grid_reference(want.countries, want.years, want.country_list)
+    grid = design.grid
+    assert grid.years.tolist() == years.tolist()
+    assert grid.row.tolist() == row.tolist()
+    assert grid.mask.tolist() == mask.tolist()
+    assert [(p.tolist(), t.tolist()) for p, t in grid.patterns] == [
+        (p.tolist(), t.tolist()) for p, t in patterns
+    ]
+    assert grid.mask.any(axis=1).all()
+
+
+class TestDesignGrid:
+    """The (years, countries) grid the design carries for SUR."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(unbalanced_inputs())
+    def test_grid_matches_label_reference(self, inputs):
+        panel, series, spec = inputs
+        try:
+            want = adl_design_reference(panel, series, spec)
+        except InputError:
+            return
+        assert_grid_matches_reference(build_adl_design(panel, series, spec), want)
+
+    def test_disjoint_countries_leave_no_empty_year(self):
+        spans = {"ITA": range(1985, 1995), "BEL": range(2000, 2010)}
+        macro = [
+            MacroObservation(c, s, 1e4 + s, 1e7, 2e4, 8.0)
+            for c, span in spans.items()
+            for s in span
+        ]
+        panel = build_panel([], macro)
+        series = {(m.country, m.season): 0.5 for m in macro}
+        spec = RegressionSpec("sdc_ki")
+        design = build_adl_design(panel, series, spec)
+        assert_grid_matches_reference(design, adl_design_reference(panel, series, spec))
+        assert design.grid.years.tolist() == list(range(1987, 1995)) + list(range(2002, 2010))
+        assert [p.tolist() for p, _ in design.grid.patterns] == [[1], [0]]
+
+    def test_labels_round_trip_in_any_row_order(self):
+        rng = np.random.default_rng(4)
+        countries = ["A", "B", "C"]
+        cells = [(c, t) for c in countries for t in range(1990, 2000) if (c, t) != ("B", 1993)]
+        order = rng.permutation(len(cells))
+        labels_c = np.array([cells[i][0] for i in order], dtype=object)
+        labels_t = np.array([cells[i][1] for i in order])
+        design = labelled_design(
+            y=rng.standard_normal(order.size),
+            X=rng.standard_normal((order.size, 2)),
+            columns=["x0", "x1"],
+            countries=labels_c,
+            years=labels_t,
+            country_list=countries,
+        )
+        assert design.countries.tolist() == labels_c.tolist()
+        assert design.years.tolist() == labels_t.tolist()
+        assert len(design.grid.patterns) == 2
+
+    def test_grid_must_hold_each_row_once(self):
+        design, _, _ = dgp_design(seed=0)
+        row = design.grid.row.copy()
+        row[0, 0] = row[0, 1]
+        with pytest.raises(NumericalError, match="design grid"):
+            DesignMatrix(
+                y=design.y, X=design.X, columns=design.columns,
+                country_list=design.country_list, grid=YearGrid(design.grid.years, row),
+            )
 
 
 class TestReparameterization:

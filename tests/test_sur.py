@@ -9,13 +9,11 @@ from leaguebalance import InputError, NumericalError
 from leaguebalance.econometrics import (
     long_run_effects,
     ols_fit,
-    ols_fit_design,
     sur_egls_fit,
     white_cross_section_cov,
 )
-from leaguebalance.econometrics.design import DesignMatrix
 from leaguebalance.econometrics.sur import _lower_inverse, pairwise_sigma, repair_covariance
-from support import dgp_design
+from support import dgp_design, labelled_design, ols_fit_design
 
 
 def stacked_design(countries, t_len, x_maker, y_maker, shared_slopes=False, seed=0):
@@ -45,7 +43,7 @@ def stacked_design(countries, t_len, x_maker, y_maker, shared_slopes=False, seed
             sl = slice(ci * t_len, (ci + 1) * t_len)
             x_full[sl, ci * width] = 1.0
             x_full[sl, ci * width + 1 : (ci + 1) * width] = x_all[c]
-    return DesignMatrix(
+    return labelled_design(
         y=np.concatenate(blocks_y),
         X=x_full,
         columns=columns,
@@ -73,7 +71,7 @@ def unbalanced_design(seed, n_countries=4, span=30, k=2):
         ys.append(x[:, n_countries:] @ np.linspace(1.0, -1.0, k) + rng.standard_normal(t))
         rows_c.extend([c] * t)
         rows_t.extend(range(1980 + start, 1980 + stop))
-    return DesignMatrix(
+    return labelled_design(
         y=np.concatenate(ys),
         X=np.vstack(xs),
         columns=columns,
