@@ -30,6 +30,7 @@ from .econometrics import (
     sur_egls_fit,
     white_cross_section_cov,
 )
+from .econometrics.design import COVARIATES, trend_columns
 from .econometrics.tails import two_sided_normal
 from .errors import ConfigError, InputError, LeagueBalanceError, NumericalError
 from .manifest import sha256_file, sha256_text, write_manifest
@@ -174,7 +175,7 @@ def _unit_root(panel, max_lag, out_dir) -> list[str]:
 
 def cmd_unit_root(args) -> int:
     _, config_hash = _load_config(args)
-    panel = build_panel([], parse_macro_csv(args.macro))
+    panel = build_panel(parse_macro_csv(args.macro))
     artifacts = _unit_root(panel, args.max_lag, args.out_dir)
     inputs = {"macro": sha256_file(args.macro)}
     write_manifest(args.out_dir, "unit-root", args.seed, inputs, config_hash, artifacts)
@@ -308,14 +309,15 @@ def _fit(panel, index_values, names: list[str], args, config: Config, out_dir):
     for report in reports:
         artifacts.extend(_write_fit_report(out, report))
 
+    summary_vars = [*COVARIATES, *trend_columns(config.trend_degree), "d97"]
     summary_header = ["index"]
-    for var in ("cb", "pop", "rgni", "un", "t", "t2", "d97"):
+    for var in summary_vars:
         summary_header += [var, f"{var}_stars"]
     summary_rows = []
     for report in reports:
         by_var = {r[0]: r for r in report.longrun_rows}
         row = [report.name]
-        for var in ("cb", "pop", "rgni", "un", "t", "t2", "d97"):
+        for var in summary_vars:
             if var in by_var:
                 row += [by_var[var][1], by_var[var][5]]
             else:
@@ -344,7 +346,6 @@ def cmd_fit(args) -> int:
 
     if args.indices:
         index_values = read_index_csv(args.indices, names)
-        leagues = []
         inputs["indices"] = sha256_file(args.indices)
     elif args.league:
         leagues = parse_league_csv(args.league, config)
@@ -354,7 +355,7 @@ def cmd_fit(args) -> int:
     else:
         raise InputError("fit needs --indices or --league")
 
-    panel = build_panel(leagues, macro)
+    panel = build_panel(macro)
     reports, artifacts = _fit(panel, index_values, names, args, config, args.out_dir)
     write_manifest(args.out_dir, "fit", args.seed, inputs, config_hash, artifacts)
     print(f"fitted {len(reports)} model(s): {', '.join(r.name for r in reports)}")
@@ -514,7 +515,7 @@ def cmd_report(args) -> int:
     out = Path(args.out_dir)
     values, artifacts = _indices(args.league, config, out)
     macro = parse_macro_csv(args.macro)
-    panel = build_panel([], macro)
+    panel = build_panel(macro)
     artifacts += _unit_root(panel, None, out)
     index_values = _quantised([v for v in values if v.name in names])
     reports, fit_artifacts = _fit(panel, index_values, names, args, config, out)

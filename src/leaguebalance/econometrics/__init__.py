@@ -6,7 +6,6 @@ from .base import FitResult, TestResult
 from .design import DesignMatrix, RegressionSpec, build_adl_design
 from .diagnostics import breusch_pagan_lm, durbin_watson_panel, jarque_bera, ramsey_reset
 from .longrun import EffectResult, LongRunEffect, attendance_effect, long_run_effects
-from .ols import ols_fit
 from .sur import sur_egls_fit, white_cross_section_cov
 from .unitroot import AdfResult, adf_test, fisher_panel_unit_root
 
@@ -26,7 +25,6 @@ __all__ = [
     "fisher_panel_unit_root",
     "jarque_bera",
     "long_run_effects",
-    "ols_fit",
     "sur_egls_fit",
     "white_cross_section_cov",
 ]

@@ -42,8 +42,6 @@ class FitResult:
     residuals: np.ndarray
     fitted: np.ndarray
     nobs: int = 0
-    k: int = 0
-    loglik: float = float("nan")
     r2_adj: float = float("nan")
     iterations: int = 0
     converged: bool = True

@@ -9,7 +9,7 @@ import numpy as np
 from ..errors import InputError, NumericalError
 from .base import FitResult, TestResult
 from .design import DesignMatrix
-from .ols import ols_fit
+from .ols import check_rank, r_factor
 from .tails import chi2_sf, f_sf, two_sided_normal
 
 
@@ -109,38 +109,38 @@ def jarque_bera(resid_by_country) -> dict[str, TestResult]:
     return out
 
 
-def ramsey_reset(fit: FitResult, design: DesignMatrix, powers=(2, 3)) -> TestResult:
-    """RESET specification test: F-test that powers of the fitted values add
-    nothing to the design."""
-    powers = tuple(powers)
-    if not powers:
-        raise InputError("powers is empty: nothing to test")
-    if any(p < 2 for p in powers):
-        raise InputError("powers must all be >= 2")
+def ramsey_reset(fit: FitResult, design: DesignMatrix) -> TestResult:
+    """RESET specification test: F-test that the squared and cubed fitted
+    values add nothing to the design.
+
+    One R factor of ``[X | z^2 | z^3 | y]``, with z the standardised fitted
+    values and k the columns of X, gives both residual sums of squares: the
+    unrestricted one is the sum of squares of R's last column from row
+    k + 2 down, and the restricted one exceeds it by r[k, -1]^2 +
+    r[k+1, -1]^2.  So the numerator is a sum of squares, never negative.
+    """
     yhat = fit.fitted
     if yhat is None or yhat.size != design.nobs:
         raise NumericalError("fit does not carry fitted values matching the design")
     scale = float(yhat.std())
     if scale == 0.0:
         raise NumericalError("fitted values are constant; RESET undefined")
+    k = len(design.columns)
+    dof = design.nobs - k - 2
+    if dof < 1:
+        raise NumericalError(f"not enough rows ({design.nobs}) for RESET's {k + 2} coefficients")
     z = (yhat - yhat.mean()) / scale  # standardised to keep the powers well conditioned
-    extra = np.column_stack([z**p for p in powers])
-    x_aug = np.column_stack([design.X, extra])
-    names_aug = design.columns + [f"fitted^{p}" for p in powers]
-
-    restricted = ols_fit(design.y, design.X, design.columns)
+    r = r_factor(np.column_stack([design.X, z**2, z**3, design.y]))
     try:
-        unrestricted = ols_fit(design.y, x_aug, names_aug)
+        check_rank(r, design.columns + ["fitted^2", "fitted^3"])
     except NumericalError as exc:
         raise NumericalError(f"RESET augmentation is collinear with the design: {exc}") from exc
-    rss_r = float(restricted.residuals @ restricted.residuals)
-    rss_u = float(unrestricted.residuals @ unrestricted.residuals)
-    q = len(powers)
-    dof = design.nobs - x_aug.shape[1]
-    f = ((rss_r - rss_u) / q) / (rss_u / dof)
+    qty = r[:, -1]
+    rss_u = float(qty[k + 2 :] @ qty[k + 2 :])
+    f = (float(qty[k] ** 2 + qty[k + 1] ** 2) / 2) / (rss_u / dof)
     return TestResult(
         name="ramsey_reset",
-        statistic=float(f),
-        df=(q, dof),
-        p_value=f_sf(q, dof, f),
+        statistic=f,
+        df=(2, dof),
+        p_value=f_sf(2, dof, f),
     )

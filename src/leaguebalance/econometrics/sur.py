@@ -24,7 +24,7 @@ import numpy as np
 from ..errors import InputError, NumericalError
 from .base import FitResult
 from .design import DesignMatrix, YearGrid
-from .ols import ols_fit, qr_solve
+from .ols import qr_solve
 
 _EIG_FLOOR = 1e-10
 
@@ -141,7 +141,6 @@ def _finalize(
         residuals=resid,
         fitted=fitted,
         nobs=n,
-        k=k,
         r2_adj=1.0 - (1.0 - r2) * (n - 1) / (n - k),
         resid_grid=design.grid.fill(resid, np.nan),
         grid_countries=list(design.country_list),
@@ -186,8 +185,9 @@ def sur_egls_fit(
         beta, rinv = _gls(grid, xy, sigma, design.columns)
         return _finalize(design, beta, rinv, sigma, iterations=0)
 
-    first = ols_fit(design.y, design.X, design.columns)
-    sigma_hat = repair_covariance(pairwise_sigma(grid.fill(first.residuals), grid.mask))
+    beta, _ = qr_solve(design.X, design.y, design.columns)
+    resid = design.y - design.X @ beta
+    sigma_hat = repair_covariance(pairwise_sigma(grid.fill(resid), grid.mask))
     beta, rinv = _gls(grid, xy, sigma_hat, design.columns)
     iterations = 1
     delta = float("nan")

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..errors import InputError, NumericalError
 from .base import TestResult
+from .ols import r_factor
 from .tails import chi2_sf
 
 ADF_CASES = ("c", "ct")
@@ -198,7 +199,7 @@ def _scaled_r(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     norms = np.linalg.norm(z[:, :-1], axis=0)
     norms[norms == 0.0] = 1.0
-    r = np.linalg.qr(z / np.append(norms, 1.0), mode="r")
+    r = r_factor(z / np.append(norms, 1.0))
     return r, np.abs(np.diag(r)[:-1])
 
 

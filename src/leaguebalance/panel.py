@@ -136,6 +136,12 @@ class LevelsRule:
     I: int
 
 
+def _countries(value) -> tuple[str, ...] | None:
+    if isinstance(value, str):
+        raise TypeError(f"expected a list of countries, not the string {value!r}")
+    return None if value is None else tuple(map(str, value))
+
+
 @dataclass(frozen=True)
 class Config:
     """Run configuration: level structure, G window, trend degree."""
@@ -166,7 +172,7 @@ class Config:
             raise ConfigError(f"{path}: config must be a JSON object")
         convert = {
             "default_K": int, "default_I": int, "g_window": int, "trend_degree": int,
-            "levels": list, "countries": lambda v: None if v is None else tuple(map(str, v)),
+            "levels": list, "countries": _countries,
         }
         unknown = set(raw) - set(convert)
         if unknown:
@@ -351,12 +357,11 @@ def winning_percentages(season: LeagueSeason) -> np.ndarray:
     return np.array([(2.0 * r.wins + r.draws) / (2.0 * games) for r in season.records])
 
 
-def build_panel(leagues: list[LeagueSeason], macro: list[MacroObservation]) -> PanelDataset:
+def build_panel(macro: list[MacroObservation]) -> PanelDataset:
     """Assemble the regression panel from macro observations.
 
-    Logs all four macro series onto the (seasons, countries) grid.  When
-    ``leagues`` is non-empty, every macro (country, season) must have a
-    matching league table so indices can be attached later.
+    Logs all four macro series onto the (seasons, countries) grid.  Which
+    seasons an index covers is checked when the design is built.
     """
     if not macro:
         raise InputError("empty macro data")
@@ -366,12 +371,6 @@ def build_panel(leagues: list[LeagueSeason], macro: list[MacroObservation]) -> P
         if key in keyed:
             raise InputError(f"duplicate macro row for {key}")
         keyed[key] = obs
-
-    if leagues:
-        league_keys = {(lg.country, lg.season) for lg in leagues}
-        missing = sorted(k for k in keyed if k not in league_keys)
-        if missing:
-            raise InputError(f"macro rows without a league table: {missing[:5]}")
 
     by_country: dict[str, list[MacroObservation]] = {}
     for key in sorted(keyed):

@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from leaguebalance.econometrics import DesignMatrix, FitResult, RegressionSpec, ols_fit
+from leaguebalance.econometrics import DesignMatrix, FitResult, RegressionSpec
 from leaguebalance.econometrics.design import COVARIATES, YearGrid
+from leaguebalance.econometrics.ols import qr_solve
 from leaguebalance.econometrics.sur import pairwise_sigma
-from leaguebalance.errors import InputError
+from leaguebalance.errors import InputError, NumericalError
 from leaguebalance.panel import D97_CUTOFF, LeagueSeason, PanelDataset, TeamSeasonRecord
 
 HOME, DRAW, AWAY = 0, 1, 2
@@ -218,7 +219,7 @@ def dgp_design(seed: int = 0, params=None, **spec_kw):
     from leaguebalance.simulate import simulate_dgp
 
     sim = simulate_dgp(params, seed=seed)
-    panel = build_panel([], sim.macro)
+    panel = build_panel(sim.macro)
     index_name = sim.indices[0].name
     spec = RegressionSpec(index_name=index_name, **spec_kw)
     design = build_adl_design(panel, series_from_values(sim.indices, index_name), spec)
@@ -298,6 +299,41 @@ def labelled_design(y, X, columns, countries, years, country_list) -> DesignMatr
     return DesignMatrix(
         y=y, X=X, columns=columns, country_list=list(country_list),
         grid=YearGrid(grid_years, row),
+    )
+
+
+def gaussian_loglik(residuals: np.ndarray) -> float:
+    """Concentrated Gaussian log-likelihood of a residual vector."""
+    n = residuals.size
+    rss = float(residuals @ residuals)
+    if rss <= 0.0:
+        return float("inf")
+    return -0.5 * n * (math.log(2.0 * math.pi) + math.log(rss / n) + 1.0)
+
+
+def ols_fit(y, X, names: list[str] | None = None) -> FitResult:
+    """Least-squares fit of y on X with classical covariance.
+
+    Raises a singular-design error naming the linearly dependent columns
+    when X is not of full column rank.
+    """
+    y = np.asarray(y, dtype=float).reshape(-1)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] != y.size:
+        raise NumericalError(f"design shape {X.shape} does not match response length {y.size}")
+    n, k = X.shape
+    names = names if names is not None else [f"x{j}" for j in range(k)]
+    beta, rinv = qr_solve(X, y, names)
+    fitted = X @ beta
+    resid = y - fitted
+    sigma2 = float(resid @ resid) / (n - k)
+    return FitResult(
+        coef_names=list(names),
+        beta=beta,
+        cov=sigma2 * (rinv @ rinv.T),
+        residuals=resid,
+        fitted=fitted,
+        nobs=n,
     )
 
 
@@ -476,3 +512,46 @@ def adf_exact_tstat(y, case: str, lag: int) -> float:
     rss = sum(v * v for v in resp) - sum(b * c for b, c in zip(beta, xty))
     t_squared = beta[rho] ** 2 / (rss / (len(resp) - k) * inv_rho)
     return math.copysign(math.sqrt(t_squared), beta[rho])
+
+
+
+def _integer_column(values) -> list[int]:
+    """A float column times the power of two that makes every entry an integer."""
+    exact = [Fraction(float(v)) for v in values]
+    scale = max(v.denominator for v in exact)
+    return [int(v * scale) for v in exact]
+
+
+def _exact_rss(gram, p: int) -> Fraction:
+    """Residual sum of squares of the last column on the first ``p``: the
+    Schur complement left after eliminating the first ``p`` rows of the
+    bordered Gram matrix, in exact rational arithmetic.  The first ``p``
+    columns must be of full rank, so every pivot is positive."""
+    idx = [*range(p), len(gram) - 1]
+    a = [[Fraction(gram[i][j]) for j in idx] for i in idx]
+    for c in range(p):
+        for i in range(c + 1, p + 1):
+            f = a[i][c] / a[c][c]
+            if f:
+                a[i] = [u - f * v for u, v in zip(a[i], a[c])]
+    return a[p][p]
+
+
+def reset_exact_f(fit: FitResult, design: DesignMatrix) -> float:
+    """RESET's F of ``fit`` on ``design`` in exact arithmetic on the float
+    columns ``ramsey_reset`` forms: the standardised fitted values and their
+    powers are computed in floating point as it computes them, and both
+    residual sums of squares are solved exactly from there.
+
+    A column scaled by a power of two leaves both sums' ratio unchanged, so
+    the Gram matrix is built from integer columns.
+    """
+    yhat = fit.fitted
+    z = (yhat - yhat.mean()) / float(yhat.std())
+    cols = [_integer_column(c) for c in np.column_stack([design.X, z**2, z**3, design.y]).T]
+    gram = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]
+    k = design.X.shape[1]
+    rss_u = _exact_rss(gram, k + 2)
+    rss_r = _exact_rss(gram, k)
+    dof = design.nobs - k - 2
+    return float((rss_r - rss_u) / 2 / (rss_u / dof))

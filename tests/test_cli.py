@@ -67,6 +67,7 @@ class TestIndicesCommand:
             '"g_window": 1e400',
             '"trend_degree": null',
             '"countries": 5',
+            '"countries": "C1"',
             '"levels": 3',
         ],
     )
@@ -275,6 +276,48 @@ class TestFitCommand:
             rows = {r["term"]: r for r in csv.DictReader(fh)}
         coef, se = float(rows["ln_cb_lag1"]["coef"]), float(rows["ln_cb_lag1"]["se_robust"])
         assert abs(coef - (-0.6)) < 3.0 * se
+
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_longrun_summary_follows_trend_degree(self, small_dataset, tmp_path, degree):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trend_degree": degree}))
+        out = tmp_path / "fit"
+        assert run(
+            "fit", "--macro", small_dataset["macro"], "--league", small_dataset["league"],
+            "--config", cfg, "--index", "scr_ki", "--out-dir", out,
+        ) == 0
+        trend = ["t", "t2", "t3"][:degree]
+        with open(out / "longrun_summary.csv", newline="") as fh:
+            (summary,) = list(csv.DictReader(fh))
+        expected = ["index"]
+        for var in ["cb", "pop", "rgni", "un", *trend, "d97"]:
+            expected += [var, f"{var}_stars"]
+        assert list(summary) == expected
+        with open(out / "fit_scr_ki_longrun.csv", newline="") as fh:
+            longrun = {r["variable"]: r for r in csv.DictReader(fh)}
+        for var in trend:
+            assert summary[var] == longrun[var]["elasticity"]
+            assert summary[f"{var}_stars"] == longrun[var]["stars"]
+
+    def test_macro_seasons_before_the_league_are_ignored(self, small_dataset, tmp_path):
+        # BBB's league starts a season after its macro rows do
+        lines = Path(small_dataset["league"]).read_text().splitlines(keepends=True)
+        league = tmp_path / "league.csv"
+        league.write_text("".join(l for l in lines if not l.startswith("BBB,1980,")))
+        lines = Path(small_dataset["macro"]).read_text().splitlines(keepends=True)
+        short = tmp_path / "macro.csv"
+        short.write_text("".join(l for l in lines if not l.startswith("BBB,1980,")))
+        trees = []
+        for command, macro in [("fit", short), ("fit", small_dataset["macro"]),
+                               ("report", small_dataset["macro"])]:
+            out = tmp_path / f"{command}-{len(trees)}"
+            assert run(
+                command, "--macro", macro, "--league", league, "--index", "sdc_ki",
+                "--iterate-sur", "--out-dir", out,
+            ) == 0
+            trees.append({k: v for k, v in tree_bytes(out).items() if k.startswith("fit_")})
+        assert len(trees[0]) == 4
+        assert trees[0] == trees[1] == trees[2]
 
     def test_fit_composes_with_indices_command(self, small_dataset, tmp_path):
         idx_out = tmp_path / "idx"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from leaguebalance import InputError, NumericalError
 from leaguebalance.econometrics import (
+    FitResult,
     breusch_pagan_lm,
     durbin_watson_panel,
     jarque_bera,
@@ -13,8 +16,15 @@ from leaguebalance.econometrics import (
 )
 from leaguebalance.econometrics.diagnostics import jarque_bera_stat
 from leaguebalance.econometrics.sur import pairwise_sigma
-from support import dgp_design, fit_from_residuals, ols_fit_design, pairwise_oracle
-from test_sur import stacked_design
+from support import (
+    dgp_design,
+    fit_from_residuals,
+    labelled_design,
+    ols_fit_design,
+    pairwise_oracle,
+    reset_exact_f,
+)
+from test_sur import stacked_design, unbalanced_design
 
 
 class TestBreuschPaganLm:
@@ -199,6 +209,15 @@ class TestJarqueBera:
             jarque_bera_stat(np.ones(20))
 
 
+def reset_on(x, y, fitted):
+    """RESET on a one-country design ``x``, ``y`` with given fitted values."""
+    n, k = x.shape
+    design = labelled_design(y, x, [f"x{j}" for j in range(k)], ["A"] * n, np.arange(n), ["A"])
+    fit = FitResult(coef_names=design.columns, beta=np.zeros(k), cov=np.eye(k),
+                    residuals=y - fitted, fitted=fitted)
+    return ramsey_reset(fit, design)
+
+
 class TestRamseyReset:
     def _design(self, seed, quadratic=False):
         def maker(rng, x):
@@ -234,11 +253,65 @@ class TestRamseyReset:
             rejections += ramsey_reset(fit, design).p_value < 0.05
         assert rejections / reps > 0.8
 
-    def test_empty_powers_error(self):
-        design = self._design(0)
-        fit = ols_fit_design(design)
-        with pytest.raises(InputError, match="nothing to test"):
-            ramsey_reset(fit, design, powers=())
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: dgp_design(seed=6)[0],
+            lambda: unbalanced_design(3, n_countries=5, span=40, k=3),
+            lambda: TestRamseyReset._design(None, 4, quadratic=True),
+        ],
+        ids=["dgp", "unbalanced", "quadratic"],
+    )
+    def test_f_matches_exact_arithmetic(self, make):
+        design = make()
+        fit = sur_egls_fit(design, iterate=False)
+        exact = reset_exact_f(fit, design)
+        assert ramsey_reset(fit, design).statistic == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(8, 60),
+        k=st.integers(2, 5),
+        weight=st.sampled_from([0.0, 1e-9, 1.0]),
+    )
+    def test_f_and_p_valid_even_when_the_powers_add_nothing(self, seed, n, k, weight):
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([np.ones(n), rng.standard_normal((n, k - 1))])
+        fitted = x @ rng.standard_normal(k)
+        z = (fitted - fitted.mean()) / fitted.std()
+        aug = np.column_stack([x, z**2, z**3])
+        e = rng.standard_normal(n)
+        e -= aug @ np.linalg.lstsq(aug, e, rcond=None)[0]  # orthogonal to both powers
+        power = z**2 - x @ np.linalg.lstsq(x, z**2, rcond=None)[0]
+        result = reset_on(x, fitted + e + weight * power, fitted)
+        assert result.statistic >= 0.0
+        assert 0.0 <= result.p_value <= 1.0
+
+    def test_too_few_rows_is_numerical_error(self):
+        rng = np.random.default_rng(6)
+        x = np.column_stack([np.ones(5), rng.standard_normal((5, 2))])
+        with pytest.raises(NumericalError, match=r"not enough rows \(5\) for RESET's 5"):
+            reset_on(x, rng.standard_normal(5), x[:, 1])
+
+    @pytest.mark.parametrize("dependent", ["fitted^2, fitted^3", "fitted^3"])
+    def test_collinear_power_is_named(self, dependent):
+        rng = np.random.default_rng(5)
+        group = np.repeat([1.0, 0.0], 15)
+        x = np.column_stack([group, 1.0 - group, rng.standard_normal(30)])
+        if dependent.startswith("fitted^2"):
+            # two fitted levels: z^2 is constant, z^3 a multiple of z
+            fitted = 1.0 + group
+        else:
+            fitted = x[:, 2].copy()
+            z = (fitted - fitted.mean()) / fitted.std()
+            x = np.column_stack([x, z**3])
+        message = (
+            "RESET augmentation is collinear with the design: "
+            "singular design: dependent columns "
+        )
+        with pytest.raises(NumericalError, match=re.escape(message + dependent) + "$"):
+            reset_on(x, fitted + rng.standard_normal(30), fitted)
 
     def test_runs_on_system_fit(self):
         design, _, _ = dgp_design(seed=6)

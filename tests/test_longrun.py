@@ -39,7 +39,6 @@ def reference_fit(coefs=None) -> FitResult:
         residuals=np.zeros(1),
         fitted=np.zeros(1),
         nobs=1,
-        k=k,
     )
 
 

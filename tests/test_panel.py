@@ -142,7 +142,7 @@ def macro_rows(country, seasons, un=8.0):
 
 class TestBuildPanel:
     def test_d97_cutoff(self):
-        panel = build_panel([], macro_rows("BEL", range(1995, 2001)))
+        panel = build_panel(macro_rows("BEL", range(1995, 2001)))
         series = {("BEL", s): 0.5 for s in range(1995, 2001)}
         design = build_adl_design(panel, series, RegressionSpec("scr_ki", adl_order=1))
         column = design.X[:, design.columns.index("d97")]
@@ -156,15 +156,15 @@ class TestBuildPanel:
         rows = macro_rows("BEL", range(1995, 2000))
         rows[2] = MacroObservation("BEL", 1997, 10_000.0, 1e7, 20_000.0, 0.0)
         with pytest.raises(InputError, match=r"unemployment_rate for \(BEL, 1997\)"):
-            build_panel([], rows)
+            build_panel(rows)
 
     def test_season_gap_is_an_error(self):
         rows = macro_rows("BEL", [1995, 1996, 1998])
         with pytest.raises(InputError, match="season gap"):
-            build_panel([], rows)
+            build_panel(rows)
 
     def test_trend_shared_across_countries(self):
-        panel = build_panel([], macro_rows("BEL", [1990, 1991]) + macro_rows("ENG", [1989, 1990, 1991]))
+        panel = build_panel(macro_rows("BEL", [1990, 1991]) + macro_rows("ENG", [1989, 1990, 1991]))
         # the design's trend is the season's row on the grid, counted from 1
         t = {
             (c, s): i + 1
@@ -176,18 +176,13 @@ class TestBuildPanel:
         assert t[("BEL", 1990)] == t[("ENG", 1990)] == 2
 
     def test_logs_match_inputs(self):
-        panel = build_panel([], macro_rows("BEL", [1990]))
+        panel = build_panel(macro_rows("BEL", [1990]))
         assert panel.ln_att[0, 0] == pytest.approx(math.log(10_000.0 + 1990))
         assert panel.ln_un[0, 0] == pytest.approx(math.log(8.0))
 
-    def test_league_alignment_checked_when_leagues_given(self):
-        leagues = [all_draw_season(4, "BEL", 1990)]
-        with pytest.raises(InputError, match="without a league table"):
-            build_panel(leagues, macro_rows("BEL", [1990, 1991]))
-
     def test_deterministic(self):
         rows = macro_rows("BEL", range(1980, 2000)) + macro_rows("SWE", range(1985, 1999))
-        a, b = build_panel([], rows), build_panel([], rows)
+        a, b = build_panel(rows), build_panel(rows)
         assert a.countries == b.countries
         for name in ("seasons", "present", "ln_att", "ln_pop", "ln_rgni", "ln_un"):
             assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
@@ -201,7 +196,7 @@ class TestBuildPanel:
         rows = []
         for country, (lo, hi) in table1.items():
             rows.extend(macro_rows(country, range(lo, hi + 1)))
-        panel = build_panel([], rows)
+        panel = build_panel(rows)
         assert panel.countries == ("BEL", "ENG", "FRA", "GER", "GRE", "ITA", "NOR", "SWE")
         assert panel.present.sum(axis=0).tolist() == [43, 50, 50, 46, 50, 50, 46, 50]
         assert panel.seasons.tolist() == list(range(1959, 2009))

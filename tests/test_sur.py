@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from leaguebalance import InputError, NumericalError
 from leaguebalance.econometrics import (
     long_run_effects,
-    ols_fit,
     sur_egls_fit,
     white_cross_section_cov,
 )
 from leaguebalance.econometrics.sur import _lower_inverse, pairwise_sigma, repair_covariance
-from support import dgp_design, labelled_design, ols_fit_design
+from support import dgp_design, labelled_design, ols_fit, ols_fit_design
 
 
 def stacked_design(countries, t_len, x_maker, y_maker, shared_slopes=False, seed=0):

@@ -81,7 +81,7 @@ def test_endpoints(tail):
 
 @pytest.mark.parametrize("f", [-1e-14, -0.5, -math.inf])
 def test_f_statistic_below_zero_has_tail_one(f):
-    # RESET's F can round below 0 when the powers add nothing
+    # a caller's statistic may round below 0; the tail is still defined
     assert f_sf(2, 30, f) == 1.0
 
 
