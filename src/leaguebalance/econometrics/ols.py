@@ -30,13 +30,14 @@ def check_rank(r: np.ndarray, names: list[str]) -> None:
     """Raise a singular-design error naming the columns whose diagonal in R
     vanishes: a column in the span of the ones before it."""
     diag = np.abs(np.diag(r)[: len(names)])
-    dependent = [name for name, d in zip(names, diag) if d <= _RCOND * max(diag.max(), 1.0)]
+    dependent = [names[j] for j in np.flatnonzero(diag <= _RCOND * max(diag.max(), 1.0))]
     if dependent:
         raise NumericalError("singular design: dependent columns " + ", ".join(dependent))
 
 
 def qr_solve(X: np.ndarray, y: np.ndarray, names: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares coefficients of y on X by QR, and R^-1 (X'X = R'R).
+    """Least-squares coefficients of y on X by QR, and the R factor of
+    ``[X | y]``, whose leading k x k block R_X gives X'X = R_X'R_X.
 
     Raises a singular-design error naming the linearly dependent columns
     when X is not of full column rank.
@@ -46,5 +47,10 @@ def qr_solve(X: np.ndarray, y: np.ndarray, names: list[str]) -> tuple[np.ndarray
         raise NumericalError(f"not enough rows ({n}) for {k} coefficients")
     r = r_factor(np.column_stack([X, y]))
     check_rank(r, names)
-    beta = np.linalg.solve(r[:k, :k], r[:k, k])
-    return beta, np.linalg.solve(r[:k, :k], np.eye(k))
+    return np.linalg.solve(r[:k, :k], r[:k, k]), r
+
+
+def r_inverse(r: np.ndarray, k: int) -> np.ndarray:
+    """R_X^-1 for the leading k x k block R_X of an R factor, so that
+    (X'X)^-1 = R_X^-1 R_X^-T."""
+    return np.linalg.solve(r[:k, :k], np.eye(k))

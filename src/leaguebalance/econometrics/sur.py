@@ -24,7 +24,7 @@ import numpy as np
 from ..errors import InputError, NumericalError
 from .base import FitResult
 from .design import DesignMatrix, YearGrid
-from .ols import qr_solve
+from .ols import qr_solve, r_inverse
 
 _EIG_FLOOR = 1e-10
 
@@ -72,26 +72,36 @@ def _lower_inverse(chol: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _whiten(grid: YearGrid, sigma: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
-    """The (years, countries, m) grid ``cols`` premultiplied year by year by
-    L^-1, with L L' the block of ``sigma`` for the countries present; one
-    (years, countries present, m) block per presence pattern."""
-    blocks = []
-    for present, years in grid.patterns:
+def _pattern_blocks(grid: YearGrid, rows: np.ndarray) -> list[tuple[tuple, np.ndarray]]:
+    """Per presence pattern, the ``np.ix_`` index of its block of the
+    cross-country covariance and the (years, countries present, m) block of
+    the per-design-row ``rows``.  They depend on the design only, so a fit
+    gathers them once for all its GLS passes."""
+    return [
+        (np.ix_(present, present), rows[grid.row[np.ix_(years, present)]])
+        for present, years in grid.patterns
+    ]
+
+
+def _whiten(blocks: list[tuple[tuple, np.ndarray]], sigma: np.ndarray) -> list[np.ndarray]:
+    """Each pattern's block premultiplied year by year by L^-1, with L L' the
+    block of ``sigma`` for the countries present."""
+    white = []
+    for cov_block, block in blocks:
         try:
-            chol = np.linalg.cholesky(sigma[np.ix_(present, present)])
+            chol = np.linalg.cholesky(sigma[cov_block])
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"year covariance block not positive definite: {exc}") from exc
         # L^-1 times all years at once: a triangular solve over every year's
         # columns is large enough to wake BLAS threads, these calls are not
-        blocks.append(np.matmul(_lower_inverse(chol), cols[np.ix_(years, present)]))
-    return blocks
+        white.append(np.matmul(_lower_inverse(chol), block))
+    return white
 
 
-def _gls(grid: YearGrid, xy: np.ndarray, sigma: np.ndarray, names: list[str]):
-    """GLS coefficients and R^-1 of the whitened design; ``xy`` is the
-    grid of ``[X | y]``."""
-    white = np.concatenate([b.reshape(-1, b.shape[-1]) for b in _whiten(grid, sigma, xy)])
+def _gls(blocks: list[tuple[tuple, np.ndarray]], sigma: np.ndarray, names: list[str]):
+    """GLS coefficients and the R factor of the whitened ``[X | y]``;
+    ``blocks`` are the pattern blocks of ``[X | y]``."""
+    white = np.concatenate([b.reshape(-1, b.shape[-1]) for b in _whiten(blocks, sigma)])
     return qr_solve(white[:, :-1], white[:, -1], names)
 
 
@@ -121,18 +131,20 @@ def _fgls_cov_factor(design: DesignMatrix) -> float:
 def _finalize(
     design: DesignMatrix,
     beta: np.ndarray,
-    rinv: np.ndarray,
+    r: np.ndarray,
     sigma: np.ndarray,
     cov_factor: float = 1.0,
     **status,
 ) -> FitResult:
-    """Result of a GLS fit; ``status`` sets iterations, converged, final_delta."""
+    """Result of a GLS fit with R factor ``r`` of the whitened ``[X | y]``;
+    ``status`` sets iterations, converged, final_delta."""
     fitted = design.X @ beta
     resid = design.y - fitted
     tss = float(np.sum((design.y - design.y.mean()) ** 2))
     rss = float(resid @ resid)
     n, k = design.nobs, len(design.columns)
     r2 = 1.0 - rss / tss if tss > 0 else 0.0
+    rinv = r_inverse(r, k)
 
     return FitResult(
         coef_names=list(design.columns),
@@ -174,7 +186,7 @@ def sur_egls_fit(
     if n < 2:
         raise InputError("system estimation needs at least 2 countries")
     grid = design.grid
-    xy = grid.fill(np.column_stack([design.X, design.y]))
+    blocks = _pattern_blocks(grid, np.column_stack([design.X, design.y]))
 
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=float)
@@ -182,20 +194,20 @@ def sur_egls_fit(
             raise InputError(f"sigma must be {n}x{n}")
         if not np.all(np.isfinite(sigma)):
             raise InputError("sigma has non-finite entries")
-        beta, rinv = _gls(grid, xy, sigma, design.columns)
-        return _finalize(design, beta, rinv, sigma, iterations=0)
+        beta, r = _gls(blocks, sigma, design.columns)
+        return _finalize(design, beta, r, sigma, iterations=0)
 
     beta, _ = qr_solve(design.X, design.y, design.columns)
     resid = design.y - design.X @ beta
     sigma_hat = repair_covariance(pairwise_sigma(grid.fill(resid), grid.mask))
-    beta, rinv = _gls(grid, xy, sigma_hat, design.columns)
+    beta, r = _gls(blocks, sigma_hat, design.columns)
     iterations = 1
     delta = float("nan")
     converged = not iterate
     while iterate and iterations < max_iter:
         resid = design.y - design.X @ beta
         sigma_hat = repair_covariance(pairwise_sigma(grid.fill(resid), grid.mask))
-        beta_new, rinv = _gls(grid, xy, sigma_hat, design.columns)
+        beta_new, r = _gls(blocks, sigma_hat, design.columns)
         delta = float(np.max(np.abs(beta_new - beta)))
         beta = beta_new
         iterations += 1
@@ -209,7 +221,7 @@ def sur_egls_fit(
             stacklevel=2,
         )
     return _finalize(
-        design, beta, rinv, sigma_hat, _fgls_cov_factor(design),
+        design, beta, r, sigma_hat, _fgls_cov_factor(design),
         iterations=iterations, converged=converged, final_delta=delta,
     )
 
@@ -238,9 +250,10 @@ def white_cross_section_cov(fit: FitResult, design: DesignMatrix) -> np.ndarray:
             "rank deficient",
             stacklevel=2,
         )
-    blocks = _whiten(grid, fit.sigma, grid.fill(np.column_stack([design.X, fit.residuals])))
+    blocks = _whiten(_pattern_blocks(grid, np.column_stack([design.X, fit.residuals])), fit.sigma)
     white = np.concatenate([b.reshape(-1, k + 1) for b in blocks])
-    _, rinv = qr_solve(white[:, :k], white[:, k], design.columns)
+    _, r = qr_solve(white[:, :k], white[:, k], design.columns)
+    rinv = r_inverse(r, k)
     scores = np.concatenate([np.einsum("tck,tc->tk", b[..., :k], b[..., k]) for b in blocks])
     half = scores @ rinv @ rinv.T
     return half.T @ half

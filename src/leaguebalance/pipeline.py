@@ -26,7 +26,7 @@ class GDiagnostic:
 
 def compute_seasonal(season: LeagueSeason) -> list[IndexValue]:
     """The seven within-season indices for one league table."""
-    w = winning_percentages(season)
+    w = seas.check_percentages(winning_percentages(season), f"({season.country}, {season.season})")
     values = {
         "namsi": seas.namsi(w),
         "hhi_star": seas.hhi_star(w),

@@ -14,6 +14,7 @@ relegation places.  Each prize level's rank weights come from
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +40,21 @@ def cu_percentages(n: int) -> np.ndarray:
     return (n - 1.0 - np.arange(n)) / (n - 1.0)
 
 
+@dataclass(frozen=True)
+class CheckedPercentages:
+    """A winning-percentage vector that :func:`check_percentages` has
+    validated and renormalised; every index function takes it as it is, so
+    the seven indices of one season check their input once."""
+
+    values: np.ndarray
+
+
+def check_percentages(w, name: str) -> CheckedPercentages:
+    """``w`` validated and renormalised as the index functions do it, with
+    ``name`` in the messages."""
+    return CheckedPercentages(_as_percentages(w, name))
+
+
 def _as_percentages(w, name: str) -> np.ndarray:
     """Validate a winning-percentage vector and renormalise its mean to 0.5.
 
@@ -47,6 +63,8 @@ def _as_percentages(w, name: str) -> np.ndarray:
     scales) are rescaled so deviation formulas stay comparable, with a
     warning.
     """
+    if isinstance(w, CheckedPercentages):
+        return w.values
     arr = np.asarray(w, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise InputError(f"{name}: degenerate league (need a vector of >= 2 winning percentages)")

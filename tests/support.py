@@ -9,7 +9,7 @@ import numpy as np
 
 from leaguebalance.econometrics import DesignMatrix, FitResult, RegressionSpec
 from leaguebalance.econometrics.design import COVARIATES, YearGrid
-from leaguebalance.econometrics.ols import qr_solve
+from leaguebalance.econometrics.ols import qr_solve, r_inverse
 from leaguebalance.econometrics.sur import pairwise_sigma
 from leaguebalance.errors import InputError, NumericalError
 from leaguebalance.panel import D97_CUTOFF, LeagueSeason, PanelDataset, TeamSeasonRecord
@@ -323,7 +323,8 @@ def ols_fit(y, X, names: list[str] | None = None) -> FitResult:
         raise NumericalError(f"design shape {X.shape} does not match response length {y.size}")
     n, k = X.shape
     names = names if names is not None else [f"x{j}" for j in range(k)]
-    beta, rinv = qr_solve(X, y, names)
+    beta, r = qr_solve(X, y, names)
+    rinv = r_inverse(r, k)
     fitted = X @ beta
     resid = y - fitted
     sigma2 = float(resid @ resid) / (n - k)

@@ -1,11 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import leaguebalance
 from leaguebalance.cli import main
 from leaguebalance.manifest import sha256_file, sha256_text
 from leaguebalance.panel import Config
@@ -389,12 +391,40 @@ class TestEffectsCommand:
         err = capsys.readouterr().err
         assert f"{indices}:4: duplicate (country, season, index)" in err
 
+    @pytest.mark.parametrize("value", ["nan", "1.5", "abc"])
+    def test_duplicate_is_reported_before_a_bad_value(self, small_dataset, tmp_path, capsys, value):
+        indices = tmp_path / "i.csv"
+        indices.write_text(
+            "country,season,index,value\nAAA,1990,scr_ki,0.4\nAAA,1991,scr_ki,0.6\n"
+            f"AAA,1990,scr_ki,{value}\n"
+        )
+        assert run(
+            "effects", "--indices", indices, "--macro", small_dataset["macro"],
+            "--index", "scr_ki", "--elasticity", "-1.0", "--out-dir", tmp_path / "o",
+        ) == 2
+        assert (
+            f"input error: {indices}:4: "
+            "duplicate (country, season, index) ('AAA', 1990, 'scr_ki')\n"
+        ) in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "row, message",
         [
             ("AAA,1991,foo,0.6", "unknown index name 'foo'"),
             ("AAA,1991,scr_ki,1.5", "out of [0, 1]"),
             ("AAA,1991,dn1,1.5", "out of [0, 1]"),  # rows of other indices are checked too
+            ("AAA,1991,scr_ki,-0.25", "scr_ki for (AAA, 1991) out of [0, 1]: -0.25"),
+            ("AAA,x1991,scr_ki,0.6", "season is not an integer: 'x1991'"),
+            ("AAA,1991.0,scr_ki,0.6", "season is not an integer: '1991.0'"),
+            ("AAA,1991,scr_ki,abc", "value is not a number: 'abc'"),
+            ("AAA,1991,scr_ki,", "value is not a number: ''"),
+            ("AAA,1991,scr_ki,nan", "value is not finite: 'nan'"),
+            ("AAA,1991,scr_ki,inf", "value is not finite: 'inf'"),
+            ("AAA,1991,scr_ki,-inf", "value is not finite: '-inf'"),
+            # the season is checked before the value, the value before the name
+            ("AAA,x1991,scr_ki,nan", "season is not an integer: 'x1991'"),
+            ("AAA,1991,foo,nan", "value is not finite: 'nan'"),
+            ("AAA,1991,foo,1.5", "unknown index name 'foo'"),
         ],
     )
     def test_rejected_index_value_names_its_line(self, small_dataset, tmp_path, capsys, row, message):
@@ -537,6 +567,57 @@ class TestSimulateCommand:
         truth = json.loads((out / "truth.json").read_text())
         assert "long_run" in truth and "cb" in truth["long_run"]
         assert (out / "macro.csv").exists() and (out / "indices.csv").exists()
+
+
+class TestFreshProcess:
+    """Commands as the console script runs them: a fresh interpreter whose
+    import of the CLI froze the collector's generations, leaving through
+    ``sys.exit(main())``."""
+
+    ENTRY = "import sys; from leaguebalance.cli import main; sys.exit(main())"
+    SRC = str(Path(leaguebalance.__file__).resolve().parent.parent)
+
+    def run_fresh(self, *argv) -> subprocess.CompletedProcess:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [self.SRC, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-c", self.ENTRY, *map(str, argv)],
+            env=env, capture_output=True, text=True,
+        )
+
+    @pytest.fixture
+    def indices(self, small_dataset, tmp_path):
+        out = tmp_path / "idx"
+        assert run("indices", "--league", small_dataset["league"], "--out-dir", out) == 0
+        return out / "indices.csv"
+
+    def test_fit_writes_the_tree_of_an_in_process_run(self, small_dataset, indices, tmp_path):
+        argv = (
+            "fit", "--macro", small_dataset["macro"], "--indices", indices,
+            "--index", "sdc_ki", "--iterate-sur",
+        )
+        fresh = self.run_fresh(*argv, "--out-dir", tmp_path / "fresh")
+        assert fresh.returncode == 0, fresh.stderr
+        assert fresh.stdout == "fitted 1 model(s): sdc_ki\n"
+        assert run(*argv, "--out-dir", tmp_path / "in_process") == 0
+        assert len(tree_bytes(tmp_path / "fresh")) == 7
+        assert tree_bytes(tmp_path / "fresh") == tree_bytes(tmp_path / "in_process")
+
+    def test_exact_zero_index_exits_2(self, small_dataset, indices, tmp_path):
+        with open(indices, newline="") as fh:
+            rows = list(csv.reader(fh))
+        first = next(i for i, row in enumerate(rows) if row[2] == "sdc_ki")
+        rows[first][3] = "0.0"
+        zero = tmp_path / "zero.csv"
+        with open(zero, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        fresh = self.run_fresh(
+            "fit", "--macro", small_dataset["macro"], "--indices", zero, "--index", "sdc_ki",
+            "--out-dir", tmp_path / "fit",
+        )
+        assert fresh.returncode == 2
+        assert fresh.stdout == ""
+        assert fresh.stderr.startswith("input error: log-domain error: index 'sdc_ki' is 0.0 for (")
 
 
 def loaded_modules(prefix: str) -> list[str]:

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 
 from leaguebalance import (
     InputError,
+    LeagueSeason,
+    TeamSeasonRecord,
     acr_top,
     adjusted_gini,
+    compute_seasonal,
     cu_percentages,
     hhi_star,
     namsi,
@@ -151,6 +154,26 @@ def test_incomplete_schedule_renormalises_with_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert value == pytest.approx(namsi(np.array([0.9, 0.6, 0.3]) * (0.5 / 0.6)), abs=1e-12)
+
+
+def test_compute_seasonal_checks_the_season_once():
+    # wins and losses do not balance: the percentages average 27/48
+    records = tuple(
+        TeamSeasonRecord(f"T{rank}", rank, wins, draws, 6 - wins - draws, 2 * wins + draws)
+        for rank, (wins, draws) in enumerate([(5, 1), (4, 0), (3, 0), (1, 0)], start=1)
+    )
+    season = LeagueSeason("AAA", 1990, records, K=1, I=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values = {v.name: v.value for v in compute_seasonal(season)}
+    assert [str(c.message) for c in caught if c.category is IncompleteScheduleWarning] == [
+        "(AAA, 1990): winning percentages average 0.5625 instead of 0.5 "
+        "(incomplete schedule?); deviations renormalised"
+    ]
+    w = winning_percentages(season)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IncompleteScheduleWarning)
+        assert values == {name: fn(w, 1, 1) for name, fn in ALL_SEASONAL}
 
 
 # ---------------------------------------------------------------- properties
