@@ -77,16 +77,15 @@ BIDIMENSIONAL_INDEX_NAMES = tuple(BIDIMENSIONAL_PAIRS)
 
 ALL_INDEX_NAMES = SEASONAL_INDEX_NAMES + DYNAMIC_INDEX_NAMES + BIDIMENSIONAL_INDEX_NAMES
 
-KNOWN_INDEX_NAMES = frozenset(ALL_INDEX_NAMES)
-# the bounds of an index value: [0, 1] up to rounding
-VALUE_MIN, VALUE_MAX = -1e-9, 1.0 + 1e-9
+_KNOWN_NAMES = frozenset(ALL_INDEX_NAMES)
+_VALUE_TOL = 1e-9
 
 
 def check_index_value(name: str, country: str, season: int, value: float) -> None:
     """Raise InputError unless ``name`` is a known index and ``value`` lies in [0, 1]."""
-    if name not in KNOWN_INDEX_NAMES:
+    if name not in _KNOWN_NAMES:
         raise InputError(f"unknown index name {name!r}")
-    if not (VALUE_MIN <= value <= VALUE_MAX):
+    if not (-_VALUE_TOL <= value <= 1.0 + _VALUE_TOL):
         raise InputError(f"{name} for ({country}, {season}) out of [0, 1]: {value}")
 
 

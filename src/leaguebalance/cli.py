@@ -16,14 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import (
-    ALL_INDEX_NAMES,
-    KNOWN_INDEX_NAMES,
-    VALUE_MAX,
-    VALUE_MIN,
-    IndexValue,
-    check_index_value,
-)
+from .catalog import ALL_INDEX_NAMES, IndexValue, check_index_value
 from .econometrics import (
     RegressionSpec,
     adf_test,
@@ -86,25 +79,6 @@ def _index_names(arg: str) -> list[str]:
     return [arg]
 
 
-def _checked_index_row(path, line, fields, seen) -> tuple[tuple[str, int, str], float]:
-    """The (country, season, index) key and the value of one ``indices.csv``
-    row, checked in order: season, duplicate key, value, index name and
-    range.  Raises the InputError of the first check that fails, naming the
-    row's line."""
-    country, season, name, value = fields
-    where = f"{path}:{line}"
-    season = _parse_int(season, "season", where)
-    key = (country, season, name)
-    if key in seen:
-        raise InputError(f"{where}: duplicate (country, season, index) {key}")
-    value = _parse_float(value, "value", where)
-    try:
-        check_index_value(name, country, season, value)
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from None
-    return key, value
-
-
 def read_index_csv(path: str, names: list[str]) -> list[IndexValue]:
     """The values of the indices in ``names`` from an ``indices.csv``.
 
@@ -114,25 +88,20 @@ def read_index_csv(path: str, names: list[str]) -> list[IndexValue]:
     wanted = frozenset(names)
     out = []
     seen: set[tuple[str, int, str]] = set()
-    for line, fields in csv_rows(path, INDEX_COLUMNS):
-        # _checked_index_row's checks, inline; only a row that fails one goes
-        # through it, for its message.  NaN and infinities fail the range test
-        country, season, name, value = fields
-        try:
-            key = (country, int(season), name)
-            value = float(value)
-        except ValueError:
-            key = None
-        if (
-            key is None
-            or key in seen
-            or name not in KNOWN_INDEX_NAMES
-            or not VALUE_MIN <= value <= VALUE_MAX
-        ):
-            key, value = _checked_index_row(path, line, fields, seen)
+    for line, (country, season, name, value) in csv_rows(path, INDEX_COLUMNS):
+        where = f"{path}:{line}"
+        season = _parse_int(season, "season", where)
+        key = (country, season, name)
+        if key in seen:
+            raise InputError(f"{where}: duplicate (country, season, index) {key}")
         seen.add(key)
+        value = _parse_float(value, "value", where)
+        try:
+            check_index_value(name, country, season, value)
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from None
         if name in wanted:
-            out.append(IndexValue(name, country, key[1], value))
+            out.append(IndexValue(name, country, season, value))
     if not seen:
         raise InputError(f"{path}: no data rows")
     return out

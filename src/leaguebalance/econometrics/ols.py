@@ -30,7 +30,7 @@ def check_rank(r: np.ndarray, names: list[str]) -> None:
     """Raise a singular-design error naming the columns whose diagonal in R
     vanishes: a column in the span of the ones before it."""
     diag = np.abs(np.diag(r)[: len(names)])
-    dependent = [names[j] for j in np.flatnonzero(diag <= _RCOND * max(diag.max(), 1.0))]
+    dependent = [name for name, d in zip(names, diag) if d <= _RCOND * max(diag.max(), 1.0)]
     if dependent:
         raise NumericalError("singular design: dependent columns " + ", ".join(dependent))
 
