@@ -18,6 +18,8 @@ import numpy as np
 
 from .catalog import ALL_INDEX_NAMES, IndexValue, check_index_value
 from .econometrics import (
+    FitResult,
+    LongRunEffect,
     RegressionSpec,
     adf_test,
     attendance_effect,
@@ -198,12 +200,9 @@ def cmd_unit_root(args) -> int:
 @dataclass
 class IndexFitReport:
     name: str
-    coef_rows: list
-    longrun_rows: list
+    fit: FitResult
+    effects: list[LongRunEffect]
     diag_rows: list
-    nobs: int
-    r2_adj: float
-    iterations: int
 
 
 def fit_index_model(panel, index_values, name: str, spec: RegressionSpec, iterate: bool):
@@ -212,27 +211,15 @@ def fit_index_model(panel, index_values, name: str, spec: RegressionSpec, iterat
         raise InputError(f"no values for index {name!r}")
     design = build_adl_design(panel, series, spec)
     fit = sur_egls_fit(design, iterate=iterate)
-    fit.cov_robust = white_cross_section_cov(fit, design)
+    fit.cov_robust = white_cross_section_cov(fit)
     effects = long_run_effects(fit, spec)
-
-    coef_rows = []
-    for i, term in enumerate(fit.coef_names):
-        se_c = math.sqrt(fit.cov[i, i])
-        se_r = math.sqrt(fit.cov_robust[i, i])
-        z = fit.beta[i] / se_r if se_r > 0 else float("inf")
-        p = two_sided_normal(z)
-        coef_rows.append((term, float(fit.beta[i]), se_c, se_r, z, p, stars(p)))
-
-    longrun_rows = [
-        (e.variable, e.estimate, e.se, e.z, e.p_value, stars(e.p_value)) for e in effects
-    ]
 
     diag_rows = []
     dw = durbin_watson_panel(fit)
     diag_rows.append(("durbin_watson", dw.statistic, "", dw.p_value, dw.note))
     lm = breusch_pagan_lm(fit)
     diag_rows.append(("lm_sur", lm.statistic, lm.df, lm.p_value, lm.note))
-    reset = ramsey_reset(fit, design)
+    reset = ramsey_reset(fit)
     diag_rows.append(
         ("ramsey_reset", reset.statistic, f"{reset.df[0]};{reset.df[1]}", reset.p_value, "")
     )
@@ -249,29 +236,31 @@ def fit_index_model(panel, index_values, name: str, spec: RegressionSpec, iterat
     diag_rows.append(("converged", fit.converged, "", "", ""))
     diag_rows.append(("final_delta", fit.final_delta, "", "", ""))
 
-    return IndexFitReport(
-        name=name,
-        coef_rows=coef_rows,
-        longrun_rows=longrun_rows,
-        diag_rows=diag_rows,
-        nobs=design.nobs,
-        r2_adj=fit.r2_adj,
-        iterations=fit.iterations,
-    )
+    return IndexFitReport(name=name, fit=fit, effects=effects, diag_rows=diag_rows)
 
 
 def _write_fit_report(out: Path, report: IndexFitReport) -> list[str]:
-    tag = report.name
+    tag, fit = report.name, report.fit
+    coef_rows = []
+    for i, term in enumerate(fit.coef_names):
+        se_c = math.sqrt(fit.cov[i, i])
+        se_r = math.sqrt(fit.cov_robust[i, i])
+        z = fit.beta[i] / se_r if se_r > 0 else float("inf")
+        p = two_sided_normal(z)
+        coef_rows.append((term, float(fit.beta[i]), se_c, se_r, z, p, stars(p)))
     artifacts = [
         write_csv(
             out / f"fit_{tag}_coefficients.csv",
             ("term", "coef", "se_classical", "se_robust", "z", "p_value", "stars"),
-            report.coef_rows,
+            coef_rows,
         ),
         write_csv(
             out / f"fit_{tag}_longrun.csv",
             ("variable", "elasticity", "se", "z", "p_value", "stars"),
-            report.longrun_rows,
+            [
+                (e.variable, e.estimate, e.se, e.z, e.p_value, stars(e.p_value))
+                for e in report.effects
+            ],
         ),
         write_csv(
             out / f"fit_{tag}_diagnostics.csv",
@@ -280,10 +269,10 @@ def _write_fit_report(out: Path, report: IndexFitReport) -> list[str]:
         ),
         write_text_table(
             out / f"fit_{tag}.txt",
-            f"EGLS system fit, index {tag} (N={report.nobs}, "
-            f"adj. R2={fmt(report.r2_adj)}, iterations={report.iterations})",
+            f"EGLS system fit, index {tag} (N={fit.nobs}, "
+            f"adj. R2={fmt(fit.r2_adj)}, iterations={fit.iterations})",
             ("term", "coef", "se_robust", "stars"),
-            [(r[0], r[1], r[3], r[6]) for r in report.coef_rows],
+            [(term, coef, se_r, star) for term, coef, _, se_r, _, _, star in coef_rows],
             footer="robust standard errors clustered by year",
         ),
     ]
@@ -324,13 +313,11 @@ def _fit(panel, index_values, names: list[str], args, config: Config, out_dir):
         summary_header += [var, f"{var}_stars"]
     summary_rows = []
     for report in reports:
-        by_var = {r[0]: r for r in report.longrun_rows}
+        by_var = {e.variable: e for e in report.effects}
         row = [report.name]
         for var in summary_vars:
-            if var in by_var:
-                row += [by_var[var][1], by_var[var][5]]
-            else:
-                row += ["", ""]
+            e = by_var.get(var)
+            row += [e.estimate, stars(e.p_value)] if e else ["", ""]
         summary_rows.append(row)
     artifacts.append(
         write_csv(out / "longrun_summary.csv", summary_header, summary_rows)
@@ -532,7 +519,7 @@ def cmd_report(args) -> int:
     inputs = {"league": sha256_file(args.league), "macro": sha256_file(args.macro)}
     effects_inputs = {"indices": sha256_file(out / "indices.csv"), "macro": inputs["macro"]}
     for report in reports:
-        cb = next(row[1] for row in report.longrun_rows if row[0] == "cb")
+        cb = next(e.estimate for e in report.effects if e.variable == "cb")
         artifacts += _effects(
             index_values, macro, report.name, float(fmt(cb)), out / f"effects_{report.name}",
             args.seed, effects_inputs,

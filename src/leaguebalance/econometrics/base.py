@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from ..errors import InputError
+from .design import DesignMatrix
 
 
 @dataclass
@@ -24,16 +27,16 @@ class TestResult:
 
 @dataclass
 class FitResult:
-    """Pooled regression estimates plus the residuals on the year x country grid.
+    """Pooled regression estimates and the design they were estimated on.
 
-    ``residuals`` is stacked in design row order; ``resid_grid`` holds them
-    on a (years ascending, ``grid_countries``) grid, NaN where a country has
-    no row.  ``sigma`` is the cross-country residual covariance in
-    ``grid_countries`` order; ``cov`` is the classical coefficient
-    covariance and ``cov_robust`` the year-clustered sandwich when set.
-    ``iterations`` counts GLS passes; ``converged`` is False when an
-    iterated fit stopped at its limit; ``final_delta`` is the largest
-    coefficient change of the last iteration (NaN without iteration).
+    ``residuals`` and ``fitted`` are stacked in design row order; the
+    design's grid places them on the (years, countries) grid.  ``sigma`` is
+    the cross-country residual covariance in ``design.country_list`` order;
+    ``cov`` is the classical coefficient covariance and ``cov_robust`` the
+    year-clustered sandwich when set.  ``iterations`` counts GLS passes;
+    ``converged`` is False when an iterated fit stopped at its limit;
+    ``final_delta`` is the largest coefficient change of the last iteration
+    (NaN without iteration).
     """
 
     coef_names: list[str]
@@ -46,8 +49,7 @@ class FitResult:
     iterations: int = 0
     converged: bool = True
     final_delta: float = float("nan")
-    resid_grid: np.ndarray | None = None
-    grid_countries: list[str] = field(default_factory=list)
+    design: DesignMatrix | None = None
     sigma: np.ndarray | None = None
     cov_robust: np.ndarray | None = None
 
@@ -58,9 +60,14 @@ class FitResult:
         cov = self.cov_robust if (robust and self.cov_robust is not None) else self.cov
         return float(np.sqrt(cov[self.coef_names.index(name), self.coef_names.index(name)]))
 
+    def fitted_design(self) -> DesignMatrix:
+        """The design of this fit, for the routines that read its grid."""
+        if self.design is None:
+            raise InputError("fit carries no design; fit a design first")
+        return self.design
+
     def residual_series(self) -> dict[str, np.ndarray]:
         """Each country's residuals in year order, read from the grid's columns."""
-        return {
-            country: col[~np.isnan(col)]
-            for country, col in zip(self.grid_countries, self.resid_grid.T)
-        }
+        design = self.fitted_design()
+        resid, mask = design.grid.fill(self.residuals).T, design.grid.mask.T
+        return {c: e[m] for c, e, m in zip(design.country_list, resid, mask)}

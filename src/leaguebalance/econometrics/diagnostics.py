@@ -8,17 +8,15 @@ import numpy as np
 
 from ..errors import InputError, NumericalError
 from .base import FitResult, TestResult
-from .design import DesignMatrix
 from .ols import check_rank, r_factor
 from .tails import chi2_sf, f_sf, two_sided_normal
 
 
-def _grid(fit: FitResult) -> tuple[np.ndarray, np.ndarray]:
-    """Residual grid zero-filled where a country is absent, and the presence mask."""
-    if fit.resid_grid is None:
-        raise InputError("fit carries no residual grid; fit a design first")
-    mask = ~np.isnan(fit.resid_grid)
-    return np.where(mask, fit.resid_grid, 0.0), mask
+def _grid(fit: FitResult) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The fit's countries, its residual grid zero-filled where a country is
+    absent, and the presence mask."""
+    design = fit.fitted_design()
+    return design.country_list, design.grid.fill(fit.residuals), design.grid.mask
 
 
 def breusch_pagan_lm(fit: FitResult) -> TestResult:
@@ -29,11 +27,11 @@ def breusch_pagan_lm(fit: FitResult) -> TestResult:
     degree of freedom per included pair.  Pairs with fewer than 2
     overlapping years are dropped and noted.
     """
-    if len(fit.grid_countries) < 2:
+    countries, e, mask = _grid(fit)
+    if len(countries) < 2:
         raise InputError("LM test needs residuals from at least 2 countries")
-    order = np.argsort(fit.grid_countries, kind="stable")
-    countries = [fit.grid_countries[j] for j in order]
-    e, mask = _grid(fit)
+    order = np.argsort(countries, kind="stable")
+    countries = [countries[j] for j in order]
     e, m = e[:, order], mask[:, order].astype(float)
     overlap = m.T @ m
     cross = e.T @ e
@@ -65,8 +63,8 @@ def durbin_watson_panel(fit: FitResult) -> TestResult:
     countries only.  The p-value uses the normal approximation
     d ~ N(2, 4/N) around the no-autocorrelation value.
     """
-    e, mask = _grid(fit)
-    for country, count in zip(fit.grid_countries, mask.sum(axis=0)):
+    countries, e, mask = _grid(fit)
+    for country, count in zip(countries, mask.sum(axis=0)):
         if count < 2:
             raise InputError(f"residual series for {country} shorter than 2")
     both = mask[1:] & mask[:-1]
@@ -109,9 +107,9 @@ def jarque_bera(resid_by_country) -> dict[str, TestResult]:
     return out
 
 
-def ramsey_reset(fit: FitResult, design: DesignMatrix) -> TestResult:
+def ramsey_reset(fit: FitResult) -> TestResult:
     """RESET specification test: F-test that the squared and cubed fitted
-    values add nothing to the design.
+    values add nothing to the fit's design.
 
     One R factor of ``[X | z^2 | z^3 | y]``, with z the standardised fitted
     values and k the columns of X, gives both residual sums of squares: the
@@ -119,9 +117,8 @@ def ramsey_reset(fit: FitResult, design: DesignMatrix) -> TestResult:
     k + 2 down, and the restricted one exceeds it by r[k, -1]^2 +
     r[k+1, -1]^2.  So the numerator is a sum of squares, never negative.
     """
+    design = fit.fitted_design()
     yhat = fit.fitted
-    if yhat is None or yhat.size != design.nobs:
-        raise NumericalError("fit does not carry fitted values matching the design")
     scale = float(yhat.std())
     if scale == 0.0:
         raise NumericalError("fitted values are constant; RESET undefined")

@@ -95,6 +95,8 @@ def attendance_effect(
     percent = |elasticity| * (cb_worst - cb_best) / cb_worst, and
     fans_per_game = percent * avg_attendance.
     """
+    if not math.isfinite(elasticity):
+        raise InputError(f"elasticity must be finite, got {elasticity}")
     if cb_worst <= 0.0:
         raise InputError(f"cb_worst must be positive, got {cb_worst}")
     if cb_best > cb_worst:

@@ -154,8 +154,7 @@ def _finalize(
         fitted=fitted,
         nobs=n,
         r2_adj=1.0 - (1.0 - r2) * (n - 1) / (n - k),
-        resid_grid=design.grid.fill(resid, np.nan),
-        grid_countries=list(design.country_list),
+        design=design,
         sigma=sigma,
         **status,
     )
@@ -226,22 +225,22 @@ def sur_egls_fit(
     )
 
 
-def white_cross_section_cov(fit: FitResult, design: DesignMatrix) -> np.ndarray:
+def white_cross_section_cov(fit: FitResult) -> np.ndarray:
     """Year-clustered sandwich covariance, robust to cross-country correlation
     and heteroskedasticity.
 
     V = A^{-1} (sum_t X_t' O^{-1} u_t u_t' O^{-1} X_t) A^{-1} with
     A = sum_t X_t' O^{-1} X_t, where O is the fitted cross-country
-    covariance restricted to the countries present in year t.  With
-    ``[X | u]`` whitened as in GLS, A = R'R and the year-t score is the sum
-    of whitened X times whitened u over that year; stacking the scores as
-    S gives V = B'B with B = S R^-1 R^-T, so no variance is negative.
+    covariance restricted to the countries present in year t, X the fit's
+    design and u its residuals.  With ``[X | u]`` whitened as in GLS,
+    A = R'R and the year-t score is the sum of whitened X times whitened u
+    over that year; stacking the scores as S gives V = B'B with
+    B = S R^-1 R^-T, so no variance is negative.
     """
+    design = fit.fitted_design()
     n = len(design.country_list)
     if fit.sigma is None or fit.sigma.shape != (n, n):
         raise NumericalError("fit carries no cross-country covariance; run the system fit first")
-    if fit.residuals is None or fit.residuals.size != design.nobs:
-        raise NumericalError("fit residuals do not match the design")
     grid = design.grid
     k = len(design.columns)
     if grid.row.shape[0] < k:

@@ -229,6 +229,8 @@ def adf_test(series, deterministic: str = "c", max_lag: int | None = None) -> Ad
     y = np.asarray(series, dtype=float).reshape(-1)
     if deterministic not in ADF_CASES:
         raise InputError(f"deterministic must be one of {ADF_CASES}, got {deterministic!r}")
+    if max_lag is not None and max_lag < 0:
+        raise InputError(f"max_lag must be >= 0, got {max_lag}")
     if not np.all(np.isfinite(y)):
         raise InputError("series contains non-finite values")
     if np.ptp(y) == 0.0:
@@ -238,7 +240,6 @@ def adf_test(series, deterministic: str = "c", max_lag: int | None = None) -> Ad
     cap = (y.size - 1 - n_det - 1 - 3) // 2
     if max_lag is None:
         max_lag = max(0, min(int(12 * (y.size / 100.0) ** 0.25), cap))
-    max_lag = max(0, max_lag)
     if max_lag > cap or y.size <= max_lag + 3 + n_det:
         raise InputError(f"series of length {y.size} too short for max_lag={max_lag}")
 

@@ -160,6 +160,8 @@ class DgpParams:
     target_ln_att: float = 9.0
 
     def __post_init__(self) -> None:
+        if not self.countries:
+            raise InputError("countries must name at least one country")
         if abs(self.a1) < 1e-6:
             raise InputError("a1 must be nonzero for a long-run relation to exist")
         if not (-0.99 < self.error_corr < 0.99):

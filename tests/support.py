@@ -148,7 +148,8 @@ def random_outcomes(n: int, rng: np.random.Generator):
 
 
 def fit_from_residuals(resid_by_country: dict[str, np.ndarray], years_by_country=None) -> FitResult:
-    """Minimal FitResult wrapping given residual series on the year x country grid.
+    """Minimal FitResult wrapping given residual series.  Its design has no
+    columns; the design's grid places the series on the year x country grid.
 
     ``years_by_country`` gives each series' years, by default 0, 1, 2, ...
     """
@@ -156,11 +157,15 @@ def fit_from_residuals(resid_by_country: dict[str, np.ndarray], years_by_country
     series = {c: np.asarray(e, dtype=float) for c, e in resid_by_country.items()}
     years = {c: np.arange(series[c].size) for c in countries}
     years.update({c: np.asarray(y) for c, y in (years_by_country or {}).items()})
-    all_years = np.unique(np.concatenate([years[c] for c in countries]))
-    grid = np.full((all_years.size, len(countries)), np.nan)
-    for j, c in enumerate(countries):
-        grid[np.searchsorted(all_years, years[c]), j] = series[c]
     stacked = np.concatenate([series[c] for c in countries])
+    design = labelled_design(
+        y=stacked,
+        X=np.empty((stacked.size, 0)),
+        columns=[],
+        countries=[c for c in countries for _ in range(series[c].size)],
+        years=np.concatenate([years[c] for c in countries]),
+        country_list=countries,
+    )
     return FitResult(
         coef_names=[],
         beta=np.empty(0),
@@ -168,8 +173,7 @@ def fit_from_residuals(resid_by_country: dict[str, np.ndarray], years_by_country
         residuals=stacked,
         fitted=np.zeros_like(stacked),
         nobs=stacked.size,
-        resid_grid=grid,
-        grid_countries=countries,
+        design=design,
     )
 
 
@@ -339,12 +343,11 @@ def ols_fit(y, X, names: list[str] | None = None) -> FitResult:
 
 
 def ols_fit_design(design: DesignMatrix) -> FitResult:
-    """Pooled OLS on a design, with the residual grid and the diagonal
-    cross-country covariance filled in."""
+    """Pooled OLS on a design, carrying the design and the diagonal
+    cross-country covariance."""
     fit = ols_fit(design.y, design.X, design.columns)
-    fit.resid_grid = design.grid.fill(fit.residuals, np.nan)
-    fit.grid_countries = list(design.country_list)
-    fit.sigma = np.diag(np.diag(pairwise_sigma(fit.resid_grid, design.grid.mask)))
+    fit.design = design
+    fit.sigma = np.diag(np.diag(pairwise_sigma(design.grid.fill(fit.residuals), design.grid.mask)))
     return fit
 
 

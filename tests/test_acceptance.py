@@ -430,7 +430,7 @@ def test_c08_diagnostic_size_and_power():
             seed=10_000 + seed,
         )
         fit = ols_fit_design(design)
-        reset_rej += ramsey_reset(fit, design).p_value < 0.05
+        reset_rej += ramsey_reset(fit).p_value < 0.05
     reset_size = reset_rej / 500
     assert abs(reset_size - 0.05) <= 0.03
 

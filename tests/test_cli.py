@@ -181,6 +181,14 @@ class TestUnitRootCommand:
         err = capsys.readouterr().err
         assert "numerical error: ln_pop for AAA: ADF regression at lag 0 fits exactly" in err
 
+    def test_negative_max_lag_is_input_error(self, small_dataset, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(
+            "unit-root", "--macro", small_dataset["macro"], "--max-lag", -3, "--out-dir", out
+        ) == 2
+        assert "input error: max_lag must be >= 0, got -3" in capsys.readouterr().err
+        assert not (out / "unit_root.csv").exists()
+
     def test_extra_field_is_input_error(self, small_dataset, tmp_path, capsys):
         lines = Path(small_dataset["macro"]).read_text().splitlines()
         lines[1] += ",9"
@@ -366,6 +374,18 @@ class TestEffectsCommand:
                 * float(r["avg_attendance"])
             )
             assert float(r["fans_per_game"]) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_elasticity_is_input_error(self, small_dataset, tmp_path, capsys, value):
+        idx_out = tmp_path / "idx"
+        run("indices", "--league", small_dataset["league"], "--out-dir", idx_out)
+        out = tmp_path / "eff"
+        assert run(
+            "effects", "--indices", idx_out / "indices.csv", "--macro", small_dataset["macro"],
+            "--index", "scr_ki", f"--elasticity={value}", "--out-dir", out,
+        ) == 2
+        assert "input error: elasticity must be finite" in capsys.readouterr().err
+        assert not (out / "effects.csv").exists()
 
     def test_missing_attendance_is_input_error(self, small_dataset, tmp_path):
         indices = tmp_path / "i.csv"
@@ -557,6 +577,15 @@ class TestSimulateCommand:
             got = exc.code
         assert got == code
         assert (out / "league.csv").exists() == (code == 0)
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_dgp_without_countries_is_input_error(self, tmp_path, capsys, count):
+        out = tmp_path / "dgp"
+        assert run(
+            "simulate", "--kind", "dgp", "--dgp-countries", count, "--out-dir", out,
+        ) == 2
+        assert "input error: countries must name at least one country" in capsys.readouterr().err
+        assert not (out / "macro.csv").exists() and not (out / "indices.csv").exists()
 
     def test_dgp_truth_file(self, tmp_path):
         out = tmp_path / "dgp"

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leaguebalance import InputError, NumericalError
+from leaguebalance import InputError, LeagueBalanceError, NumericalError
 from leaguebalance.econometrics import (
     FitResult,
     breusch_pagan_lm,
@@ -13,6 +14,7 @@ from leaguebalance.econometrics import (
     jarque_bera,
     ramsey_reset,
     sur_egls_fit,
+    white_cross_section_cov,
 )
 from leaguebalance.econometrics.diagnostics import jarque_bera_stat
 from leaguebalance.econometrics.sur import pairwise_sigma
@@ -106,8 +108,9 @@ class TestResidualGrid:
         resid, years = case
         oracle = pairwise_oracle(resid, years)
         fit = fit_from_residuals(resid, years_by_country=years)
-        order = [fit.grid_countries.index(c) for c in oracle["countries"]]
-        sigma = pairwise_sigma(fit.resid_grid, ~np.isnan(fit.resid_grid))
+        grid = fit.design.grid
+        order = [fit.design.country_list.index(c) for c in oracle["countries"]]
+        sigma = pairwise_sigma(grid.fill(fit.residuals), grid.mask)
         assert np.allclose(sigma[np.ix_(order, order)], oracle["sigma"], rtol=1e-12, atol=1e-12)
 
         if oracle["df"] == 0:
@@ -214,8 +217,8 @@ def reset_on(x, y, fitted):
     n, k = x.shape
     design = labelled_design(y, x, [f"x{j}" for j in range(k)], ["A"] * n, np.arange(n), ["A"])
     fit = FitResult(coef_names=design.columns, beta=np.zeros(k), cov=np.eye(k),
-                    residuals=y - fitted, fitted=fitted)
-    return ramsey_reset(fit, design)
+                    residuals=y - fitted, fitted=fitted, design=design)
+    return ramsey_reset(fit)
 
 
 class TestRamseyReset:
@@ -241,7 +244,7 @@ class TestRamseyReset:
         for seed in range(reps):
             design = self._design(seed)
             fit = ols_fit_design(design)
-            high_p += ramsey_reset(fit, design).p_value > 0.10
+            high_p += ramsey_reset(fit).p_value > 0.10
         assert high_p / reps >= 0.84
 
     def test_power_against_omitted_quadratic(self):
@@ -250,7 +253,7 @@ class TestRamseyReset:
         for seed in range(reps):
             design = self._design(seed, quadratic=True)
             fit = ols_fit_design(design)
-            rejections += ramsey_reset(fit, design).p_value < 0.05
+            rejections += ramsey_reset(fit).p_value < 0.05
         assert rejections / reps > 0.8
 
     @pytest.mark.parametrize(
@@ -266,7 +269,7 @@ class TestRamseyReset:
         design = make()
         fit = sur_egls_fit(design, iterate=False)
         exact = reset_exact_f(fit, design)
-        assert ramsey_reset(fit, design).statistic == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert ramsey_reset(fit).statistic == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -316,6 +319,24 @@ class TestRamseyReset:
     def test_runs_on_system_fit(self):
         design, _, _ = dgp_design(seed=6)
         fit = sur_egls_fit(design, iterate=False)
-        result = ramsey_reset(fit, design)
+        result = ramsey_reset(fit)
         assert result.df[0] == 2
         assert 0.0 <= result.p_value <= 1.0
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        durbin_watson_panel,
+        breusch_pagan_lm,
+        ramsey_reset,
+        FitResult.residual_series,
+        white_cross_section_cov,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_fit_without_a_design_is_a_typed_error(reader):
+    design, _, _ = dgp_design(seed=6)
+    fit = dataclasses.replace(sur_egls_fit(design, iterate=False), design=None)
+    with pytest.raises(LeagueBalanceError, match="fit carries no design"):
+        reader(fit)

@@ -128,6 +128,11 @@ class TestAttendanceEffect:
         result = attendance_effect(-1.0, 0.5, 0.5, 10_000)
         assert result.fans_per_game == 0.0
 
+    @pytest.mark.parametrize("elasticity", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_elasticity_is_input_error(self, elasticity):
+        with pytest.raises(InputError, match="elasticity must be finite"):
+            attendance_effect(elasticity, 0.3, 0.7, 10_000)
+
     def test_argument_order_error(self):
         with pytest.raises(InputError, match="argument order"):
             attendance_effect(-1.0, 0.8, 0.5, 10_000)

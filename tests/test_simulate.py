@@ -71,6 +71,10 @@ class TestDgpSimulation:
         assert sim.truth["cb"] == pytest.approx(params.b_cb / params.a1)
         assert sim.coefficients["ln_att_lag1"] == pytest.approx(-params.a1)
 
+    def test_no_countries_is_input_error(self):
+        with pytest.raises(InputError, match="at least one country"):
+            DgpParams(countries=())
+
     def test_deterministic_per_seed(self):
         assert simulate_dgp(seed=5) == simulate_dgp(seed=5)
         assert simulate_dgp(seed=5) != simulate_dgp(seed=6)

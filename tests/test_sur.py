@@ -143,7 +143,7 @@ class TestSurOnDgp:
     def test_coefficients_within_three_robust_ses(self):
         design, sim, spec = dgp_design(seed=12)
         fit = sur_egls_fit(design, iterate=True)
-        fit.cov_robust = white_cross_section_cov(fit, design)
+        fit.cov_robust = white_cross_section_cov(fit)
         for name, truth in sim.coefficients.items():
             assert abs(fit.coef(name) - truth) <= 3.0 * fit.se(name, robust=True), name
 
@@ -207,7 +207,7 @@ class TestGridGls:
         sigma = random_sigma(np.random.default_rng(seed), len(design.country_list))
         fit = sur_egls_fit(design, sigma=sigma)
         *_, sandwich = per_year_gls(design, sigma, fit.residuals)
-        assert np.allclose(white_cross_section_cov(fit, design), sandwich, rtol=1e-10, atol=1e-14)
+        assert np.allclose(white_cross_section_cov(fit), sandwich, rtol=1e-10, atol=1e-14)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(1e-12, 1.0))
@@ -220,7 +220,7 @@ class TestGridGls:
         spread = np.logspace(0, -3, n)
         fit = sur_egls_fit(design, sigma=random_sigma(rng, n) * np.outer(spread, spread) * scale)
         fit.residuals = rng.standard_normal(design.nobs) * rng.uniform(0.0, 1e3, design.nobs)
-        assert np.all(np.diag(white_cross_section_cov(fit, design)) >= 0.0)
+        assert np.all(np.diag(white_cross_section_cov(fit)) >= 0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -258,10 +258,10 @@ class TestWhiteCrossSectionCov:
     def test_doubling_residuals_scales_covariance_by_four(self):
         design, _, _ = dgp_design(seed=4)
         fit = sur_egls_fit(design, iterate=True)
-        v1 = white_cross_section_cov(fit, design)
+        v1 = white_cross_section_cov(fit)
         doubled = copy.deepcopy(fit)
         doubled.residuals = 2.0 * doubled.residuals
-        v2 = white_cross_section_cov(doubled, design)
+        v2 = white_cross_section_cov(doubled)
         assert np.allclose(v2, 4.0 * v1, rtol=1e-12)
 
     def test_single_country_reduces_to_hc0(self):
@@ -276,7 +276,7 @@ class TestWhiteCrossSectionCov:
             seed=8,
         )
         fit = ols_fit_design(design)
-        v = white_cross_section_cov(fit, design)
+        v = white_cross_section_cov(fit)
         xs = design.X
         u = fit.residuals
         bread = np.linalg.inv(xs.T @ xs)
@@ -296,7 +296,7 @@ class TestWhiteCrossSectionCov:
                 seed=seed,
             )
             fit = sur_egls_fit(design, iterate=False)
-            robust = np.sqrt(np.diag(white_cross_section_cov(fit, design)))
+            robust = np.sqrt(np.diag(white_cross_section_cov(fit)))
             classical = np.sqrt(np.diag(fit.cov))
             ratios.append(float(np.mean(robust / classical)))
         assert abs(np.mean(ratios) - 1.0) < 0.25
@@ -312,4 +312,4 @@ class TestWhiteCrossSectionCov:
         )
         fit = sur_egls_fit(design, iterate=False)
         with pytest.warns(UserWarning, match="rank deficient"):
-            white_cross_section_cov(fit, design)
+            white_cross_section_cov(fit)

@@ -139,6 +139,12 @@ class TestAdfTest:
         with pytest.raises(InputError, match="too short"):
             adf_test(np.arange(8.0), max_lag=6)
 
+    @pytest.mark.parametrize("max_lag", [-1, -3])
+    def test_negative_max_lag_is_input_error(self, max_lag):
+        y = np.cumsum(np.random.default_rng(0).standard_normal(60))
+        with pytest.raises(InputError, match=rf"max_lag must be >= 0, got {max_lag}$"):
+            adf_test(y, "c", max_lag=max_lag)
+
     def test_reports_chosen_lag(self):
         rng = np.random.default_rng(0)
         y = np.cumsum(rng.standard_normal(120))
