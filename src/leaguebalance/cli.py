@@ -144,21 +144,29 @@ def cmd_indices(args) -> int:
 # ---------------------------------------------------------------- unit root
 
 
+def _adf_fisher(label: str, series: dict[str, np.ndarray], case: str, max_lag=None):
+    """ADF test of each country's series, in ``series`` order, and their
+    Fisher combination; returns the combined test and the chosen lags.  A
+    failure keeps its type and names the series and the country."""
+    results = []
+    for country, y in series.items():
+        try:
+            results.append(adf_test(y, case, max_lag))
+        except LeagueBalanceError as exc:
+            raise type(exc)(f"{label} for {country}: {exc}") from None
+    return fisher_panel_unit_root([r.p_value for r in results]), [r.lag for r in results]
+
+
 def _unit_root(panel, max_lag, out_dir) -> list[str]:
     """ADF-Fisher tests of the panel variables, written to unit_root.csv and .txt."""
+    if max_lag is not None and max_lag < 0:  # the option's fault, not a series'
+        raise InputError(f"max_lag must be >= 0, got {max_lag}")
     rows = []
     for variable in PANEL_VARIABLES:
         grid = getattr(panel, variable)
+        series = {c: grid[panel.present[:, j], j] for j, c in enumerate(panel.countries)}
         for case in ("c", "ct"):
-            results = []
-            for j, country in enumerate(panel.countries):
-                y = grid[panel.present[:, j], j]
-                try:
-                    results.append(adf_test(y, case, max_lag))
-                except NumericalError as exc:
-                    raise NumericalError(f"{variable} for {country}: {exc}") from None
-            combined = fisher_panel_unit_root([r.p_value for r in results])
-            lags = [r.lag for r in results]
+            combined, lags = _adf_fisher(variable, series, case, max_lag)
             rows.append(
                 (
                     variable,
@@ -223,10 +231,9 @@ def fit_index_model(panel, index_values, name: str, spec: RegressionSpec, iterat
     diag_rows.append(
         ("ramsey_reset", reset.statistic, f"{reset.df[0]};{reset.df[1]}", reset.p_value, "")
     )
-    resid = fit.residual_series()
+    resid = fit.residual_series()  # the design's countries, sorted
     for case in ("c", "ct"):
-        resid_adf = [adf_test(resid[c], case) for c in sorted(resid)]
-        combined = fisher_panel_unit_root([r.p_value for r in resid_adf])
+        combined, _ = _adf_fisher("residuals", resid, case)
         label = {"c": "resid_adf_fisher_constant", "ct": "resid_adf_fisher_trend"}[case]
         diag_rows.append((label, combined.statistic, combined.df, combined.p_value, ""))
     for country, jb in jarque_bera(resid).items():
@@ -242,7 +249,7 @@ def fit_index_model(panel, index_values, name: str, spec: RegressionSpec, iterat
 def _write_fit_report(out: Path, report: IndexFitReport) -> list[str]:
     tag, fit = report.name, report.fit
     coef_rows = []
-    for i, term in enumerate(fit.coef_names):
+    for i, term in enumerate(fit.design.columns):
         se_c = math.sqrt(fit.cov[i, i])
         se_r = math.sqrt(fit.cov_robust[i, i])
         z = fit.beta[i] / se_r if se_r > 0 else float("inf")
@@ -269,7 +276,7 @@ def _write_fit_report(out: Path, report: IndexFitReport) -> list[str]:
         ),
         write_text_table(
             out / f"fit_{tag}.txt",
-            f"EGLS system fit, index {tag} (N={fit.nobs}, "
+            f"EGLS system fit, index {tag} (N={fit.design.nobs}, "
             f"adj. R2={fmt(fit.r2_adj)}, iterations={fit.iterations})",
             ("term", "coef", "se_robust", "stars"),
             [(term, coef, se_r, star) for term, coef, _, se_r, _, _, star in coef_rows],
@@ -452,7 +459,6 @@ def cmd_simulate(args) -> int:
     # imported here: the simulators serve this command only
     from .simulate import DgpParams, LeagueSimParams, simulate_dgp, simulate_league
 
-    out = _out_dir(args.out_dir)
     n_seasons = args.n_seasons if args.n_seasons is not None else (
         10 if args.kind == "league" else 50
     )
@@ -469,14 +475,15 @@ def cmd_simulate(args) -> int:
             I=I,
         )
         leagues = simulate_league(params, seed=args.seed)
+        out = _out_dir(args.out_dir)
         artifacts = [_write_league_csv(out / "league.csv", leagues)]
-        config_hash = sha256_text(json.dumps(params.__dict__, default=str, sort_keys=True))
     elif args.kind == "dgp":
         params = DgpParams(
             countries=tuple(f"C{i + 1}" for i in range(args.dgp_countries)),
             n_seasons=n_seasons,
         )
         sim = simulate_dgp(params, seed=args.seed)
+        out = _out_dir(args.out_dir)
         artifacts = [
             _write_macro_csv(out / "macro.csv", sim.macro),
             write_csv(
@@ -493,9 +500,9 @@ def cmd_simulate(args) -> int:
             )
             fh.write("\n")
         artifacts.append(str(truth_path))
-        config_hash = sha256_text(json.dumps(params.__dict__, default=str, sort_keys=True))
     else:
         raise ConfigError(f"unknown simulate kind {args.kind!r}")
+    config_hash = sha256_text(json.dumps(params.__dict__, default=str, sort_keys=True))
     write_manifest(out, f"simulate-{args.kind}", args.seed, {}, config_hash, artifacts)
     print(f"wrote {args.kind} simulation to {out}")
     return 0

@@ -64,9 +64,10 @@ class YearGrid:
             (np.flatnonzero(key), np.flatnonzero(which == p)) for p, key in enumerate(keys)
         ]
 
-    def fill(self, values: np.ndarray, empty: float = 0.0) -> np.ndarray:
-        """Per-row ``values`` (design rows along axis 0) placed on the grid."""
-        out = np.full(self.row.shape + values.shape[1:], empty)
+    def fill(self, values: np.ndarray) -> np.ndarray:
+        """Per-row ``values`` (design rows along axis 0) placed on the grid,
+        zero in the cells without a row."""
+        out = np.zeros(self.row.shape + values.shape[1:])
         out[self.mask] = values[self.row[self.mask]]
         return out
 

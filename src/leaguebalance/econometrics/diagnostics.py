@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..errors import InputError, NumericalError
+from ..errors import InputError, LeagueBalanceError, NumericalError
 from .base import FitResult, TestResult
 from .ols import check_rank, r_factor
 from .tails import chi2_sf, f_sf, two_sided_normal
@@ -15,7 +15,7 @@ from .tails import chi2_sf, f_sf, two_sided_normal
 def _grid(fit: FitResult) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The fit's countries, its residual grid zero-filled where a country is
     absent, and the presence mask."""
-    design = fit.fitted_design()
+    design = fit.design
     return design.country_list, design.grid.fill(fit.residuals), design.grid.mask
 
 
@@ -102,7 +102,10 @@ def jarque_bera(resid_by_country) -> dict[str, TestResult]:
     """Per-country Jarque-Bera normality tests."""
     out: dict[str, TestResult] = {}
     for country in sorted(resid_by_country):
-        jb, p = jarque_bera_stat(resid_by_country[country])
+        try:
+            jb, p = jarque_bera_stat(resid_by_country[country])
+        except LeagueBalanceError as exc:
+            raise type(exc)(f"residuals for {country}: {exc}") from None
         out[country] = TestResult(name=f"jarque_bera[{country}]", statistic=jb, df=2, p_value=p)
     return out
 
@@ -117,8 +120,8 @@ def ramsey_reset(fit: FitResult) -> TestResult:
     k + 2 down, and the restricted one exceeds it by r[k, -1]^2 +
     r[k+1, -1]^2.  So the numerator is a sum of squares, never negative.
     """
-    design = fit.fitted_design()
-    yhat = fit.fitted
+    design = fit.design
+    yhat = design.X @ fit.beta
     scale = float(yhat.std())
     if scale == 0.0:
         raise NumericalError("fitted values are constant; RESET undefined")

@@ -33,8 +33,8 @@ class EffectResult:
 
 def _delta_ratio(fit: FitResult, num_name: str, att_name: str, cov: np.ndarray):
     """Estimate and delta-method SE of beta_num / (-beta_att)."""
-    i = fit.coef_names.index(num_name)
-    j = fit.coef_names.index(att_name)
+    i = fit.design.columns.index(num_name)
+    j = fit.design.columns.index(att_name)
     b = float(fit.beta[i])
     c = float(fit.beta[j])  # coefficient on lagged log attendance, equals -A(1)
     est = -b / c
@@ -57,7 +57,7 @@ def long_run_effects(fit: FitResult, spec: RegressionSpec) -> list[LongRunEffect
     errors use the delta method on the robust covariance when available.
     """
     att_name = "ln_att_lag1"
-    if att_name not in fit.coef_names:
+    if att_name not in fit.design.columns:
         raise InputError("fit has no lagged attendance level; not a levels-and-differences fit")
     a1 = -fit.coef(att_name)
     if abs(a1) < _A1_TOL:

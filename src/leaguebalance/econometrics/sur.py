@@ -138,8 +138,7 @@ def _finalize(
 ) -> FitResult:
     """Result of a GLS fit with R factor ``r`` of the whitened ``[X | y]``;
     ``status`` sets iterations, converged, final_delta."""
-    fitted = design.X @ beta
-    resid = design.y - fitted
+    resid = design.y - design.X @ beta
     tss = float(np.sum((design.y - design.y.mean()) ** 2))
     rss = float(resid @ resid)
     n, k = design.nobs, len(design.columns)
@@ -147,14 +146,11 @@ def _finalize(
     rinv = r_inverse(r, k)
 
     return FitResult(
-        coef_names=list(design.columns),
+        design=design,
         beta=beta,
         cov=cov_factor * (rinv @ rinv.T),
         residuals=resid,
-        fitted=fitted,
-        nobs=n,
         r2_adj=1.0 - (1.0 - r2) * (n - 1) / (n - k),
-        design=design,
         sigma=sigma,
         **status,
     )
@@ -237,7 +233,7 @@ def white_cross_section_cov(fit: FitResult) -> np.ndarray:
     over that year; stacking the scores as S gives V = B'B with
     B = S R^-1 R^-T, so no variance is negative.
     """
-    design = fit.fitted_design()
+    design = fit.design
     n = len(design.country_list)
     if fit.sigma is None or fit.sigma.shape != (n, n):
         raise NumericalError("fit carries no cross-country covariance; run the system fit first")

@@ -54,8 +54,6 @@ class AdfResult(TestResult):
     """ADF outcome: t-statistic on the lagged level, simulated p-value, chosen lag."""
 
     lag: int = 0
-    case: str = "c"
-    nobs: int = 0
 
 
 def _detrend_rows(z: np.ndarray, case: str) -> np.ndarray:
@@ -239,7 +237,11 @@ def adf_test(series, deterministic: str = "c", max_lag: int | None = None) -> Ad
     # largest lag leaving >= 3 residual dof in the longest candidate regression
     cap = (y.size - 1 - n_det - 1 - 3) // 2
     if max_lag is None:
-        max_lag = max(0, min(int(12 * (y.size / 100.0) ** 0.25), cap))
+        if cap < 0:
+            raise InputError(
+                f"series of length {y.size} too short for the ADF test, need at least {n_det + 5}"
+            )
+        max_lag = min(int(12 * (y.size / 100.0) ** 0.25), cap)
     if max_lag > cap or y.size <= max_lag + 3 + n_det:
         raise InputError(f"series of length {y.size} too short for max_lag={max_lag}")
 
@@ -283,10 +285,7 @@ def adf_test(series, deterministic: str = "c", max_lag: int | None = None) -> Ad
         statistic=tstat,
         df=None,
         p_value=p_value,
-        note=f"lags={best_p}",
         lag=best_p,
-        case=deterministic,
-        nobs=t_eff,
     )
 
 

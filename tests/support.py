@@ -166,15 +166,7 @@ def fit_from_residuals(resid_by_country: dict[str, np.ndarray], years_by_country
         years=np.concatenate([years[c] for c in countries]),
         country_list=countries,
     )
-    return FitResult(
-        coef_names=[],
-        beta=np.empty(0),
-        cov=np.empty((0, 0)),
-        residuals=stacked,
-        fitted=np.zeros_like(stacked),
-        nobs=stacked.size,
-        design=design,
-    )
+    return FitResult(design=design, beta=np.empty(0), cov=np.empty((0, 0)), residuals=stacked)
 
 
 def pairwise_oracle(resid_by_country, years_by_country):
@@ -316,7 +308,8 @@ def gaussian_loglik(residuals: np.ndarray) -> float:
 
 
 def ols_fit(y, X, names: list[str] | None = None) -> FitResult:
-    """Least-squares fit of y on X with classical covariance.
+    """Least-squares fit of y on X with classical covariance, carrying a
+    one-country design whose rows are the years 0, 1, 2, ...
 
     Raises a singular-design error naming the linearly dependent columns
     when X is not of full column rank.
@@ -329,16 +322,13 @@ def ols_fit(y, X, names: list[str] | None = None) -> FitResult:
     names = names if names is not None else [f"x{j}" for j in range(k)]
     beta, r = qr_solve(X, y, names)
     rinv = r_inverse(r, k)
-    fitted = X @ beta
-    resid = y - fitted
+    resid = y - X @ beta
     sigma2 = float(resid @ resid) / (n - k)
     return FitResult(
-        coef_names=list(names),
+        design=labelled_design(y, X, list(names), ["A"] * n, np.arange(n), ["A"]),
         beta=beta,
         cov=sigma2 * (rinv @ rinv.T),
         residuals=resid,
-        fitted=fitted,
-        nobs=n,
     )
 
 
@@ -541,8 +531,8 @@ def _exact_rss(gram, p: int) -> Fraction:
     return a[p][p]
 
 
-def reset_exact_f(fit: FitResult, design: DesignMatrix) -> float:
-    """RESET's F of ``fit`` on ``design`` in exact arithmetic on the float
+def reset_exact_f(fit: FitResult) -> float:
+    """RESET's F of ``fit`` on its design in exact arithmetic on the float
     columns ``ramsey_reset`` forms: the standardised fitted values and their
     powers are computed in floating point as it computes them, and both
     residual sums of squares are solved exactly from there.
@@ -550,7 +540,8 @@ def reset_exact_f(fit: FitResult, design: DesignMatrix) -> float:
     A column scaled by a power of two leaves both sums' ratio unchanged, so
     the Gram matrix is built from integer columns.
     """
-    yhat = fit.fitted
+    design = fit.design
+    yhat = design.X @ fit.beta
     z = (yhat - yhat.mean()) / float(yhat.std())
     cols = [_integer_column(c) for c in np.column_stack([design.X, z**2, z**3, design.y]).T]
     gram = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]

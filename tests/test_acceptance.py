@@ -284,8 +284,8 @@ def test_c05_reparameterization_equivalence():
         f2 = ols_fit(lags.y, lags.X, lags.columns)
         resid_gap = float(np.max(np.abs(f1.residuals - f2.residuals)))
         sigma_gap = abs(
-            float(f1.residuals @ f1.residuals) / (f1.nobs - len(f1.coef_names))
-            - float(f2.residuals @ f2.residuals) / (f2.nobs - len(f2.coef_names))
+            float(f1.residuals @ f1.residuals) / (f1.design.nobs - len(f1.design.columns))
+            - float(f2.residuals @ f2.residuals) / (f2.design.nobs - len(f2.design.columns))
         )
         ll_gap = abs(gaussian_loglik(f1.residuals) - gaussian_loglik(f2.residuals))
         sums = cumulated_lag_coefficients(f2, spec)

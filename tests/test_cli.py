@@ -30,6 +30,16 @@ def tree_bytes(out_dir) -> dict[str, bytes]:
     }
 
 
+def macro_cut(small_dataset, tmp_path, first: int) -> Path:
+    """The test macro with CCC's rows before season ``first`` dropped."""
+    lines = Path(small_dataset["macro"]).read_text().splitlines(keepends=True)
+    macro = tmp_path / f"macro_{first}.csv"
+    macro.write_text(
+        "".join(l for l in lines if not (l.startswith("CCC,") and int(l.split(",")[1]) < first))
+    )
+    return macro
+
+
 class TestIndicesCommand:
     def test_writes_indices_and_diagnostics(self, small_dataset, tmp_path):
         out = tmp_path / "idx"
@@ -189,6 +199,15 @@ class TestUnitRootCommand:
         assert "input error: max_lag must be >= 0, got -3" in capsys.readouterr().err
         assert not (out / "unit_root.csv").exists()
 
+    def test_short_series_names_its_variable_and_country(self, small_dataset, tmp_path, capsys):
+        # six seasons are enough for the constant case, not for constant+trend
+        macro = macro_cut(small_dataset, tmp_path, 1998)
+        assert run("unit-root", "--macro", macro, "--out-dir", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            "input error: ln_att for CCC: series of length 6 too short for the ADF test, "
+            "need at least 7\n"
+        )
+
     def test_extra_field_is_input_error(self, small_dataset, tmp_path, capsys):
         lines = Path(small_dataset["macro"]).read_text().splitlines()
         lines[1] += ",9"
@@ -328,6 +347,25 @@ class TestFitCommand:
             trees.append({k: v for k, v in tree_bytes(out).items() if k.startswith("fit_")})
         assert len(trees[0]) == 4
         assert trees[0] == trees[1] == trees[2]
+
+    @pytest.mark.parametrize(
+        "first, message",
+        [
+            (1995, "residuals for CCC: need at least 8 residuals for Jarque-Bera, got 7"),
+            (1997, "residuals for CCC: series of length 5 too short for the ADF test, "
+                   "need at least 6"),
+        ],
+        ids=["jarque_bera", "residual_adf"],
+    )
+    def test_short_residual_series_names_its_country(
+        self, small_dataset, tmp_path, capsys, first, message
+    ):
+        macro = macro_cut(small_dataset, tmp_path, first)
+        assert run(
+            "fit", "--macro", macro, "--league", small_dataset["league"], "--index", "sdc_ki",
+            "--iterate-sur", "--out-dir", tmp_path / "o",
+        ) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     def test_fit_composes_with_indices_command(self, small_dataset, tmp_path):
         idx_out = tmp_path / "idx"
@@ -586,6 +624,16 @@ class TestSimulateCommand:
         ) == 2
         assert "input error: countries must name at least one country" in capsys.readouterr().err
         assert not (out / "macro.csv").exists() and not (out / "indices.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--kind", "league", "--n-teams", 2), ("--kind", "dgp", "--dgp-countries", 0)],
+        ids=["league", "dgp"],
+    )
+    def test_rejected_parameters_create_no_out_dir(self, tmp_path, argv):
+        out = tmp_path / "d"
+        assert run("simulate", *argv, "--out-dir", out) == 2
+        assert not out.exists()
 
     def test_dgp_truth_file(self, tmp_path):
         out = tmp_path / "dgp"

@@ -9,6 +9,7 @@ from leaguebalance.econometrics import (
     long_run_effects,
 )
 from leaguebalance.reports import stars
+from support import labelled_design
 
 # pooled attendance-model estimates used as an arithmetic cross-check:
 # change in log attendance on lagged levels, differences, d97 and trend
@@ -32,14 +33,8 @@ def reference_fit(coefs=None) -> FitResult:
     names = list(coefs)
     beta = np.array([coefs[n] for n in names])
     k = len(names)
-    return FitResult(
-        coef_names=names,
-        beta=beta,
-        cov=0.01 * np.eye(k),
-        residuals=np.zeros(1),
-        fitted=np.zeros(1),
-        nobs=1,
-    )
+    design = labelled_design(np.zeros(1), np.zeros((1, k)), names, ["A"], [0], ["A"])
+    return FitResult(design=design, beta=beta, cov=0.01 * np.eye(k), residuals=np.zeros(1))
 
 
 class TestLongRunEffects:
@@ -68,16 +63,16 @@ class TestLongRunEffects:
 
     def test_delta_method_matches_manual_gradient(self):
         fit = reference_fit()
-        i = fit.coef_names.index("ln_cb_lag1")
-        j = fit.coef_names.index("ln_att_lag1")
-        cov = np.zeros((len(fit.coef_names),) * 2)
+        i = fit.design.columns.index("ln_cb_lag1")
+        j = fit.design.columns.index("ln_att_lag1")
+        cov = np.zeros((len(fit.design.columns),) * 2)
         cov[i, i], cov[j, j], cov[i, j] = 0.0004, 0.0009, 0.0001
         cov[j, i] = cov[i, j]
         fit.cov = cov
         spec = RegressionSpec(index_name="sdc_ki", include_d97=False)
         effect = {e.variable: e for e in long_run_effects(fit, spec)}["cb"]
         b, c = -0.213, -0.186
-        grad = np.zeros(len(fit.coef_names))
+        grad = np.zeros(len(fit.design.columns))
         grad[i] = -1.0 / c
         grad[j] = b / c**2
         assert effect.se == pytest.approx(float(np.sqrt(grad @ cov @ grad)), abs=1e-12)

@@ -296,14 +296,15 @@ class TestReparameterization:
         f1 = ols_fit(levels.y, levels.X, levels.columns)
         f2 = ols_fit(lags.y, lags.X, lags.columns)
         assert np.max(np.abs(f1.residuals - f2.residuals)) < 1e-8
-        rss1 = float(f1.residuals @ f1.residuals) / (f1.nobs - len(f1.coef_names))
-        rss2 = float(f2.residuals @ f2.residuals) / (f2.nobs - len(f2.coef_names))
+        rss1 = float(f1.residuals @ f1.residuals) / (f1.design.nobs - len(f1.design.columns))
+        rss2 = float(f2.residuals @ f2.residuals) / (f2.design.nobs - len(f2.design.columns))
         assert rss1 == pytest.approx(rss2, abs=1e-8)
         ll1, ll2 = gaussian_loglik(f1.residuals), gaussian_loglik(f2.residuals)
         assert ll1 == pytest.approx(ll2, abs=1e-8)
         # fitted attendance levels agree once the lagged level is added back
         att_lag = levels.X[:, levels.columns.index("ln_att_lag1")]
-        assert np.max(np.abs((f1.fitted + att_lag) - f2.fitted)) < 1e-8
+        fitted1, fitted2 = levels.X @ f1.beta, lags.X @ f2.beta
+        assert np.max(np.abs((fitted1 + att_lag) - fitted2)) < 1e-8
 
     def test_level_coefficients_equal_lag_sums(self):
         sim = simulate_dgp(

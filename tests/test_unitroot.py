@@ -150,7 +150,6 @@ class TestAdfTest:
         y = np.cumsum(rng.standard_normal(120))
         result = adf_test(y, "c", max_lag=6)
         assert 0 <= result.lag <= 6
-        assert f"lags={result.lag}" == result.note
 
     def test_random_walk_size(self):
         # null is true: p > 0.10 should happen in at least 85% of replications
@@ -188,5 +187,5 @@ class TestAdfTest:
         rng = np.random.default_rng(7)
         y = 0.05 * np.arange(150) + rng.standard_normal(150)
         result = adf_test(y, "ct")
-        assert result.case == "ct"
+        assert result.name == "adf_ct"
         assert 0.0 <= result.p_value <= 1.0
