@@ -45,7 +45,6 @@ from .dynamic import (
     combine_bidimensional,
     dn_champion,
     dn_relegation,
-    g_index,
     g_index_detail,
     sdn,
     tau_rescaled,

@@ -546,10 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p):
         p.add_argument("--out-dir", required=True, help="output directory")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("indices", help="compute all indices from a league CSV")
     p.add_argument("--league", required=True)

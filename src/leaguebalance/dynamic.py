@@ -204,11 +204,6 @@ def g_index_detail(window: TopKWindow) -> GIndexResult:
     )
 
 
-def g_index(window: TopKWindow) -> float:
-    """G index value only; see :func:`g_index_detail`."""
-    return g_index_detail(window).value
-
-
 def combine_bidimensional(seasonal: IndexValue, dynamic: IndexValue) -> IndexValue:
     """Average a seasonal index with its dynamic counterpart.
 

@@ -11,6 +11,7 @@ lag form (levels of every variable at lags 0..q).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,8 +125,16 @@ def build_adl_design(panel: PanelDataset, index_series, spec: RegressionSpec) ->
 
     ``index_series`` maps (country, season) to the raw index value, which
     enters in logs.  Every country's coverage must be at least q+1
-    consecutive seasons of the panel.
+    consecutive seasons of the panel.  An index country without macro rows
+    has no panel column, so it is left out, with a warning naming it.
     """
+    dropped = sorted({country for country, _ in index_series} - set(panel.countries))
+    if dropped:
+        warnings.warn(
+            f"index {spec.index_name!r} has values for {', '.join(dropped)} but the macro "
+            "data has no rows for them; left out of the fit",
+            stacklevel=2,
+        )
     q = spec.adl_order
     seasons = panel.seasons.tolist()
     covered = np.zeros(panel.present.shape, dtype=bool)

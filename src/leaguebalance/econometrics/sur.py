@@ -24,7 +24,7 @@ import numpy as np
 from ..errors import InputError, NumericalError
 from .base import FitResult
 from .design import DesignMatrix, YearGrid
-from .ols import qr_solve, r_inverse
+from .ols import qr_solve, r_factor, r_inverse
 
 _EIG_FLOOR = 1e-10
 
@@ -45,21 +45,18 @@ def pairwise_sigma(resid: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.divide(cross, overlap, out=np.zeros_like(cross), where=overlap > 0)
 
 
-def repair_covariance(sigma: np.ndarray) -> np.ndarray:
-    """Floor eigenvalues at 1e-10 so year blocks stay positive definite."""
+def repair_covariance(sigma: np.ndarray) -> tuple[np.ndarray, float]:
+    """Floor eigenvalues at 1e-10 so year blocks stay positive definite;
+    returns the floored covariance and the smallest eigenvalue of ``sigma``."""
     if not np.all(np.isfinite(sigma)):
         raise NumericalError("cross-country covariance has non-finite entries; irreparable")
     eigval, eigvec = np.linalg.eigh(sigma)
-    if eigval.min() >= _EIG_FLOOR:
-        return sigma
+    eig_min = float(eigval.min())
+    if eig_min >= _EIG_FLOOR:
+        return sigma, eig_min
     if eigval.max() <= 0.0:
         raise NumericalError("cross-country covariance has no positive eigenvalue; irreparable")
-    warnings.warn(
-        f"cross-country covariance repaired: eigenvalues floored at {_EIG_FLOOR:g} "
-        f"(min was {eigval.min():.3g})",
-        stacklevel=2,
-    )
-    return (eigvec * np.maximum(eigval, _EIG_FLOOR)) @ eigvec.T
+    return (eigvec * np.maximum(eigval, _EIG_FLOOR)) @ eigvec.T, eig_min
 
 
 def _lower_inverse(chol: np.ndarray) -> np.ndarray:
@@ -133,7 +130,7 @@ def _finalize(
     beta: np.ndarray,
     r: np.ndarray,
     sigma: np.ndarray,
-    cov_factor: float = 1.0,
+    cov_factor: float,
     **status,
 ) -> FitResult:
     """Result of a GLS fit with R factor ``r`` of the whitened ``[X | y]``;
@@ -161,7 +158,6 @@ def sur_egls_fit(
     iterate: bool = True,
     tol: float = 1e-8,
     max_iter: int = 100,
-    sigma: np.ndarray | None = None,
 ) -> FitResult:
     """Feasible GLS for the stacked system with year-blocked error covariance.
 
@@ -170,45 +166,40 @@ def sur_egls_fit(
     needed, and used for GLS.  With ``iterate`` the covariance and
     coefficients are updated until the largest coefficient change falls
     below ``tol`` or ``max_iter`` is hit; stopping at ``max_iter`` warns
-    and leaves ``converged`` False.  Passing ``sigma`` skips estimation and
-    runs a single GLS pass with the given covariance.
+    and leaves ``converged`` False.  A fit whose covariance needed repair
+    warns once, with the number of GLS passes that repaired it.
 
-    When the covariance is estimated, the classical coefficient covariance
-    carries the finite-sample inflation of :func:`_fgls_cov_factor`; with a
-    known ``sigma`` the plug-in covariance is exact and used as is.
+    The classical coefficient covariance carries the finite-sample
+    inflation of :func:`_fgls_cov_factor`.
     """
-    n = len(design.country_list)
-    if n < 2:
+    if len(design.country_list) < 2:
         raise InputError("system estimation needs at least 2 countries")
     grid = design.grid
     blocks = _pattern_blocks(grid, np.column_stack([design.X, design.y]))
 
-    if sigma is not None:
-        sigma = np.asarray(sigma, dtype=float)
-        if sigma.shape != (n, n):
-            raise InputError(f"sigma must be {n}x{n}")
-        if not np.all(np.isfinite(sigma)):
-            raise InputError("sigma has non-finite entries")
-        beta, r = _gls(blocks, sigma, design.columns)
-        return _finalize(design, beta, r, sigma, iterations=0)
-
     beta, _ = qr_solve(design.X, design.y, design.columns)
-    resid = design.y - design.X @ beta
-    sigma_hat = repair_covariance(pairwise_sigma(grid.fill(resid), grid.mask))
-    beta, r = _gls(blocks, sigma_hat, design.columns)
-    iterations = 1
-    delta = float("nan")
-    converged = not iterate
-    while iterate and iterations < max_iter:
+    floored = []  # the smallest eigenvalue of each repaired covariance
+    passes = max_iter if iterate else 1
+    iterations, delta = 0, float("nan")
+    while True:
         resid = design.y - design.X @ beta
-        sigma_hat = repair_covariance(pairwise_sigma(grid.fill(resid), grid.mask))
+        sigma_hat, eig_min = repair_covariance(pairwise_sigma(grid.fill(resid), grid.mask))
+        if eig_min < _EIG_FLOOR:
+            floored.append(eig_min)
         beta_new, r = _gls(blocks, sigma_hat, design.columns)
-        delta = float(np.max(np.abs(beta_new - beta)))
+        if iterations:
+            delta = float(np.max(np.abs(beta_new - beta)))
         beta = beta_new
         iterations += 1
-        if delta < tol:
-            converged = True
+        if delta < tol or iterations >= passes:
             break
+    converged = delta < tol or not iterate
+    if floored:
+        warnings.warn(
+            f"cross-country covariance repaired in {len(floored)} of {iterations} GLS "
+            f"passes: eigenvalues floored at {_EIG_FLOOR:g} (smallest was {min(floored):.3g})",
+            stacklevel=2,
+        )
     if not converged:
         warnings.warn(
             f"SUR iteration stopped at max_iter={max_iter} without converging: "
@@ -246,9 +237,7 @@ def white_cross_section_cov(fit: FitResult) -> np.ndarray:
             stacklevel=2,
         )
     blocks = _whiten(_pattern_blocks(grid, np.column_stack([design.X, fit.residuals])), fit.sigma)
-    white = np.concatenate([b.reshape(-1, k + 1) for b in blocks])
-    _, r = qr_solve(white[:, :k], white[:, k], design.columns)
-    rinv = r_inverse(r, k)
+    rinv = r_inverse(r_factor(np.concatenate([b.reshape(-1, k + 1) for b in blocks])), k)
     scores = np.concatenate([np.einsum("tck,tc->tk", b[..., :k], b[..., k]) for b in blocks])
     half = scores @ rinv @ rinv.T
     return half.T @ half

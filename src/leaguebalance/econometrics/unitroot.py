@@ -3,7 +3,9 @@
 ADF p-values come from a seeded one-time simulation of the test statistic
 under the random-walk null, cached as a quantile table (one grid per
 deterministic case and sample-size bucket, interpolated in between).  The
-table ships with the package and can be regenerated bit-identically.
+table ships with the package as ``data/adf_quantiles.csv``, whose header
+records the replications and the seed; the test suite regenerates it byte
+for byte.
 
 Per-country p-values combine into the panel statistic -2 * sum(log p),
 referred to a chi-squared distribution with 2n degrees of freedom.
@@ -26,18 +28,6 @@ from .ols import r_factor
 from .tails import chi2_sf
 
 ADF_CASES = ("c", "ct")
-ADF_T_GRID = (25, 50, 100, 200, 400)
-ADF_TABLE_VERSION = 1
-_ADF_TABLE_SEED = 743125
-_ADF_TABLE_REPS = 50_000
-
-_QUANT_GRID = np.concatenate(
-    [
-        [0.0001, 0.0005, 0.001, 0.0025, 0.005],
-        np.round(np.arange(0.01, 1.00, 0.01), 2),
-        [0.995, 0.9975, 0.999, 0.9995, 0.9999],
-    ]
-)
 
 # A unit-norm regressor closer than this to the span of the ones before it
 # leaves x'x (condition number squared) with no correct digit, and the
@@ -54,71 +44,6 @@ class AdfResult(TestResult):
     """ADF outcome: t-statistic on the lagged level, simulated p-value, chosen lag."""
 
     lag: int = 0
-
-
-def _detrend_rows(z: np.ndarray, case: str) -> np.ndarray:
-    """Project the deterministic part (constant / constant+trend) out of each row."""
-    n = z.shape[-1]
-    z = z - z.mean(axis=-1, keepdims=True)
-    if case == "ct":
-        tt = np.arange(n, dtype=float)
-        tt = tt - tt.mean()
-        coef = (z @ tt) / (tt @ tt)
-        z = z - coef[..., None] * tt
-    return z
-
-
-def _df_tstats(y: np.ndarray, case: str) -> np.ndarray:
-    """Dickey-Fuller t-statistics for each row of a (reps, T) matrix, no lag terms."""
-    dy = np.diff(y, axis=-1)
-    ylag = y[..., :-1]
-    dyt = _detrend_rows(dy, case)
-    ylt = _detrend_rows(ylag, case)
-    syy = np.einsum("ij,ij->i", ylt, ylt)
-    rho = np.einsum("ij,ij->i", ylt, dyt) / syy
-    rss = np.einsum("ij,ij->i", dyt, dyt) - rho**2 * syy
-    dof = dy.shape[-1] - (2 if case == "c" else 3)
-    se = np.sqrt(rss / dof / syy)
-    return rho / se
-
-
-def generate_adf_table(
-    reps: int = _ADF_TABLE_REPS,
-    seed: int = _ADF_TABLE_SEED,
-    t_grid=ADF_T_GRID,
-    chunk: int = 5_000,
-) -> list[tuple[str, int, float, float]]:
-    """Simulate the null distribution of the ADF t-statistic and tabulate quantiles.
-
-    Returns (case, T, quantile, value) rows.  Each (case, T) cell uses its
-    own seeded generator, so the table regenerates identically.
-    """
-    rows: list[tuple[str, int, float, float]] = []
-    for case in ADF_CASES:
-        for t_len in t_grid:
-            rng = np.random.default_rng([seed, ADF_CASES.index(case), t_len])
-            stats_out = np.empty(reps)
-            done = 0
-            while done < reps:
-                m = min(chunk, reps - done)
-                walk = np.cumsum(rng.standard_normal((m, t_len)), axis=1)
-                stats_out[done : done + m] = _df_tstats(walk, case)
-                done += m
-            values = np.quantile(stats_out, _QUANT_GRID)
-            rows.extend((case, t_len, float(q), float(v)) for q, v in zip(_QUANT_GRID, values))
-    return rows
-
-
-def write_adf_table(rows, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(
-            f"# adf_quantiles v{ADF_TABLE_VERSION} "
-            f"(reps={_ADF_TABLE_REPS}, seed={_ADF_TABLE_SEED})\n"
-        )
-        writer = csv.writer(fh)
-        writer.writerow(["case", "T", "quantile", "value"])
-        for case, t_len, q, v in rows:
-            writer.writerow([case, t_len, f"{q:.6g}", f"{v:.10g}"])
 
 
 @functools.cache

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ import numpy as np
 from leaguebalance.econometrics import DesignMatrix, FitResult, RegressionSpec
 from leaguebalance.econometrics.design import COVARIATES, YearGrid
 from leaguebalance.econometrics.ols import qr_solve, r_inverse
-from leaguebalance.econometrics.sur import pairwise_sigma
+from leaguebalance.econometrics.sur import _finalize, _gls, _pattern_blocks, pairwise_sigma
+from leaguebalance.econometrics.unitroot import ADF_CASES
 from leaguebalance.errors import InputError, NumericalError
 from leaguebalance.panel import D97_CUTOFF, LeagueSeason, PanelDataset, TeamSeasonRecord
 
@@ -341,6 +343,17 @@ def ols_fit_design(design: DesignMatrix) -> FitResult:
     return fit
 
 
+def known_sigma_gls(design: DesignMatrix, sigma: np.ndarray) -> FitResult:
+    """One GLS pass of ``design`` with a given cross-country covariance.
+
+    With ``sigma`` known the plug-in covariance (X' O^-1 X)^-1 is exact, so
+    the fit carries no finite-sample factor.
+    """
+    blocks = _pattern_blocks(design.grid, np.column_stack([design.X, design.y]))
+    beta, r = _gls(blocks, sigma, design.columns)
+    return _finalize(design, beta, r, sigma, 1.0)
+
+
 def _stacked(data, countries, spec, var_names, country_columns) -> DesignMatrix:
     """Stack per-country (response, columns) blocks below intercept dummies."""
     q = spec.adl_order
@@ -507,6 +520,86 @@ def adf_exact_tstat(y, case: str, lag: int) -> float:
     t_squared = beta[rho] ** 2 / (rss / (len(resp) - k) * inv_rho)
     return math.copysign(math.sqrt(t_squared), beta[rho])
 
+
+# The generator of the shipped ADF quantile table, data/adf_quantiles.csv.
+# Its header records the version, the replications and the seed.
+ADF_T_GRID = (25, 50, 100, 200, 400)
+ADF_TABLE_VERSION = 1
+_ADF_TABLE_SEED = 743125
+_ADF_TABLE_REPS = 50_000
+
+_QUANT_GRID = np.concatenate(
+    [
+        [0.0001, 0.0005, 0.001, 0.0025, 0.005],
+        np.round(np.arange(0.01, 1.00, 0.01), 2),
+        [0.995, 0.9975, 0.999, 0.9995, 0.9999],
+    ]
+)
+
+
+def _detrend_rows(z: np.ndarray, case: str) -> np.ndarray:
+    """Project the deterministic part (constant / constant+trend) out of each row."""
+    n = z.shape[-1]
+    z = z - z.mean(axis=-1, keepdims=True)
+    if case == "ct":
+        tt = np.arange(n, dtype=float)
+        tt = tt - tt.mean()
+        coef = (z @ tt) / (tt @ tt)
+        z = z - coef[..., None] * tt
+    return z
+
+
+def _df_tstats(y: np.ndarray, case: str) -> np.ndarray:
+    """Dickey-Fuller t-statistics for each row of a (reps, T) matrix, no lag terms."""
+    dy = np.diff(y, axis=-1)
+    ylag = y[..., :-1]
+    dyt = _detrend_rows(dy, case)
+    ylt = _detrend_rows(ylag, case)
+    syy = np.einsum("ij,ij->i", ylt, ylt)
+    rho = np.einsum("ij,ij->i", ylt, dyt) / syy
+    rss = np.einsum("ij,ij->i", dyt, dyt) - rho**2 * syy
+    dof = dy.shape[-1] - (2 if case == "c" else 3)
+    se = np.sqrt(rss / dof / syy)
+    return rho / se
+
+
+def generate_adf_table(
+    reps: int = _ADF_TABLE_REPS,
+    seed: int = _ADF_TABLE_SEED,
+    t_grid=ADF_T_GRID,
+    chunk: int = 5_000,
+) -> list[tuple[str, int, float, float]]:
+    """Simulate the null distribution of the ADF t-statistic and tabulate quantiles.
+
+    Returns (case, T, quantile, value) rows.  Each (case, T) cell uses its
+    own seeded generator, so the table regenerates identically.
+    """
+    rows: list[tuple[str, int, float, float]] = []
+    for case in ADF_CASES:
+        for t_len in t_grid:
+            rng = np.random.default_rng([seed, ADF_CASES.index(case), t_len])
+            stats_out = np.empty(reps)
+            done = 0
+            while done < reps:
+                m = min(chunk, reps - done)
+                walk = np.cumsum(rng.standard_normal((m, t_len)), axis=1)
+                stats_out[done : done + m] = _df_tstats(walk, case)
+                done += m
+            values = np.quantile(stats_out, _QUANT_GRID)
+            rows.extend((case, t_len, float(q), float(v)) for q, v in zip(_QUANT_GRID, values))
+    return rows
+
+
+def write_adf_table(rows, path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(
+            f"# adf_quantiles v{ADF_TABLE_VERSION} "
+            f"(reps={_ADF_TABLE_REPS}, seed={_ADF_TABLE_SEED})\n"
+        )
+        writer = csv.writer(fh)
+        writer.writerow(["case", "T", "quantile", "value"])
+        for case, t_len, q, v in rows:
+            writer.writerow([case, t_len, f"{q:.6g}", f"{v:.10g}"])
 
 
 def _integer_column(values) -> list[int]:

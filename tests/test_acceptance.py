@@ -63,6 +63,7 @@ from support import (
     drr_matches,
     fit_from_residuals,
     gaussian_loglik,
+    known_sigma_gls,
     ols_fit,
     ols_fit_design,
     reranked,
@@ -344,7 +345,7 @@ def test_c07_zellner_equivalences():
         shared_slopes=True,
         seed=21,
     )
-    gls = sur_egls_fit(design, sigma=0.5 * np.eye(3))
+    gls = known_sigma_gls(design, 0.5 * np.eye(3))
     ols = ols_fit(design.y, design.X, design.columns)
     diag_gap = float(np.max(np.abs(gls.beta - ols.beta)))
     assert diag_gap < 1e-6

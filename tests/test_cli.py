@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -367,6 +368,43 @@ class TestFitCommand:
         ) == 2
         assert capsys.readouterr().err == f"input error: {message}\n"
 
+    def test_covariance_repair_warns_once_per_fit(self, small_dataset, tmp_path):
+        # with CCC's rows from 1995 on, the pairwise covariance is floored
+        # on many GLS passes of the one fit
+        macro = macro_cut(small_dataset, tmp_path, 1995)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(
+                "fit", "--macro", macro, "--league", small_dataset["league"],
+                "--index", "sdc_ki", "--iterate-sur", "--out-dir", tmp_path / "o",
+            )
+        repaired = [
+            str(w.message) for w in caught
+            if str(w.message).startswith("cross-country covariance repaired")
+        ]
+        assert len(repaired) == 1
+        assert " of 100 GLS passes: eigenvalues floored at 1e-10 (smallest was " in repaired[0]
+
+    def test_index_country_without_macro_rows_is_named(self, tmp_path):
+        root = tmp_path / "dgp"
+        assert run("simulate", "--kind", "dgp", "--n-seasons", 45, "--out-dir", root) == 0
+        header, *rows = (root / "macro.csv").read_text().splitlines(keepends=True)
+        macro = tmp_path / "macro.csv"
+        macro.write_text(header + "".join(r for r in rows if not r.startswith("C8,")))
+        header, *rows = (root / "indices.csv").read_text().splitlines(keepends=True)
+        indices = tmp_path / "indices.csv"
+        indices.write_text(header + "".join(r for r in rows if not r.startswith("C8,")))
+        args = ("--index", "sdc_ki", "--iterate-sur", "--macro", macro)
+        with pytest.warns(UserWarning, match=r"index 'sdc_ki' has values for C8 but the macro"):
+            assert run("fit", *args, "--indices", root / "indices.csv", "--out-dir", tmp_path / "a") == 0
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="index .* has values for")
+            assert run("fit", *args, "--indices", indices, "--out-dir", tmp_path / "b") == 0
+        trees = [tree_bytes(tmp_path / d) for d in "ab"]
+        for tree in trees:
+            del tree["manifest.json"]
+        assert trees[0] == trees[1]
+
     def test_fit_composes_with_indices_command(self, small_dataset, tmp_path):
         idx_out = tmp_path / "idx"
         assert run(
@@ -434,6 +472,31 @@ class TestEffectsCommand:
             "effects", "--indices", indices, "--macro", small_dataset["macro"],
             "--index", "scr_ki", "--elasticity", "-1.0", "--out-dir", tmp_path / "o",
         ) == 2
+
+    def test_avg_attendance_is_the_mean_of_every_macro_row(self, small_dataset, tmp_path):
+        # AAA's index covers 1990-1995; its average attendance is taken over
+        # all of its macro rows, 1980-2003
+        indices = tmp_path / "i.csv"
+        indices.write_text(
+            "country,season,index,value\n"
+            + "".join(f"AAA,{s},scr_ki,{0.3 + 0.01 * (s - 1990)}\n" for s in range(1990, 1996))
+        )
+        out = tmp_path / "o"
+        assert run(
+            "effects", "--indices", indices, "--macro", small_dataset["macro"],
+            "--index", "scr_ki", "--elasticity", "-1.0", "--out-dir", out,
+        ) == 0
+        with open(small_dataset["macro"], newline="") as fh:
+            att = {
+                int(r["season"]): float(r["attendance_avg"])
+                for r in csv.DictReader(fh) if r["country"] == "AAA"
+            }
+        with open(out / "effects.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert len(att) == 24
+        covered = sum(att[s] for s in range(1990, 1996)) / 6
+        assert float(row["avg_attendance"]) == pytest.approx(sum(att.values()) / 24, rel=1e-11)
+        assert float(row["avg_attendance"]) != pytest.approx(covered, rel=1e-3)
 
 
     def test_duplicate_index_row_is_input_error(self, small_dataset, tmp_path, capsys):

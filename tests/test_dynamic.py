@@ -16,7 +16,6 @@ from leaguebalance import (
     combine_bidimensional,
     dn_champion,
     dn_relegation,
-    g_index,
     g_index_detail,
     sdn,
     tau_rescaled,
@@ -271,7 +270,7 @@ def g_enumeration_expectation(rosters, k):
 
 class TestGIndex:
     def test_same_top_k_every_season_is_one(self):
-        assert g_index(frozen_window()) == 1.0
+        assert g_index_detail(frozen_window()).value == 1.0
 
     @pytest.mark.parametrize(
         "rosters,k",

@@ -12,7 +12,7 @@ from leaguebalance.econometrics import (
     white_cross_section_cov,
 )
 from leaguebalance.econometrics.sur import _lower_inverse, pairwise_sigma, repair_covariance
-from support import dgp_design, labelled_design, ols_fit, ols_fit_design
+from support import dgp_design, known_sigma_gls, labelled_design, ols_fit, ols_fit_design
 
 
 def stacked_design(countries, t_len, x_maker, y_maker, shared_slopes=False, seed=0):
@@ -114,7 +114,7 @@ class TestZellnerEquivalences:
             shared_slopes=True,
         )
         sigma = 0.7 * np.eye(3)
-        gls = sur_egls_fit(design, sigma=sigma)
+        gls = known_sigma_gls(design, sigma)
         ols = ols_fit(design.y, design.X, design.columns)
         assert np.max(np.abs(gls.beta - ols.beta)) < 1e-6
 
@@ -195,7 +195,7 @@ class TestGridGls:
     def test_matches_per_year_normal_equations(self, seed):
         design = unbalanced_design(seed)
         sigma = random_sigma(np.random.default_rng(seed), len(design.country_list))
-        fit = sur_egls_fit(design, sigma=sigma)
+        fit = known_sigma_gls(design, sigma)
         beta, cov, _ = per_year_gls(design, sigma)
         assert len({tuple(design.countries[design.years == t]) for t in design.years}) > 1
         assert np.allclose(fit.beta, beta, rtol=1e-10, atol=1e-10)
@@ -205,7 +205,7 @@ class TestGridGls:
     def test_sandwich_matches_per_year_scores(self, seed):
         design = unbalanced_design(seed)
         sigma = random_sigma(np.random.default_rng(seed), len(design.country_list))
-        fit = sur_egls_fit(design, sigma=sigma)
+        fit = known_sigma_gls(design, sigma)
         *_, sandwich = per_year_gls(design, sigma, fit.residuals)
         assert np.allclose(white_cross_section_cov(fit), sandwich, rtol=1e-10, atol=1e-14)
 
@@ -218,7 +218,7 @@ class TestGridGls:
         design = unbalanced_design(seed % 1000)
         n = len(design.country_list)
         spread = np.logspace(0, -3, n)
-        fit = sur_egls_fit(design, sigma=random_sigma(rng, n) * np.outer(spread, spread) * scale)
+        fit = known_sigma_gls(design, random_sigma(rng, n) * np.outer(spread, spread) * scale)
         fit.residuals = rng.standard_normal(design.nobs) * rng.uniform(0.0, 1e3, design.nobs)
         assert np.all(np.diag(white_cross_section_cov(fit)) >= 0.0)
 
@@ -247,8 +247,8 @@ class TestSigmaEstimation:
 
     def test_repair_floors_eigenvalues(self):
         bad = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank 1
-        with pytest.warns(UserWarning, match="repaired"):
-            fixed = repair_covariance(bad)
+        fixed, eig_min = repair_covariance(bad)
+        assert eig_min < 1e-10
         assert np.linalg.eigvalsh(fixed).min() >= 1e-10
         with pytest.raises(NumericalError, match="irreparable"):
             repair_covariance(np.full((2, 2), np.nan))

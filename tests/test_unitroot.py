@@ -8,13 +8,8 @@ from hypothesis import strategies as st
 
 from leaguebalance import InputError, NumericalError
 from leaguebalance.econometrics import adf_test, fisher_panel_unit_root
-from leaguebalance.econometrics.unitroot import (
-    ADF_CASES,
-    adf_p_value,
-    generate_adf_table,
-    write_adf_table,
-)
-from support import adf_exact_tstat, adf_lstsq_reference
+from leaguebalance.econometrics.unitroot import ADF_CASES, adf_p_value
+from support import adf_exact_tstat, adf_lstsq_reference, generate_adf_table, write_adf_table
 
 
 class TestFisherCombination:
@@ -75,13 +70,12 @@ class TestAdfPValueTable:
                     hi = mid
             assert med[(case, 0.05)] == pytest.approx(lo, abs=0.08)
 
-    def test_regenerated_t25_cells_match_shipped_bytes(self, tmp_path):
+    def test_regenerated_table_matches_shipped_bytes(self, tmp_path):
+        # both cases and every T bucket, at the reps and seed of its header
         path = tmp_path / "adf_quantiles.csv"
-        write_adf_table(generate_adf_table(t_grid=(25,)), path)
+        write_adf_table(generate_adf_table(), path)
         shipped = resources.files("leaguebalance").joinpath("data/adf_quantiles.csv")
-        lines = shipped.read_bytes().splitlines(keepends=True)
-        expected = lines[:2] + [ln for ln in lines if ln.startswith((b"c,25,", b"ct,25,"))]
-        assert path.read_bytes() == b"".join(expected)
+        assert path.read_bytes() == shipped.read_bytes()
 
 
 class TestAdfTest:
