@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import ALL_INDEX_NAMES, IndexValue, check_index_value
+from .catalog import ALL_INDEX_NAMES, IndexValue
 from .econometrics import (
     FitResult,
     LongRunEffect,
@@ -38,11 +38,12 @@ from .econometrics.tails import two_sided_normal
 from .errors import ConfigError, InputError, LeagueBalanceError, NumericalError
 from .manifest import sha256_file, sha256_text, write_manifest
 from .panel import (
+    INDEX_COLUMNS,
+    LEAGUE_COLUMNS,
+    MACRO_COLUMNS,
     Config,
-    _parse_float,
-    _parse_int,
     build_panel,
-    csv_rows,
+    parse_index_csv,
     parse_league_csv,
     parse_macro_csv,
 )
@@ -58,7 +59,6 @@ from .reports import fmt, stars, write_csv, write_text_table
 gc.freeze()
 
 PANEL_VARIABLES = ("ln_att", "ln_pop", "ln_rgni", "ln_un")
-INDEX_COLUMNS = ("country", "season", "index", "value")
 
 
 def _load_config(args) -> tuple[Config, str]:
@@ -79,34 +79,6 @@ def _index_names(arg: str) -> list[str]:
     if arg not in ALL_INDEX_NAMES:
         raise InputError(f"unknown index {arg!r}; choose one of {', '.join(ALL_INDEX_NAMES)} or all")
     return [arg]
-
-
-def read_index_csv(path: str, names: list[str]) -> list[IndexValue]:
-    """The values of the indices in ``names`` from an ``indices.csv``.
-
-    Every row is validated, requested or not; each (country, season, index)
-    may appear once.
-    """
-    wanted = frozenset(names)
-    out = []
-    seen: set[tuple[str, int, str]] = set()
-    for line, (country, season, name, value) in csv_rows(path, INDEX_COLUMNS):
-        where = f"{path}:{line}"
-        season = _parse_int(season, "season", where)
-        key = (country, season, name)
-        if key in seen:
-            raise InputError(f"{where}: duplicate (country, season, index) {key}")
-        seen.add(key)
-        value = _parse_float(value, "value", where)
-        try:
-            check_index_value(name, country, season, value)
-        except InputError as exc:
-            raise InputError(f"{where}: {exc}") from None
-        if name in wanted:
-            out.append(IndexValue(name, country, season, value))
-    if not seen:
-        raise InputError(f"{path}: no data rows")
-    return out
 
 
 # ---------------------------------------------------------------- indices
@@ -348,7 +320,7 @@ def cmd_fit(args) -> int:
     macro = parse_macro_csv(args.macro)
 
     if args.indices:
-        index_values = read_index_csv(args.indices, names)
+        index_values = parse_index_csv(args.indices, names)
         inputs["indices"] = sha256_file(args.indices)
     elif args.league:
         leagues = parse_league_csv(args.league, config)
@@ -418,7 +390,7 @@ def _effects(index_values, macro, index: str, elasticity: float, out_dir, seed, 
 
 
 def cmd_effects(args) -> int:
-    index_values = read_index_csv(args.indices, [args.index])
+    index_values = parse_index_csv(args.indices, [args.index])
     macro = parse_macro_csv(args.macro)
     inputs = {"indices": sha256_file(args.indices), "macro": sha256_file(args.macro)}
     _effects(index_values, macro, args.index, args.elasticity, args.out_dir, args.seed, inputs)
@@ -437,17 +409,13 @@ def _write_league_csv(path, leagues) -> str:
                 (lg.country, lg.season, rec.team, rec.rank, rec.wins, rec.draws,
                  rec.losses, rec.points)
             )
-    return write_csv(
-        path,
-        ("country", "season", "team", "rank", "wins", "draws", "losses", "points"),
-        rows,
-    )
+    return write_csv(path, LEAGUE_COLUMNS, rows)
 
 
 def _write_macro_csv(path, macro) -> str:
     return write_csv(
         path,
-        ("country", "season", "attendance_avg", "population", "rgni_real", "unemployment_rate"),
+        MACRO_COLUMNS,
         [
             (m.country, m.season, m.attendance_per_game, m.population, m.rgni, m.unemployment)
             for m in macro
@@ -462,14 +430,17 @@ def cmd_simulate(args) -> int:
     n_seasons = args.n_seasons if args.n_seasons is not None else (
         10 if args.kind == "league" else 50
     )
+    start_season = args.start_season if args.start_season is not None else (
+        LeagueSimParams if args.kind == "league" else DgpParams
+    ).start_season
     if args.kind == "league":
-        K, I = Config().levels_for(args.country, args.start_season, args.n_teams)
+        K, I = Config().levels_for(args.country, start_season, args.n_teams)
         params = LeagueSimParams(
             n_teams=args.n_teams,
             n_seasons=n_seasons,
             dispersion=args.dispersion,
             country=args.country,
-            start_season=args.start_season,
+            start_season=start_season,
             churn=args.churn,
             K=K,
             I=I,
@@ -480,6 +451,7 @@ def cmd_simulate(args) -> int:
     elif args.kind == "dgp":
         params = DgpParams(
             countries=tuple(f"C{i + 1}" for i in range(args.dgp_countries)),
+            start_season=start_season,
             n_seasons=n_seasons,
         )
         sim = simulate_dgp(params, seed=args.seed)
@@ -590,7 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dispersion", type=float, default=2.0, help="float or 'inf'")
     p.add_argument("--churn", type=int, default=0)
     p.add_argument("--country", default="SIM")
-    p.add_argument("--start-season", type=int, default=1990)
+    p.add_argument("--start-season", type=int, default=None,
+                   help="default 1990 (league) or 1959 (dgp)")
     p.add_argument("--dgp-countries", type=int, default=8)
     common(p)
     p.set_defaults(func=cmd_simulate)

@@ -70,52 +70,31 @@ class TopKWindow:
         return self.seasons[-1].season
 
 
-def kendall_tau_b(x, y) -> float:
-    """Kendall tau-b by integer pair counts (exact at the +/-1 endpoints)."""
-    n = len(x)
-    if n != len(y) or n < 2:
-        raise InputError("tau-b needs two equally long sequences of length >= 2")
-    conc = disc = ties_x = ties_y = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = x[i] - x[j]
-            dy = y[i] - y[j]
-            if dx == 0:
-                ties_x += 1
-            if dy == 0:
-                ties_y += 1
-            if dx == 0 or dy == 0:
-                continue
-            if (dx > 0) == (dy > 0):
-                conc += 1
-            else:
-                disc += 1
-    n0 = n * (n - 1) // 2
-    if ties_x == n0 or ties_y == n0:
-        raise InputError("tau-b undefined: one ranking is entirely tied")
-    if ties_x == 0 and ties_y == 0:
-        return (conc - disc) / n0
-    return (conc - disc) / math.sqrt((n0 - ties_x) * (n0 - ties_y))
-
-
 def tau_rescaled(pair: SeasonPair) -> float:
     """Rank correlation of consecutive-season standings, rescaled to [0, 1].
 
-    Kendall tau-b over the teams present in both seasons, mapped through
+    Kendall's tau over the teams present in both seasons, mapped through
     (1 + tau) / 2 so that 1 means identical ordering (imbalance) and 0 a
     fully reversed one.
     """
     prev_ranks = pair.prev.rank_of()
     curr_ranks = pair.curr.rank_of()
-    common = sorted(set(prev_ranks) & set(curr_ranks))
-    if len(common) < 2:
+    common = set(prev_ranks) & set(curr_ranks)
+    n = len(common)
+    if n < 2:
         raise InputError(
             f"({pair.curr.country}, {pair.curr.season}): fewer than 2 teams present in "
             "both seasons"
         )
-    x = [prev_ranks[t] for t in common]
-    y = [curr_ranks[t] for t in common]
-    return (1.0 + kendall_tau_b(x, y)) / 2.0
+    # a season's ranks are a permutation of 1..n, so no pair ties: in the
+    # previous season's order, a pair is concordant iff its current ranks rise
+    curr = [curr_ranks[t] for t in sorted(common, key=prev_ranks.__getitem__)]
+    conc = 0
+    for i, a in enumerate(curr):
+        for b in curr[i + 1 :]:
+            conc += a < b
+    n0 = n * (n - 1) // 2
+    return (1.0 + (conc - (n0 - conc)) / n0) / 2.0
 
 
 def _persistence(prev_rank: int | None, rank: int, n_prev: int) -> float:

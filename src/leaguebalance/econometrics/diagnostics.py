@@ -9,7 +9,7 @@ import numpy as np
 from ..errors import InputError, LeagueBalanceError, NumericalError
 from .base import FitResult, TestResult
 from .ols import check_rank, r_factor
-from .tails import chi2_sf, f_sf, two_sided_normal
+from .tails import chi2_sf, f2_sf, two_sided_normal
 
 
 def _grid(fit: FitResult) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -142,5 +142,5 @@ def ramsey_reset(fit: FitResult) -> TestResult:
         name="ramsey_reset",
         statistic=f,
         df=(2, dof),
-        p_value=f_sf(2, dof, f),
+        p_value=f2_sf(dof, f),
     )

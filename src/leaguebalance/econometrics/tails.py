@@ -1,9 +1,10 @@
-"""Upper-tail probabilities of the normal, chi-squared and F distributions.
+"""Upper-tail probabilities of the normal, chi-squared and F(2, d) distributions.
 
 The chi-squared tail is the regularized upper incomplete gamma function,
 by its power series below ``a + 1`` and by a modified-Lentz continued
-fraction above; the F tail is the regularized incomplete beta function by
-continued fraction (Numerical Recipes, 3rd ed., sections 6.2 and 6.4).
+fraction above (Numerical Recipes, 3rd ed., section 6.2).  The only F test
+here, RESET, has two numerator degrees of freedom, where the tail has the
+closed form (1 + 2f/d)^(-d/2).
 """
 
 from __future__ import annotations
@@ -38,24 +39,13 @@ def chi2_sf(df: int, x: float) -> float:
     return _unit(_gamma_q(0.5 * df, 0.5 * x))
 
 
-def f_sf(d1: int, d2: int, f: float) -> float:
-    """P(F > f) for F with (``d1``, ``d2``) degrees of freedom."""
-    if d1 < 1 or d2 < 1:
-        raise InputError(f"F degrees of freedom must be >= 1, got ({d1}, {d2})")
+def f2_sf(d: int, f: float) -> float:
+    """P(F > f) for F with (2, ``d``) degrees of freedom: (1 + 2f/d)^(-d/2)."""
+    if d < 1:
+        raise InputError(f"F degrees of freedom must be >= 1, got (2, {d})")
     if _is_trivial(f):
         return _trivial(f)
-    # P(F > f) = I_x(d2/2, d1/2) at x = d2 / (d2 + d1 f); 1 - x is formed
-    # from d1 f directly, because 1 - x loses the tail when f is tiny
-    ratio = d1 * f / d2
-    if math.isinf(ratio):
-        return 0.0
-    x, y = 1.0 / (1.0 + ratio), ratio / (1.0 + ratio)
-    a, b = 0.5 * d2, 0.5 * d1
-    # x^a y^b / B(a, b), shared by I_x(a, b) and I_y(b, a) = 1 - I_x(a, b)
-    front = math.exp(b * math.log(ratio) - (a + b) * math.log1p(ratio) - _log_beta(a, b))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return _unit(front * _beta_cf(a, b, x) / a)
-    return _unit(1.0 - front * _beta_cf(b, a, y) / b)
+    return _unit(math.exp(-0.5 * d * math.log1p(2.0 * f / d)))
 
 
 def _is_trivial(stat: float) -> bool:
@@ -85,21 +75,6 @@ def _stirling_err(z: float) -> float:
     """lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2) for z >= _STIRLING_MIN."""
     w = 1.0 / (z * z)
     return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w / 1188)))) / z
-
-
-def _log_beta(a: float, b: float) -> float:
-    small, big = sorted((a, b))
-    if big < _STIRLING_MIN:
-        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    # lgamma(big + small) - lgamma(big) without the cancellation of two
-    # large lgamma values
-    shift = (
-        (big - 0.5) * math.log1p(small / big)
-        + small * (math.log(big + small) - 1.0)
-        + _stirling_err(big + small)
-        - _stirling_err(big)
-    )
-    return math.lgamma(small) - shift
 
 
 def _gamma_q(a: float, x: float) -> float:
@@ -139,22 +114,3 @@ def _gamma_q(a: float, x: float) -> float:
             return front * h
     raise _not_converged("incomplete gamma continued fraction", a, x)
 
-
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction of I_x(a, b) = x^a (1-x)^b / (a B(a, b)) * cf;
-    converges fast for x < (a + 1) / (a + b + 2)."""
-    c = 1.0
-    d = 1.0 / _nonzero(1.0 - (a + b) * x / (a + 1.0))
-    h = d
-    for m in range(1, _MAX_ITER):
-        for num in (
-            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
-            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
-        ):
-            d = 1.0 / _nonzero(1.0 + num * d)
-            c = _nonzero(1.0 + num / c)
-            delta = d * c
-            h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise _not_converged("incomplete beta continued fraction", a, x)

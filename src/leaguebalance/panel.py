@@ -1,8 +1,9 @@
-"""League tables, macro covariates, and panel assembly.
+"""League tables, macro covariates, index values, and panel assembly.
 
-Ingests final league tables and country-level macro series from CSV,
-validates them, and assembles the (possibly unbalanced) country-by-season
-panel of log attendance and log covariates used by the regression stage.
+Ingests final league tables, country-level macro series and index values
+from CSV, validates them, and assembles the (possibly unbalanced)
+country-by-season panel of log attendance and log covariates used by the
+regression stage.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import IndexValue, check_index_value
 from .errors import ConfigError, InputError
 
 LEAGUE_COLUMNS = ("country", "season", "team", "rank", "wins", "draws", "losses", "points")
 MACRO_COLUMNS = ("country", "season", "attendance_avg", "population", "rgni_real", "unemployment_rate")
+INDEX_COLUMNS = ("country", "season", "index", "value")
 
 D97_CUTOFF = 1997  # first treated season is 1998
 
@@ -340,6 +343,34 @@ def parse_macro_csv(path: str) -> list[MacroObservation]:
             )
         )
     if not out:
+        raise InputError(f"{path}: no data rows")
+    return out
+
+
+def parse_index_csv(path: str, names: list[str]) -> list[IndexValue]:
+    """The values of the indices in ``names`` from an ``indices.csv``.
+
+    Every row is validated, requested or not; each (country, season, index)
+    may appear once.
+    """
+    wanted = frozenset(names)
+    out = []
+    seen: set[tuple[str, int, str]] = set()
+    for line, (country, season, name, value) in csv_rows(path, INDEX_COLUMNS):
+        where = f"{path}:{line}"
+        season = _parse_int(season, "season", where)
+        key = (country, season, name)
+        if key in seen:
+            raise InputError(f"{where}: duplicate (country, season, index) {key}")
+        seen.add(key)
+        value = _parse_float(value, "value", where)
+        try:
+            check_index_value(name, country, season, value)
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from None
+        if name in wanted:
+            out.append(IndexValue(name, country, season, value))
+    if not seen:
         raise InputError(f"{path}: no data rows")
     return out
 

@@ -286,7 +286,8 @@ class TestFitCommand:
     def test_index_constant_in_one_country_is_estimable(self, tmp_path):
         # slopes are shared across countries, so a flat index in one country
         # leaves ln_cb_lag1 identified by the others
-        from leaguebalance.cli import INDEX_COLUMNS, _write_macro_csv
+        from leaguebalance.cli import _write_macro_csv
+        from leaguebalance.panel import INDEX_COLUMNS
         from leaguebalance.reports import write_csv
         from leaguebalance.simulate import simulate_dgp
 
@@ -697,6 +698,34 @@ class TestSimulateCommand:
         out = tmp_path / "d"
         assert run("simulate", *argv, "--out-dir", out) == 2
         assert not out.exists()
+
+    def test_dgp_honours_start_season(self, tmp_path):
+        out = tmp_path / "dgp"
+        assert run(
+            "simulate", "--kind", "dgp", "--start-season", 1970, "--n-seasons", 40,
+            "--out-dir", out,
+        ) == 0
+        for name in ("macro.csv", "indices.csv"):
+            with open(out / name, newline="") as fh:
+                seasons = {int(row["season"]) for row in csv.DictReader(fh)}
+            assert seasons == set(range(1970, 2010)), name
+        assert run(
+            "fit", "--macro", out / "macro.csv", "--indices", out / "indices.csv",
+            "--index", "sdc_ki", "--out-dir", tmp_path / "fit",
+        ) == 0
+
+    @pytest.mark.parametrize(
+        "argv, first",
+        [(("--kind", "league"), 1990), (("--kind", "dgp", "--dgp-countries", 1), 1959)],
+        ids=["league", "dgp"],
+    )
+    def test_default_start_season(self, tmp_path, argv, first):
+        out = tmp_path / "sim"
+        assert run("simulate", *argv, "--n-seasons", 10, "--out-dir", out) == 0
+        name = "league.csv" if argv[1] == "league" else "macro.csv"
+        with open(out / name, newline="") as fh:
+            seasons = {int(row["season"]) for row in csv.DictReader(fh)}
+        assert seasons == set(range(first, first + 10))
 
     def test_dgp_truth_file(self, tmp_path):
         out = tmp_path / "dgp"

@@ -94,21 +94,6 @@ class TestTauRescaled:
             expected = (1 + kendall_oracle(prev_ranks, curr_ranks)) / 2
             assert tau_rescaled(SeasonPair(prev, curr)) == pytest.approx(expected, abs=1e-12)
 
-    def test_matches_scipy_tau_b(self):
-        from scipy import stats
-
-        rng = np.random.default_rng(5)
-        from leaguebalance.dynamic import kendall_tau_b
-
-        for _ in range(25):
-            x = rng.integers(1, 6, size=10).tolist()  # ties likely
-            y = rng.integers(1, 6, size=10).tolist()
-            try:
-                mine = kendall_tau_b(x, y)
-            except InputError:
-                continue
-            assert mine == pytest.approx(stats.kendalltau(x, y).statistic, abs=1e-12)
-
     def test_insufficient_overlap(self):
         prev = cu_season(4, season=1999)
         curr = cu_season(4, season=2000)

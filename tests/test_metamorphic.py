@@ -7,7 +7,10 @@ trees.  ``manifest.json`` records the input files' hashes, so it is left out
 of every comparison.
 """
 
+import csv
+import io
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leaguebalance.cli import read_index_csv
+from leaguebalance.panel import parse_index_csv
 from leaguebalance.econometrics import RegressionSpec, build_adl_design
 from leaguebalance.panel import build_panel, parse_macro_csv
 from leaguebalance.pipeline import series_from_values
@@ -35,6 +38,18 @@ def write_lines(path, header: str, rows) -> Path:
 def shifted(line: str, k: int) -> str:
     country, season, rest = line.split(",", 2)
     return f"{country},{int(season) + k},{rest}"
+
+
+def numbers(table: bytes, columns) -> dict[str, tuple[float, ...]]:
+    """The named columns of a written CSV as floats, keyed by its first column."""
+    reader = csv.DictReader(io.StringIO(table.decode()))
+    return {row[reader.fieldnames[0]]: tuple(float(row[c]) for c in columns) for row in reader}
+
+
+COEFFICIENTS = "fit_sdc_ki_coefficients.csv"
+COEFFICIENT_COLUMNS = ("coef", "se_classical", "se_robust")
+LONGRUN = "fit_sdc_ki_longrun.csv"
+LONGRUN_COLUMNS = ("elasticity", "se")
 
 
 def fit_outputs(macro, indices, out, *extra) -> dict[str, bytes]:
@@ -105,7 +120,7 @@ def with_earlier_first_row(macro, out) -> Path:
 def test_earlier_macro_row_changes_no_design_row(dgp, tmp_path):
     # the premise of the relation below: no design row reads the added
     # season, and every column but the trend keeps its values
-    index_values = series_from_values(read_index_csv(str(dgp["indices"]), ["sdc_ki"]), "sdc_ki")
+    index_values = series_from_values(parse_index_csv(str(dgp["indices"]), ["sdc_ki"]), "sdc_ki")
     spec = RegressionSpec("sdc_ki")
     designs = [
         build_adl_design(build_panel(parse_macro_csv(str(m))), index_values, spec)
@@ -129,3 +144,50 @@ def test_earlier_macro_row_changes_no_output(dgp, tmp_path):
     macro = with_earlier_first_row(dgp["macro"], tmp_path / "macro.csv")
     assert fit_outputs(macro, dgp["indices"], tmp_path / "out") == dgp["fit"]
 
+
+
+def with_attendance_times_1000(line: str) -> str:
+    """A macro row whose attendance is multiplied by 1000 exactly, in decimal."""
+    country, season, attendance, rest = line.split(",", 3)
+    return f"{country},{season},{Decimal(attendance).scaleb(3):f},{rest}"
+
+
+def test_attendance_scale_moves_only_the_intercepts(dgp, tmp_path):
+    # log attendance shifts by log 1000: its differences keep their values,
+    # and each country's intercept absorbs the shift of the lagged level
+    header, rows = data_lines(dgp["macro"])
+    macro = write_lines(tmp_path / "macro.csv", header, map(with_attendance_times_1000, rows))
+    out = fit_outputs(macro, dgp["indices"], tmp_path / "out")
+    for table, columns in ((COEFFICIENTS, COEFFICIENT_COLUMNS), (LONGRUN, LONGRUN_COLUMNS)):
+        got, ref = (numbers(files[table], columns) for files in (out, dgp["fit"]))
+        assert list(got) == list(ref)
+        for term in ref:
+            if term.startswith("const["):
+                assert got[term][0] != pytest.approx(ref[term][0], rel=1e-3), term
+            else:
+                assert got[term] == pytest.approx(ref[term], rel=1e-9, abs=0), term
+
+
+def with_c1_renamed(line: str) -> str:
+    return "Z1" + line[2:] if line.startswith("C1,") else line
+
+
+def test_country_rename_permutes_the_intercepts(dgp, tmp_path):
+    files = []
+    for name in ("macro", "indices"):
+        header, rows = data_lines(dgp[name])
+        files.append(write_lines(tmp_path / f"{name}.csv", header, map(with_c1_renamed, rows)))
+    out = fit_outputs(*files, tmp_path / "out")
+    assert b"converged,1," in out["fit_sdc_ki_diagnostics.csv"]
+    for table, columns in ((COEFFICIENTS, COEFFICIENT_COLUMNS), (LONGRUN, LONGRUN_COLUMNS)):
+        got = numbers(out[table], columns)
+        ref = {
+            term.replace("[C1]", "[Z1]"): values
+            for term, values in numbers(dgp["fit"][table], columns).items()
+        }
+        assert sorted(got) == sorted(ref)
+        for term in ref:
+            assert got[term] == pytest.approx(ref[term], rel=1e-9, abs=0), term
+    # the countries are sorted, so Z1's intercept moves from first to last
+    intercepts = [term for term in numbers(out[COEFFICIENTS], ()) if term.startswith("const[")]
+    assert intercepts == ["const[C2]", "const[C3]", "const[Z1]"]
