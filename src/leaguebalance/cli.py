@@ -1,5 +1,8 @@
 """Command-line driver: indices, unit-root, fit, effects, simulate, report.
 
+Only ``simulate`` draws random numbers, so only it takes ``--seed``; every
+other command's manifest records ``"seed": null``.
+
 Exit codes: 0 success, 2 input or schema error, 3 numerical failure,
 4 configuration error.
 """
@@ -62,7 +65,7 @@ PANEL_VARIABLES = ("ln_att", "ln_pop", "ln_rgni", "ln_un")
 
 
 def _load_config(args) -> tuple[Config, str]:
-    if getattr(args, "config", None):
+    if args.config:
         return Config.from_json(args.config), sha256_file(args.config)
     return Config(), sha256_text("default")
 
@@ -108,7 +111,7 @@ def cmd_indices(args) -> int:
     config, config_hash = _load_config(args)
     values, artifacts = _indices(args.league, config, args.out_dir)
     inputs = {"league": sha256_file(args.league)}
-    write_manifest(args.out_dir, "indices", args.seed, inputs, config_hash, artifacts)
+    write_manifest(args.out_dir, "indices", inputs, config_hash, artifacts)
     print(f"wrote {len(values)} index values for {len(set(v.country for v in values))} countries")
     return 0
 
@@ -165,11 +168,11 @@ def _unit_root(panel, max_lag, out_dir) -> list[str]:
 
 
 def cmd_unit_root(args) -> int:
-    _, config_hash = _load_config(args)
     panel = build_panel(parse_macro_csv(args.macro))
     artifacts = _unit_root(panel, args.max_lag, args.out_dir)
     inputs = {"macro": sha256_file(args.macro)}
-    write_manifest(args.out_dir, "unit-root", args.seed, inputs, config_hash, artifacts)
+    # no Config key touches an ADF test
+    write_manifest(args.out_dir, "unit-root", inputs, sha256_text("default"), artifacts)
     print("wrote unit-root report")
     return 0
 
@@ -185,6 +188,17 @@ class IndexFitReport:
     diag_rows: list
 
 
+def _diagnostic(label: str, compute) -> tuple:
+    """The diagnostics row of the test that ``compute()`` returns or, when a
+    typed error stops it, an empty row whose note is the error."""
+    try:
+        test = compute()
+    except LeagueBalanceError as exc:
+        return (label, "", "", "", str(exc))
+    df = ";".join(map(str, test.df)) if isinstance(test.df, tuple) else test.df
+    return (label, test.statistic, "" if df is None else df, test.p_value, test.note)
+
+
 def fit_index_model(panel, index_values, name: str, spec: RegressionSpec, iterate: bool):
     series = series_from_values(index_values, name)
     if not series:
@@ -194,22 +208,21 @@ def fit_index_model(panel, index_values, name: str, spec: RegressionSpec, iterat
     fit.cov_robust = white_cross_section_cov(fit)
     effects = long_run_effects(fit, spec)
 
-    diag_rows = []
-    dw = durbin_watson_panel(fit)
-    diag_rows.append(("durbin_watson", dw.statistic, "", dw.p_value, dw.note))
-    lm = breusch_pagan_lm(fit)
-    diag_rows.append(("lm_sur", lm.statistic, lm.df, lm.p_value, lm.note))
-    reset = ramsey_reset(fit)
-    diag_rows.append(
-        ("ramsey_reset", reset.statistic, f"{reset.df[0]};{reset.df[1]}", reset.p_value, "")
-    )
+    # Each diagnostic is computed on its own, so one that cannot be computed
+    # costs its row, not the fit.  The lambdas look the tests up in this
+    # module's globals when they run.
     resid = fit.residual_series()  # the design's countries, sorted
-    for case in ("c", "ct"):
-        combined, _ = _adf_fisher("residuals", resid, case)
-        label = {"c": "resid_adf_fisher_constant", "ct": "resid_adf_fisher_trend"}[case]
-        diag_rows.append((label, combined.statistic, combined.df, combined.p_value, ""))
-    for country, jb in jarque_bera(resid).items():
-        diag_rows.append((f"jarque_bera[{country}]", jb.statistic, jb.df, jb.p_value, ""))
+    diag_rows = [
+        _diagnostic("durbin_watson", lambda: durbin_watson_panel(fit)),
+        _diagnostic("lm_sur", lambda: breusch_pagan_lm(fit)),
+        _diagnostic("ramsey_reset", lambda: ramsey_reset(fit)),
+    ]
+    for case, label in (("c", "resid_adf_fisher_constant"), ("ct", "resid_adf_fisher_trend")):
+        diag_rows.append(_diagnostic(label, lambda: _adf_fisher("residuals", resid, case)[0]))
+    for country, e in resid.items():
+        diag_rows.append(
+            _diagnostic(f"jarque_bera[{country}]", lambda: jarque_bera({country: e})[country])
+        )
     diag_rows.append(("r2_adj", fit.r2_adj, "", "", ""))
     diag_rows.append(("iterations", fit.iterations, "", "", ""))
     diag_rows.append(("converged", fit.converged, "", "", ""))
@@ -332,7 +345,7 @@ def cmd_fit(args) -> int:
 
     panel = build_panel(macro)
     reports, artifacts = _fit(panel, index_values, names, args, config, args.out_dir)
-    write_manifest(args.out_dir, "fit", args.seed, inputs, config_hash, artifacts)
+    write_manifest(args.out_dir, "fit", inputs, config_hash, artifacts)
     print(f"fitted {len(reports)} model(s): {', '.join(r.name for r in reports)}")
     return 0
 
@@ -340,7 +353,7 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------- effects
 
 
-def _effects(index_values, macro, index: str, elasticity: float, out_dir, seed, inputs) -> list[str]:
+def _effects(index_values, macro, index: str, elasticity: float, out_dir, inputs) -> list[str]:
     """Best-vs-worst season effects of one index, written with their own manifest."""
     series = series_from_values(index_values, index)
     if not series:
@@ -385,7 +398,7 @@ def _effects(index_values, macro, index: str, elasticity: float, out_dir, seed, 
         ),
     ]
     config_hash = sha256_text(f"elasticity={elasticity!r},index={index}")
-    artifacts.append(write_manifest(out, "effects", seed, inputs, config_hash, artifacts))
+    artifacts.append(write_manifest(out, "effects", inputs, config_hash, artifacts))
     return artifacts
 
 
@@ -393,7 +406,7 @@ def cmd_effects(args) -> int:
     index_values = parse_index_csv(args.indices, [args.index])
     macro = parse_macro_csv(args.macro)
     inputs = {"indices": sha256_file(args.indices), "macro": sha256_file(args.macro)}
-    _effects(index_values, macro, args.index, args.elasticity, args.out_dir, args.seed, inputs)
+    _effects(index_values, macro, args.index, args.elasticity, args.out_dir, inputs)
     print(f"wrote effects of {args.index} to {args.out_dir}")
     return 0
 
@@ -427,12 +440,9 @@ def cmd_simulate(args) -> int:
     # imported here: the simulators serve this command only
     from .simulate import DgpParams, LeagueSimParams, simulate_dgp, simulate_league
 
-    n_seasons = args.n_seasons if args.n_seasons is not None else (
-        10 if args.kind == "league" else 50
-    )
-    start_season = args.start_season if args.start_season is not None else (
-        LeagueSimParams if args.kind == "league" else DgpParams
-    ).start_season
+    defaults = LeagueSimParams if args.kind == "league" else DgpParams
+    n_seasons = args.n_seasons if args.n_seasons is not None else defaults.n_seasons
+    start_season = args.start_season if args.start_season is not None else defaults.start_season
     if args.kind == "league":
         K, I = Config().levels_for(args.country, start_season, args.n_teams)
         params = LeagueSimParams(
@@ -448,7 +458,7 @@ def cmd_simulate(args) -> int:
         leagues = simulate_league(params, seed=args.seed)
         out = _out_dir(args.out_dir)
         artifacts = [_write_league_csv(out / "league.csv", leagues)]
-    elif args.kind == "dgp":
+    else:
         params = DgpParams(
             countries=tuple(f"C{i + 1}" for i in range(args.dgp_countries)),
             start_season=start_season,
@@ -472,10 +482,8 @@ def cmd_simulate(args) -> int:
             )
             fh.write("\n")
         artifacts.append(str(truth_path))
-    else:
-        raise ConfigError(f"unknown simulate kind {args.kind!r}")
     config_hash = sha256_text(json.dumps(params.__dict__, default=str, sort_keys=True))
-    write_manifest(out, f"simulate-{args.kind}", args.seed, {}, config_hash, artifacts)
+    write_manifest(out, f"simulate-{args.kind}", {}, config_hash, artifacts, seed=args.seed)
     print(f"wrote {args.kind} simulation to {out}")
     return 0
 
@@ -501,9 +509,9 @@ def cmd_report(args) -> int:
         cb = next(e.estimate for e in report.effects if e.variable == "cb")
         artifacts += _effects(
             index_values, macro, report.name, float(fmt(cb)), out / f"effects_{report.name}",
-            args.seed, effects_inputs,
+            effects_inputs,
         )
-    write_manifest(out, "report", args.seed, inputs, config_hash, artifacts)
+    write_manifest(out, "report", inputs, config_hash, artifacts)
     print("report complete")
     return 0
 
@@ -520,7 +528,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out-dir", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+
+    def model_options(p):
+        """The options that ``fit`` and ``report`` pass to every index's model."""
+        p.add_argument("--config", default=None)
+        p.add_argument("--index", default="sdc_ki", help="index name or 'all'")
+        p.add_argument("--adl-order", type=int, default=RegressionSpec.adl_order)
+        p.add_argument("--no-d97", action="store_true")
+        p.add_argument("--iterate-sur", action="store_true")
 
     p = sub.add_parser("indices", help="compute all indices from a league CSV")
     p.add_argument("--league", required=True)
@@ -530,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("unit-root", help="ADF-Fisher panel unit-root tests")
     p.add_argument("--macro", required=True)
-    p.add_argument("--config", default=None)
     p.add_argument("--max-lag", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_unit_root)
@@ -539,11 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--macro", required=True)
     p.add_argument("--league", default=None)
     p.add_argument("--indices", default=None, help="indices.csv from the indices command")
-    p.add_argument("--config", default=None)
-    p.add_argument("--index", default="sdc_ki", help="index name or 'all'")
-    p.add_argument("--adl-order", type=int, default=2)
-    p.add_argument("--no-d97", action="store_true")
-    p.add_argument("--iterate-sur", action="store_true")
+    model_options(p)
     common(p)
     p.set_defaults(func=cmd_fit)
 
@@ -565,17 +575,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start-season", type=int, default=None,
                    help="default 1990 (league) or 1959 (dgp)")
     p.add_argument("--dgp-countries", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="full pipeline: indices, unit root, fit, effects")
     p.add_argument("--league", required=True)
     p.add_argument("--macro", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--index", default="sdc_ki")
-    p.add_argument("--adl-order", type=int, default=2)
-    p.add_argument("--no-d97", action="store_true")
-    p.add_argument("--iterate-sur", action="store_true")
+    model_options(p)
     common(p)
     p.set_defaults(func=cmd_report)
 

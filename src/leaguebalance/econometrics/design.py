@@ -126,7 +126,9 @@ def build_adl_design(panel: PanelDataset, index_series, spec: RegressionSpec) ->
     ``index_series`` maps (country, season) to the raw index value, which
     enters in logs.  Every country's coverage must be at least q+1
     consecutive seasons of the panel.  An index country without macro rows
-    has no panel column, so it is left out, with a warning naming it.
+    has no panel column, so it is left out, with a warning naming it.  With
+    d97 included, the design's seasons must lie on both sides of
+    ``D97_CUTOFF``: a constant d97 is an input error.
     """
     dropped = sorted({country for country, _ in index_series} - set(panel.countries))
     if dropped:
@@ -182,8 +184,15 @@ def build_adl_design(panel: PanelDataset, index_series, spec: RegressionSpec) ->
     columns += ["ln_att_lag1"] + [f"d_ln_att_lag{l}" for l in range(1, q)]
     cols += [panel.ln_att[ii - 1, jj]] + [datt[ii - l, jj] for l in range(1, q)]
     years = panel.seasons[ii]
+    after = years > D97_CUTOFF
+    if spec.include_d97 and after.all() == after.any():
+        side = "after" if after.all() else "in or before"
+        raise InputError(
+            f"d97 is constant: the design's seasons {years.min()}-{years.max()} all lie "
+            f"{side} {D97_CUTOFF}, where d97 cuts; leave d97 out (--no-d97)"
+        )
     trend = (years - panel.seasons[0] + 1).astype(float)
-    det = {"d97": (years > D97_CUTOFF).astype(float)}
+    det = {"d97": after.astype(float)}
     det.update((name, trend**g) for g, name in enumerate(trend_columns(spec.trend_degree), 1))
     columns += spec.deterministic_columns()
     cols += [det[name] for name in spec.deterministic_columns()]

@@ -24,8 +24,10 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def write_manifest(out_dir, command: str, seed, inputs: dict, config_hash: str, artifacts) -> str:
-    """Write manifest.json; identical inputs and seed give identical bytes.
+def write_manifest(out_dir, command: str, inputs: dict, config_hash: str, artifacts, seed=None) -> str:
+    """Write manifest.json; identical inputs (and, for a simulation, seed)
+    give identical bytes.  ``seed`` is None for a command that draws no
+    random number.
 
     Artifact paths are stored relative to the output directory so reruns
     into different directories stay byte-comparable.

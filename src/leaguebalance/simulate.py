@@ -17,7 +17,7 @@ import numpy as np
 
 from .catalog import IndexValue
 from .errors import InputError
-from .panel import LeagueSeason, MacroObservation, TeamSeasonRecord
+from .panel import D97_CUTOFF, LeagueSeason, MacroObservation, TeamSeasonRecord
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,7 @@ def simulate_dgp(params: DgpParams | None = None, seed: int = 0) -> DgpSimulatio
     total = params.burn_in + params.n_seasons
     seasons = np.arange(params.start_season - params.burn_in, params.start_season + params.n_seasons)
     t_vals = seasons - params.start_season + 1  # matches the panel's trend origin
-    d97 = (seasons > 1997).astype(float)
+    d97 = (seasons > D97_CUTOFF).astype(float)
 
     sds = np.linspace(params.error_sd_min, params.error_sd_max, nc)
     sigma = params.error_corr * np.outer(sds, sds)

@@ -355,7 +355,8 @@ def known_sigma_gls(design: DesignMatrix, sigma: np.ndarray) -> FitResult:
 
 
 def _stacked(data, countries, spec, var_names, country_columns) -> DesignMatrix:
-    """Stack per-country (response, columns) blocks below intercept dummies."""
+    """Stack per-country (response, columns) blocks below intercept dummies;
+    a d97 column without both values is an input error."""
     q = spec.adl_order
     y_parts, x_parts, country_rows, year_rows = [], [], [], []
     for ci, country in enumerate(countries):
@@ -370,12 +371,20 @@ def _stacked(data, countries, spec, var_names, country_columns) -> DesignMatrix:
         x_parts.append(np.column_stack(cols))
         country_rows.append(np.full(rows, country, dtype=object))
         year_rows.append(d["season"][q:])
+    years = np.concatenate(year_rows).astype(int)
+    d97 = {v for c in countries for v in data[c]["d97"][q:].tolist()}
+    if spec.include_d97 and len(d97) == 1:
+        side = "after" if d97 == {1.0} else "in or before"
+        raise InputError(
+            f"d97 is constant: the design's seasons {years.min()}-{years.max()} all lie "
+            f"{side} {D97_CUTOFF}, where d97 cuts; leave d97 out (--no-d97)"
+        )
     return labelled_design(
         y=np.concatenate(y_parts),
         X=np.vstack(x_parts),
         columns=[f"const[{c}]" for c in countries] + var_names + spec.deterministic_columns(),
         countries=np.concatenate(country_rows),
-        years=np.concatenate(year_rows).astype(int),
+        years=years,
         country_list=countries,
     )
 

@@ -531,18 +531,18 @@ def test_c10_cli_determinism(small_dataset, tmp_path):
             "--seed", "12", "--out-dir", out,
         ],
         "indices": lambda out: [
-            "indices", "--league", league, "--seed", "13", "--out-dir", out,
+            "indices", "--league", league, "--out-dir", out,
         ],
         "unit-root": lambda out: [
-            "unit-root", "--macro", macro, "--seed", "14", "--out-dir", out,
+            "unit-root", "--macro", macro, "--out-dir", out,
         ],
         "fit": lambda out: [
             "fit", "--macro", macro, "--league", league, "--index", "all",
-            "--iterate-sur", "--seed", "15", "--out-dir", out,
+            "--iterate-sur", "--out-dir", out,
         ],
         "report": lambda out: [
             "report", "--league", league, "--macro", macro, "--index", "sdc_ki",
-            "--seed", "16", "--out-dir", out,
+            "--out-dir", out,
         ],
     }
     for name, argv in commands.items():
@@ -560,7 +560,7 @@ def test_c10_cli_determinism(small_dataset, tmp_path):
         out = tmp_path / f"effects-{j}"
         assert cli_main(
             ["effects", "--indices", str(idx_csv), "--macro", macro, "--index", "sdc_ki",
-             "--elasticity", "-1.142", "--seed", "17", "--out-dir", str(out)]
+             "--elasticity", "-1.142", "--out-dir", str(out)]
         ) == 0
         runs.append(tree(out))
     assert runs[0] == runs[1]

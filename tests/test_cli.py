@@ -46,7 +46,6 @@ class TestIndicesCommand:
         out = tmp_path / "idx"
         assert run(
             "indices", "--league", small_dataset["league"], "--out-dir", out,
-            "--seed", 1,
         ) == 0
         with open(out / "indices.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -110,7 +109,7 @@ class TestIndicesCommand:
         out = tmp_path / "idx"
         assert run(
             "indices", "--league", small_dataset["league"], "--config", cfg,
-            "--out-dir", out, "--seed", 2,
+            "--out-dir", out,
         ) == 0
         with open(out / "g_diagnostics.csv", newline="") as fh:
             rows = [r for r in csv.DictReader(fh) if r["country"] == "AAA"]
@@ -130,7 +129,7 @@ class TestIndicesCommand:
         for tag in ("a", "b"):
             out = tmp_path / tag
             assert run(
-                "indices", "--league", small_dataset["league"], "--out-dir", out, "--seed", 9,
+                "indices", "--league", small_dataset["league"], "--out-dir", out,
             ) == 0
             outs.append(tree_bytes(out))
         assert outs[0] == outs[1]
@@ -230,7 +229,7 @@ class TestFitCommand:
         out = tmp_path / "fit"
         assert run(
             "fit", "--macro", small_dataset["macro"], "--league", small_dataset["league"],
-            "--index", "scr_ki", "--iterate-sur", "--out-dir", out, "--seed", 2,
+            "--index", "scr_ki", "--iterate-sur", "--out-dir", out,
         ) == 0
         for name in (
             "fit_scr_ki_coefficients.csv", "fit_scr_ki_longrun.csv",
@@ -351,23 +350,47 @@ class TestFitCommand:
         assert trees[0] == trees[1] == trees[2]
 
     @pytest.mark.parametrize(
-        "first, message",
+        "first, notes",
         [
-            (1995, "residuals for CCC: need at least 8 residuals for Jarque-Bera, got 7"),
-            (1997, "residuals for CCC: series of length 5 too short for the ADF test, "
-                   "need at least 6"),
+            (1995, {
+                "jarque_bera[CCC]":
+                    "residuals for CCC: need at least 8 residuals for Jarque-Bera, got 7",
+            }),
+            (1997, {
+                "resid_adf_fisher_constant": "residuals for CCC: series of length 5 too short "
+                                             "for the ADF test, need at least 6",
+                "resid_adf_fisher_trend": "residuals for CCC: series of length 5 too short "
+                                          "for the ADF test, need at least 7",
+                "jarque_bera[CCC]":
+                    "residuals for CCC: need at least 8 residuals for Jarque-Bera, got 5",
+            }),
         ],
         ids=["jarque_bera", "residual_adf"],
     )
     def test_short_residual_series_names_its_country(
-        self, small_dataset, tmp_path, capsys, first, message
+        self, small_dataset, tmp_path, capsys, first, notes
     ):
+        # a diagnostic that cannot be computed leaves its row empty, names
+        # the reason in its note and keeps the fit
         macro = macro_cut(small_dataset, tmp_path, first)
+        out = tmp_path / "o"
         assert run(
             "fit", "--macro", macro, "--league", small_dataset["league"], "--index", "sdc_ki",
-            "--iterate-sur", "--out-dir", tmp_path / "o",
-        ) == 2
-        assert capsys.readouterr().err == f"input error: {message}\n"
+            "--iterate-sur", "--out-dir", out,
+        ) == 0
+        assert "error" not in capsys.readouterr().err
+        with open(out / "fit_sdc_ki_diagnostics.csv", newline="") as fh:
+            rows = {r["name"]: r for r in csv.DictReader(fh)}
+        assert {"jarque_bera[AAA]", "jarque_bera[BBB]", "jarque_bera[CCC]"} <= set(rows)
+        for name, row in rows.items():
+            if name in notes:
+                assert (row["statistic"], row["df"], row["p_value"]) == ("", "", "")
+                assert row["note"] == notes[name]
+            else:
+                assert row["statistic"] != "", name
+        for name in ("fit_sdc_ki_coefficients.csv", "fit_sdc_ki_longrun.csv",
+                     "longrun_summary.csv", "manifest.json"):
+            assert (out / name).exists(), name
 
     def test_covariance_repair_warns_once_per_fit(self, small_dataset, tmp_path):
         # with CCC's rows from 1995 on, the pairwise covariance is floored
@@ -410,17 +433,16 @@ class TestFitCommand:
         idx_out = tmp_path / "idx"
         assert run(
             "indices", "--league", small_dataset["league"], "--out-dir", idx_out,
-            "--seed", 3,
         ) == 0
         direct = tmp_path / "direct"
         assert run(
             "fit", "--macro", small_dataset["macro"], "--league", small_dataset["league"],
-            "--index", "namsi", "--out-dir", direct, "--seed", 3,
+            "--index", "namsi", "--out-dir", direct,
         ) == 0
         via_csv = tmp_path / "via_csv"
         assert run(
             "fit", "--macro", small_dataset["macro"], "--indices", idx_out / "indices.csv",
-            "--index", "namsi", "--out-dir", via_csv, "--seed", 3,
+            "--index", "namsi", "--out-dir", via_csv,
         ) == 0
         assert read_bytes(direct / "fit_namsi_coefficients.csv") == read_bytes(
             via_csv / "fit_namsi_coefficients.csv"
@@ -432,7 +454,6 @@ class TestEffectsCommand:
         idx_out = tmp_path / "idx"
         run(
             "indices", "--league", small_dataset["league"], "--out-dir", idx_out,
-            "--seed", 5,
         )
         out = tmp_path / "eff"
         assert run(
@@ -589,7 +610,6 @@ class TestReportCommand:
         assert run(
             "report", "--league", small_dataset["league"], "--macro", small_dataset["macro"],
             "--index", "sdc_ki", "--iterate-sur", "--out-dir", out,
-            "--seed", 6,
         ) == 0
         for name in (
             "indices.csv", "unit_root.csv", "fit_sdc_ki_longrun.csv",
@@ -602,7 +622,7 @@ class TestReportCommand:
         out = tmp_path / "rep"
         assert run(
             "report", "--league", small_dataset["league"], "--macro", small_dataset["macro"],
-            "--index", "sdc_ki", "--out-dir", out, "--seed", 6,
+            "--index", "sdc_ki", "--out-dir", out,
         ) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "report"
@@ -619,12 +639,12 @@ class TestReportCommand:
         out = tmp_path / "rep"
         assert run(
             "report", "--league", small_dataset["league"], "--macro", macro,
-            "--index", "sdc_ki", "--out-dir", out, "--seed", 6,
+            "--index", "sdc_ki", "--out-dir", out,
         ) == 0
         fit = tmp_path / "fit"
         assert run(
             "fit", "--macro", macro, "--indices", out / "indices.csv", "--index", "sdc_ki",
-            "--out-dir", fit, "--seed", 6,
+            "--out-dir", fit,
         ) == 0
         for name, data in tree_bytes(fit).items():
             if name != "manifest.json":
@@ -634,7 +654,7 @@ class TestReportCommand:
         effects = tmp_path / "effects"
         assert run(
             "effects", "--indices", out / "indices.csv", "--macro", macro, "--index", "sdc_ki",
-            "--elasticity", cb, "--out-dir", effects, "--seed", 6,
+            "--elasticity", cb, "--out-dir", effects,
         ) == 0
         assert tree_bytes(out / "effects_sdc_ki") == tree_bytes(effects)
         effects_manifest = json.loads((effects / "manifest.json").read_text())
@@ -648,7 +668,7 @@ class TestReportCommand:
             out = tmp_path / tag
             assert run(
                 "report", "--league", small_dataset["league"], "--macro", small_dataset["macro"],
-                "--out-dir", out, "--seed", 7,
+                "--out-dir", out,
             ) == 0
             outs.append(tree_bytes(out))
         assert outs[0] == outs[1]
@@ -736,6 +756,99 @@ class TestSimulateCommand:
         truth = json.loads((out / "truth.json").read_text())
         assert "long_run" in truth and "cb" in truth["long_run"]
         assert (out / "macro.csv").exists() and (out / "indices.csv").exists()
+
+
+class TestOptionsAndManifests:
+    """Only ``simulate`` draws random numbers, so only it takes a seed."""
+
+    @pytest.mark.parametrize(
+        "argv, unknown",
+        [
+            (("fit", "--macro", "m.csv", "--seed", 1), "--seed 1"),
+            (("unit-root", "--macro", "m.csv", "--config", "c.json"), "--config c.json"),
+        ],
+        ids=["fit_seed", "unit_root_config"],
+    )
+    def test_removed_option_is_unknown(self, tmp_path, capsys, argv, unknown):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out-dir", tmp_path / "o")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {unknown}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_deterministic_manifests_record_no_seed(self, small_dataset, tmp_path):
+        league, macro = small_dataset["league"], small_dataset["macro"]
+        idx = tmp_path / "indices"
+        commands = {
+            "indices": ("indices", "--league", league),
+            "unit-root": ("unit-root", "--macro", macro),
+            "fit": ("fit", "--macro", macro, "--league", league, "--index", "scr_ki"),
+            "effects": ("effects", "--indices", idx / "indices.csv", "--macro", macro,
+                        "--index", "scr_ki", "--elasticity", "-1.0"),
+            "report": ("report", "--league", league, "--macro", macro, "--index", "scr_ki"),
+        }
+        for command, argv in commands.items():
+            out = idx if command == "indices" else tmp_path / command
+            assert run(*argv, "--out-dir", out) == 0, command
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["command"] == command
+            assert manifest["seed"] is None, command
+        effects = json.loads((tmp_path / "report" / "effects_scr_ki" / "manifest.json").read_text())
+        assert effects["seed"] is None
+        unit_root = json.loads((tmp_path / "unit-root" / "manifest.json").read_text())
+        assert unit_root["config_hash"] == sha256_text("default")
+
+    @pytest.mark.parametrize("kind", ["league", "dgp"])
+    def test_simulate_manifest_records_its_seed(self, tmp_path, kind):
+        out = tmp_path / kind
+        assert run(
+            "simulate", "--kind", kind, "--n-seasons", 12, "--dgp-countries", 2,
+            "--seed", 17, "--out-dir", out,
+        ) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["command"], manifest["seed"]) == (f"simulate-{kind}", 17)
+
+    @pytest.mark.parametrize("kind", ["league", "dgp"])
+    def test_simulate_default_season_count_is_the_simulators(self, tmp_path, kind):
+        from leaguebalance.simulate import DgpParams, LeagueSimParams
+
+        out = tmp_path / kind
+        assert run("simulate", "--kind", kind, "--dgp-countries", 1, "--out-dir", out) == 0
+        name = "league.csv" if kind == "league" else "macro.csv"
+        with open(out / name, newline="") as fh:
+            seasons = {int(row["season"]) for row in csv.DictReader(fh)}
+        params = LeagueSimParams if kind == "league" else DgpParams
+        assert len(seasons) == params.n_seasons
+
+
+class TestD97Cut:
+    """d97 needs design seasons on both sides of its cut after 1997."""
+
+    @pytest.mark.parametrize(
+        "start, message",
+        [
+            (1959, "the design's seasons 1961-1978 all lie in or before 1997"),
+            (1998, "the design's seasons 2000-2017 all lie after 1997"),
+        ],
+        ids=["before", "after"],
+    )
+    def test_constant_d97_is_input_error(self, tmp_path, capsys, start, message):
+        sim = tmp_path / "sim"
+        assert run(
+            "simulate", "--kind", "dgp", "--start-season", start, "--n-seasons", 20,
+            "--dgp-countries", 3, "--seed", 1, "--out-dir", sim,
+        ) == 0
+        argv = ("fit", "--macro", sim / "macro.csv", "--indices", sim / "indices.csv",
+                "--index", "sdc_ki")
+        capsys.readouterr()
+        assert run(*argv, "--out-dir", tmp_path / "fit") == 2
+        assert capsys.readouterr().err == (
+            f"input error: d97 is constant: {message}, where d97 cuts; "
+            "leave d97 out (--no-d97)\n"
+        )
+        assert not (tmp_path / "fit").exists()
+        assert run(*argv, "--no-d97", "--out-dir", tmp_path / "no_d97") == 0
+        assert (tmp_path / "no_d97" / "fit_sdc_ki_coefficients.csv").exists()
 
 
 class TestFreshProcess:
