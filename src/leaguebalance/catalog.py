@@ -3,16 +3,15 @@ and the prize-level table of the concentration family."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import InputError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class PrizeLevel:
+class PrizeLevel(Record):
     """One prize level of the concentration family and its three indices.
 
     ``weights(K, I, n)`` gives the rank weights of an n-team league as
@@ -22,10 +21,16 @@ class PrizeLevel:
     I the call raises InputError.
     """
 
-    seasonal: str
-    dynamic: str
-    bidimensional: str
-    weights: Callable[[int, int, int], tuple[np.ndarray, np.ndarray]]
+    def __init__(
+        self,
+        seasonal: str,
+        dynamic: str,
+        bidimensional: str,
+        weights: Callable[[int, int, int], tuple[np.ndarray, np.ndarray]],
+    ) -> None:
+        self.__dict__.update(
+            seasonal=seasonal, dynamic=dynamic, bidimensional=bidimensional, weights=weights
+        )
 
 
 _NO_PLACES = np.zeros(0)
@@ -89,14 +94,9 @@ def check_index_value(name: str, country: str, season: int, value: float) -> Non
         raise InputError(f"{name} for ({country}, {season}) out of [0, 1]: {value}")
 
 
-@dataclass(frozen=True)
-class IndexValue:
+class IndexValue(Record):
     """One index value for one country-season, on the 0=balance..1=imbalance scale."""
 
-    name: str
-    country: str
-    season: int
-    value: float
-
-    def __post_init__(self) -> None:
-        check_index_value(self.name, self.country, self.season, self.value)
+    def __init__(self, name: str, country: str, season: int, value: float) -> None:
+        self.__dict__.update(name=name, country=country, season=season, value=value)
+        check_index_value(name, country, season, value)

@@ -14,7 +14,6 @@ import gc
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +50,7 @@ from .panel import (
     parse_macro_csv,
 )
 from .pipeline import compute_all_indices, series_from_values
+from .record import Record
 from .reports import fmt, stars, write_csv, write_text_table
 
 # The objects imported above live until the process exits.  Frozen, they
@@ -180,12 +180,11 @@ def cmd_unit_root(args) -> int:
 # ---------------------------------------------------------------- fit
 
 
-@dataclass
-class IndexFitReport:
-    name: str
-    fit: FitResult
-    effects: list[LongRunEffect]
-    diag_rows: list
+class IndexFitReport(Record):
+    def __init__(
+        self, name: str, fit: FitResult, effects: list[LongRunEffect], diag_rows: list
+    ) -> None:
+        self.__dict__.update(name=name, fit=fit, effects=effects, diag_rows=diag_rows)
 
 
 def _diagnostic(label: str, compute) -> tuple:
@@ -436,22 +435,39 @@ def _write_macro_csv(path, macro) -> str:
     )
 
 
+# the simulate options that only one --kind reads; they default to None
+SIMULATE_KIND_OPTIONS = {
+    "league": ("n_teams", "dispersion", "churn", "country"),
+    "dgp": ("dgp_countries",),
+}
+
+
 def cmd_simulate(args) -> int:
+    other = "dgp" if args.kind == "league" else "league"
+    for name in SIMULATE_KIND_OPTIONS[other]:
+        if getattr(args, name) is not None:
+            option = "--" + name.replace("_", "-")
+            raise InputError(f"{option} applies to --kind {other}, not to --kind {args.kind}")
     # imported here: the simulators serve this command only
     from .simulate import DgpParams, LeagueSimParams, simulate_dgp, simulate_league
 
     defaults = LeagueSimParams if args.kind == "league" else DgpParams
-    n_seasons = args.n_seasons if args.n_seasons is not None else defaults.n_seasons
-    start_season = args.start_season if args.start_season is not None else defaults.start_season
+
+    def option(name: str):
+        value = getattr(args, name)
+        return getattr(defaults, name) if value is None else value
+
+    n_seasons, start_season = option("n_seasons"), option("start_season")
     if args.kind == "league":
-        K, I = Config().levels_for(args.country, start_season, args.n_teams)
+        country, n_teams = option("country"), option("n_teams")
+        K, I = Config().levels_for(country, start_season, n_teams)
         params = LeagueSimParams(
-            n_teams=args.n_teams,
+            n_teams=n_teams,
             n_seasons=n_seasons,
-            dispersion=args.dispersion,
-            country=args.country,
+            dispersion=option("dispersion"),
+            country=country,
             start_season=start_season,
-            churn=args.churn,
+            churn=option("churn"),
             K=K,
             I=I,
         )
@@ -459,11 +475,10 @@ def cmd_simulate(args) -> int:
         out = _out_dir(args.out_dir)
         artifacts = [_write_league_csv(out / "league.csv", leagues)]
     else:
-        params = DgpParams(
-            countries=tuple(f"C{i + 1}" for i in range(args.dgp_countries)),
-            start_season=start_season,
-            n_seasons=n_seasons,
-        )
+        countries = {}
+        if args.dgp_countries is not None:
+            countries["countries"] = tuple(f"C{i + 1}" for i in range(args.dgp_countries))
+        params = DgpParams(start_season=start_season, n_seasons=n_seasons, **countries)
         sim = simulate_dgp(params, seed=args.seed)
         out = _out_dir(args.out_dir)
         artifacts = [
@@ -567,14 +582,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate synthetic league or panel data")
     p.add_argument("--kind", choices=("league", "dgp"), required=True)
-    p.add_argument("--n-teams", type=int, default=12)
+    p.add_argument("--n-teams", type=int, default=None, help="league only, default 12")
     p.add_argument("--n-seasons", type=int, default=None, help="default 10 (league) or 50 (dgp)")
-    p.add_argument("--dispersion", type=float, default=2.0, help="float or 'inf'")
-    p.add_argument("--churn", type=int, default=0)
-    p.add_argument("--country", default="SIM")
+    p.add_argument("--dispersion", type=float, default=None,
+                   help="league only: float or 'inf', default 2.0")
+    p.add_argument("--churn", type=int, default=None, help="league only, default 0")
+    p.add_argument("--country", default=None, help="league only, default SIM")
     p.add_argument("--start-season", type=int, default=None,
                    help="default 1990 (league) or 1959 (dgp)")
-    p.add_argument("--dgp-countries", type=int, default=8)
+    p.add_argument("--dgp-countries", type=int, default=None,
+                   help="dgp only: countries C1, C2, ...; default 8")
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_simulate)

@@ -10,23 +10,20 @@ rankings per season.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import ALL_LEVELS, PRIZE_LEVELS, RELEGATION, TITLE, TOP_K, IndexValue, PrizeLevel
 from .errors import InputError
 from .panel import LeagueSeason
+from .record import Record
 
 
-@dataclass(frozen=True)
-class SeasonPair:
+class SeasonPair(Record):
     """Two consecutive seasons of the same league."""
 
-    prev: LeagueSeason
-    curr: LeagueSeason
-
-    def __post_init__(self) -> None:
+    def __init__(self, prev: LeagueSeason, curr: LeagueSeason) -> None:
+        self.__dict__.update(prev=prev, curr=curr)
         if self.prev.country != self.curr.country:
             raise InputError(
                 f"season pair mixes countries {self.prev.country!r} and {self.curr.country!r}"
@@ -38,14 +35,11 @@ class SeasonPair:
             )
 
 
-@dataclass(frozen=True)
-class TopKWindow:
+class TopKWindow(Record):
     """T consecutive seasons of one league, tracked at the top K places."""
 
-    seasons: tuple[LeagueSeason, ...]
-    K: int
-
-    def __post_init__(self) -> None:
+    def __init__(self, seasons: tuple[LeagueSeason, ...], K: int) -> None:
+        self.__dict__.update(seasons=seasons, K=K)
         if len(self.seasons) < 2:
             raise InputError("top-K window needs at least 2 seasons")
         country = self.seasons[0].country
@@ -142,13 +136,11 @@ def sdn(pair: SeasonPair, K: int, I: int) -> float:
     return _weighted_persistence(pair, ALL_LEVELS, K, I)
 
 
-@dataclass(frozen=True)
-class GIndexResult:
+class GIndexResult(Record):
     """G index value with the two counts it compares."""
 
-    value: float
-    observed: int
-    expected: float
+    def __init__(self, value: float, observed: int, expected: float) -> None:
+        self.__dict__.update(value=value, observed=observed, expected=expected)
 
 
 def g_index_detail(window: TopKWindow) -> GIndexResult:

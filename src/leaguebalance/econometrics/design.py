@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import InputError, NumericalError
 from ..panel import D97_CUTOFF, PanelDataset
+from ..record import Record
 
 COVARIATES = ("cb", "pop", "rgni", "un")
 
@@ -26,16 +26,27 @@ def trend_columns(degree: int) -> list[str]:
     return [f"t{g}" if g > 1 else "t" for g in range(1, degree + 1)]
 
 
-@dataclass(frozen=True)
-class RegressionSpec:
-    """What to regress: which index, lag order, trend degree, d97 switch."""
+class RegressionSpec(Record):
+    """What to regress: which index, lag order, trend degree, d97 switch.
 
-    index_name: str
-    adl_order: int = 2
-    trend_degree: int = 2
-    include_d97: bool = True
+    The class attribute ``adl_order`` is the default lag order, which the
+    CLI's ``--adl-order`` reads."""
 
-    def __post_init__(self) -> None:
+    adl_order = 2
+
+    def __init__(
+        self,
+        index_name: str,
+        adl_order: int = adl_order,
+        trend_degree: int = 2,
+        include_d97: bool = True,
+    ) -> None:
+        self.__dict__.update(
+            index_name=index_name,
+            adl_order=adl_order,
+            trend_degree=trend_degree,
+            include_d97=include_d97,
+        )
         if self.adl_order < 1:
             raise InputError("adl_order must be >= 1")
         if self.trend_degree < 0:
@@ -79,17 +90,18 @@ class YearGrid:
         return t[order], j[order]
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
+class DesignMatrix(Record):
     """Stacked regression rows and the grid cell of each row."""
 
-    y: np.ndarray
-    X: np.ndarray
-    columns: list[str]
-    country_list: list[str]
-    grid: YearGrid
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        y: np.ndarray,
+        X: np.ndarray,
+        columns: list[str],
+        country_list: list[str],
+        grid: YearGrid,
+    ) -> None:
+        self.__dict__.update(y=y, X=X, columns=columns, country_list=country_list, grid=grid)
         if self.X.shape != (self.y.size, len(self.columns)):
             raise NumericalError("design matrix shape does not match columns/response")
         if not np.array_equal(np.sort(self.grid.row[self.grid.mask]), np.arange(self.nobs)):

@@ -4,11 +4,11 @@ best-versus-worst-season attendance effect."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import InputError, NumericalError
+from ..record import Record
 from .base import FitResult
 from .design import COVARIATES, RegressionSpec
 from .tails import two_sided_normal
@@ -16,19 +16,14 @@ from .tails import two_sided_normal
 _A1_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class LongRunEffect:
-    variable: str
-    estimate: float
-    se: float
-    z: float
-    p_value: float
+class LongRunEffect(Record):
+    def __init__(self, variable: str, estimate: float, se: float, z: float, p_value: float) -> None:
+        self.__dict__.update(variable=variable, estimate=estimate, se=se, z=z, p_value=p_value)
 
 
-@dataclass(frozen=True)
-class EffectResult:
-    percent: float
-    fans_per_game: float
+class EffectResult(Record):
+    def __init__(self, percent: float, fans_per_game: float) -> None:
+        self.__dict__.update(percent=percent, fans_per_game=fans_per_game)
 
 
 def _delta_ratio(fit: FitResult, num_name: str, att_name: str, cov: np.ndarray):

@@ -17,7 +17,6 @@ import bisect
 import csv
 import functools
 import math
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -39,11 +38,20 @@ _RANK_TOL = math.sqrt(np.finfo(float).eps)
 _RSS_TOL = np.finfo(float).eps
 
 
-@dataclass
 class AdfResult(TestResult):
     """ADF outcome: t-statistic on the lagged level, simulated p-value, chosen lag."""
 
-    lag: int = 0
+    def __init__(
+        self,
+        name: str,
+        statistic: float,
+        df: int | tuple[int, int] | None,
+        p_value: float,
+        note: str = "",
+        lag: int = 0,
+    ) -> None:
+        super().__init__(name, statistic, df, p_value, note)
+        self.__dict__.update(lag=lag)
 
 
 @functools.cache

@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import IndexValue, check_index_value
 from .errors import ConfigError, InputError
+from .record import Record
 
 LEAGUE_COLUMNS = ("country", "season", "team", "rank", "wins", "draws", "losses", "points")
 MACRO_COLUMNS = ("country", "season", "attendance_avg", "population", "rgni_real", "unemployment_rate")
@@ -25,37 +25,37 @@ INDEX_COLUMNS = ("country", "season", "index", "value")
 D97_CUTOFF = 1997  # first treated season is 1998
 
 
-@dataclass(frozen=True)
-class TeamSeasonRecord:
+class TeamSeasonRecord(Record):
     """One team's row in a final league table."""
 
-    team: str
-    rank: int
-    wins: int
-    draws: int
-    losses: int
-    points: int
+    def __init__(
+        self, team: str, rank: int, wins: int, draws: int, losses: int, points: int
+    ) -> None:
+        self.__dict__.update(
+            team=team, rank=rank, wins=wins, draws=draws, losses=losses, points=points
+        )
 
     @property
     def games(self) -> int:
         return self.wins + self.draws + self.losses
 
 
-@dataclass(frozen=True)
-class LeagueSeason:
+class LeagueSeason(Record):
     """A country-season final table plus its prize/punishment level structure.
 
     ``K`` is the number of ranking places qualifying for continental play,
     ``I`` the number of relegation places.
     """
 
-    country: str
-    season: int
-    records: tuple[TeamSeasonRecord, ...]
-    K: int = 3
-    I: int = 3
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        country: str,
+        season: int,
+        records: tuple[TeamSeasonRecord, ...],
+        K: int = 3,
+        I: int = 3,
+    ) -> None:
+        self.__dict__.update(country=country, season=season, records=records, K=K, I=I)
         n = len(self.records)
         where = f"({self.country}, {self.season})"
         if n < 3:
@@ -95,20 +95,29 @@ class LeagueSeason:
         return {r.team: r.rank for r in self.records}
 
 
-@dataclass(frozen=True)
-class MacroObservation:
+class MacroObservation(Record):
     """Country-season macro covariates: attendance, population, income, unemployment."""
 
-    country: str
-    season: int
-    attendance_per_game: float
-    population: float
-    rgni: float
-    unemployment: float
+    def __init__(
+        self,
+        country: str,
+        season: int,
+        attendance_per_game: float,
+        population: float,
+        rgni: float,
+        unemployment: float,
+    ) -> None:
+        self.__dict__.update(
+            country=country,
+            season=season,
+            attendance_per_game=attendance_per_game,
+            population=population,
+            rgni=rgni,
+            unemployment=unemployment,
+        )
 
 
-@dataclass(frozen=True, eq=False)
-class PanelDataset:
+class PanelDataset(Record):
     """Unbalanced country-by-season panel on one (seasons, countries) grid.
 
     ``countries`` is sorted and ``seasons`` runs consecutively from the first
@@ -116,27 +125,41 @@ class PanelDataset:
     country j has; within a country they are consecutive.  The four log
     series are (seasons, countries) arrays, NaN where a country is absent.
     The trend counts calendar seasons from ``seasons[0]``, so the same season
-    has the same trend value everywhere.
+    has the same trend value everywhere.  Two panels are equal only when
+    they are the same object.
     """
 
-    countries: tuple[str, ...]
-    seasons: np.ndarray
-    present: np.ndarray
-    ln_att: np.ndarray
-    ln_pop: np.ndarray
-    ln_rgni: np.ndarray
-    ln_un: np.ndarray
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        countries: tuple[str, ...],
+        seasons: np.ndarray,
+        present: np.ndarray,
+        ln_att: np.ndarray,
+        ln_pop: np.ndarray,
+        ln_rgni: np.ndarray,
+        ln_un: np.ndarray,
+    ) -> None:
+        self.__dict__.update(
+            countries=countries,
+            seasons=seasons,
+            present=present,
+            ln_att=ln_att,
+            ln_pop=ln_pop,
+            ln_rgni=ln_rgni,
+            ln_un=ln_un,
+        )
 
 
-@dataclass(frozen=True)
-class LevelsRule:
+class LevelsRule(Record):
     """K/I override for one country over an inclusive season range."""
 
-    country: str
-    from_season: int
-    to_season: int
-    K: int
-    I: int
+    def __init__(self, country: str, from_season: int, to_season: int, K: int, I: int) -> None:
+        self.__dict__.update(
+            country=country, from_season=from_season, to_season=to_season, K=K, I=I
+        )
 
 
 def _countries(value) -> tuple[str, ...] | None:
@@ -145,18 +168,26 @@ def _countries(value) -> tuple[str, ...] | None:
     return None if value is None else tuple(map(str, value))
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(Record):
     """Run configuration: level structure, G window, trend degree."""
 
-    default_K: int = 3
-    default_I: int = 3
-    g_window: int = 5
-    trend_degree: int = 2
-    levels: tuple[LevelsRule, ...] = ()
-    countries: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        default_K: int = 3,
+        default_I: int = 3,
+        g_window: int = 5,
+        trend_degree: int = 2,
+        levels: tuple[LevelsRule, ...] = (),
+        countries: tuple[str, ...] | None = None,
+    ) -> None:
+        self.__dict__.update(
+            default_K=default_K,
+            default_I=default_I,
+            g_window=g_window,
+            trend_degree=trend_degree,
+            levels=levels,
+            countries=countries,
+        )
         if self.default_K < 1 or self.default_I < 1:
             raise ConfigError("default K and I must be >= 1")
         if self.g_window < 2:

@@ -6,22 +6,19 @@ config: G compares against its exact expectation under random rankings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import dynamic as dyn
 from . import seasonal as seas
 from .catalog import ALL_INDEX_NAMES, PRIZE_LEVELS, IndexValue
 from .errors import InputError
 from .panel import Config, LeagueSeason, winning_percentages
+from .record import Record
 
 
-@dataclass(frozen=True)
-class GDiagnostic:
+class GDiagnostic(Record):
     """Per-window expected distinct top-K count behind the G index."""
 
-    country: str
-    season: int
-    e_hat: float
+    def __init__(self, country: str, season: int, e_hat: float) -> None:
+        self.__dict__.update(country=country, season=season, e_hat=e_hat)
 
 
 def compute_seasonal(season: LeagueSeason) -> list[IndexValue]:

@@ -14,12 +14,12 @@ relegation places.  Each prize level's rank weights come from
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import ALL_LEVELS, RELEGATION, TITLE, TOP_K, PrizeLevel
 from .errors import InputError
+from .record import Record
 
 
 class IndexRangeWarning(UserWarning):
@@ -40,13 +40,13 @@ def cu_percentages(n: int) -> np.ndarray:
     return (n - 1.0 - np.arange(n)) / (n - 1.0)
 
 
-@dataclass(frozen=True)
-class CheckedPercentages:
+class CheckedPercentages(Record):
     """A winning-percentage vector that :func:`check_percentages` has
     validated and renormalised; every index function takes it as it is, so
     the seven indices of one season check their input once."""
 
-    values: np.ndarray
+    def __init__(self, values: np.ndarray) -> None:
+        self.__dict__.update(values=values)
 
 
 def check_percentages(w, name: str) -> CheckedPercentages:

@@ -11,27 +11,49 @@ checked against the truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .catalog import IndexValue
 from .errors import InputError
 from .panel import D97_CUTOFF, LeagueSeason, MacroObservation, TeamSeasonRecord
+from .record import Record
 
 
-@dataclass(frozen=True)
-class LeagueSimParams:
-    n_teams: int = 12
-    n_seasons: int = 10
-    dispersion: float = 2.0  # 0 = all draws, inf = frozen completely unbalanced
-    country: str = "SIM"
-    start_season: int = 1990
-    K: int = 3
-    I: int = 3
-    churn: int = 0  # bottom teams replaced by fresh ids each season
+class LeagueSimParams(Record):
+    """Shape of a simulated league.  The class attributes are the defaults,
+    which the CLI's ``simulate --kind league`` reads."""
 
-    def __post_init__(self) -> None:
+    n_teams = 12
+    n_seasons = 10
+    dispersion = 2.0  # 0 = all draws, inf = frozen completely unbalanced
+    country = "SIM"
+    start_season = 1990
+    K = 3
+    I = 3
+    churn = 0  # bottom teams replaced by fresh ids each season
+
+    def __init__(
+        self,
+        n_teams: int = n_teams,
+        n_seasons: int = n_seasons,
+        dispersion: float = dispersion,
+        country: str = country,
+        start_season: int = start_season,
+        K: int = K,
+        I: int = I,
+        churn: int = churn,
+    ) -> None:
+        self.__dict__.update(
+            n_teams=n_teams,
+            n_seasons=n_seasons,
+            dispersion=dispersion,
+            country=country,
+            start_season=start_season,
+            K=K,
+            I=I,
+            churn=churn,
+        )
         if self.n_teams < 3:
             raise InputError("n_teams must be >= 3")
         if self.n_seasons < 1:
@@ -122,44 +144,77 @@ def simulate_league(params: LeagueSimParams, seed: int = 0) -> list[LeagueSeason
     return out
 
 
-@dataclass(frozen=True)
-class DgpParams:
+class DgpParams(Record):
     """Known coefficients of the simulated attendance equation.
 
     The equation is the levels-and-differences form: the change in log
     attendance responds to lagged levels (cumulated lag coefficients), to
     current and lagged differences, to the error-correction term ``a1`` on
-    lagged log attendance, plus d97, trend and correlated noise.
+    lagged log attendance, plus d97, trend and correlated noise.  The class
+    attributes ``start_season`` and ``n_seasons`` are the defaults, which the
+    CLI's ``simulate --kind dgp`` reads.
     """
 
-    countries: tuple[str, ...] = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
-    start_season: int = 1959
-    n_seasons: int = 50
-    burn_in: int = 15
-    index_name: str = "sdc_ki"
-    b_cb: float = -0.6
-    d_cb0: float = -0.15
-    d_cb1: float = 0.0
-    b_pop: float = 0.5
-    d_pop0: float = 0.0
-    d_pop1: float = -2.0
-    b_rgni: float = 0.1
-    d_rgni0: float = 0.15
-    d_rgni1: float = 0.0
-    b_un: float = 0.03
-    d_un0: float = 0.0
-    d_un1: float = 0.0
-    a1: float = 0.6
-    theta1: float = 0.1
-    b_d97: float = 0.08
-    b_t: float = -0.001
-    b_t2: float = 0.00001
-    error_sd_min: float = 0.008
-    error_sd_max: float = 0.012
-    error_corr: float = 0.4
-    target_ln_att: float = 9.0
+    start_season = 1959
+    n_seasons = 50
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        countries: tuple[str, ...] = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8"),
+        start_season: int = start_season,
+        n_seasons: int = n_seasons,
+        burn_in: int = 15,
+        index_name: str = "sdc_ki",
+        b_cb: float = -0.6,
+        d_cb0: float = -0.15,
+        d_cb1: float = 0.0,
+        b_pop: float = 0.5,
+        d_pop0: float = 0.0,
+        d_pop1: float = -2.0,
+        b_rgni: float = 0.1,
+        d_rgni0: float = 0.15,
+        d_rgni1: float = 0.0,
+        b_un: float = 0.03,
+        d_un0: float = 0.0,
+        d_un1: float = 0.0,
+        a1: float = 0.6,
+        theta1: float = 0.1,
+        b_d97: float = 0.08,
+        b_t: float = -0.001,
+        b_t2: float = 0.00001,
+        error_sd_min: float = 0.008,
+        error_sd_max: float = 0.012,
+        error_corr: float = 0.4,
+        target_ln_att: float = 9.0,
+    ) -> None:
+        self.__dict__.update(
+            countries=countries,
+            start_season=start_season,
+            n_seasons=n_seasons,
+            burn_in=burn_in,
+            index_name=index_name,
+            b_cb=b_cb,
+            d_cb0=d_cb0,
+            d_cb1=d_cb1,
+            b_pop=b_pop,
+            d_pop0=d_pop0,
+            d_pop1=d_pop1,
+            b_rgni=b_rgni,
+            d_rgni0=d_rgni0,
+            d_rgni1=d_rgni1,
+            b_un=b_un,
+            d_un0=d_un0,
+            d_un1=d_un1,
+            a1=a1,
+            theta1=theta1,
+            b_d97=b_d97,
+            b_t=b_t,
+            b_t2=b_t2,
+            error_sd_min=error_sd_min,
+            error_sd_max=error_sd_max,
+            error_corr=error_corr,
+            target_ln_att=target_ln_att,
+        )
         if not self.countries:
             raise InputError("countries must name at least one country")
         if abs(self.a1) < 1e-6:
@@ -202,12 +257,23 @@ class DgpParams:
         }
 
 
-@dataclass(frozen=True)
-class DgpSimulation:
-    macro: list[MacroObservation]
-    indices: list[IndexValue]
-    truth: dict[str, float] = field(default_factory=dict)
-    coefficients: dict[str, float] = field(default_factory=dict)
+class DgpSimulation(Record):
+    """A simulated panel; ``truth`` holds the long-run effects and
+    ``coefficients`` the equation's coefficients (empty when not given)."""
+
+    def __init__(
+        self,
+        macro: list[MacroObservation],
+        indices: list[IndexValue],
+        truth: dict[str, float] | None = None,
+        coefficients: dict[str, float] | None = None,
+    ) -> None:
+        self.__dict__.update(
+            macro=macro,
+            indices=indices,
+            truth={} if truth is None else truth,
+            coefficients={} if coefficients is None else coefficients,
+        )
 
 
 _MU_CB = math.log(0.5)

@@ -747,6 +747,46 @@ class TestSimulateCommand:
             seasons = {int(row["season"]) for row in csv.DictReader(fh)}
         assert seasons == set(range(first, first + 10))
 
+    @pytest.mark.parametrize(
+        "kind, option, value",
+        [
+            ("dgp", "--n-teams", 2),
+            ("dgp", "--dispersion", 9),
+            ("dgp", "--churn", 1),
+            ("dgp", "--country", "XYZ"),
+            ("league", "--dgp-countries", 0),
+            ("league", "--dgp-countries", 3),
+        ],
+    )
+    def test_option_of_the_other_kind_is_input_error(self, tmp_path, capsys, kind, option, value):
+        out = tmp_path / "sim"
+        assert run("simulate", "--kind", kind, option, value, "--seed", 1, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert option in err and f"--kind {kind}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--kind", "league", "--n-teams", 8, "--dispersion", 1.0, "--churn", 1,
+             "--country", "XYZ"),
+            ("--kind", "dgp", "--dgp-countries", 2),
+        ],
+        ids=["league", "dgp"],
+    )
+    def test_options_of_the_own_kind_apply(self, tmp_path, argv):
+        out = tmp_path / "sim"
+        assert run(
+            "simulate", *argv, "--n-seasons", 10, "--start-season", 1980, "--out-dir", out,
+        ) == 0
+        name = "league.csv" if argv[1] == "league" else "macro.csv"
+        with open(out / name, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {int(row["season"]) for row in rows} == set(range(1980, 1990))
+        countries = {row["country"] for row in rows}
+        assert countries == ({"XYZ"} if argv[1] == "league" else {"C1", "C2"})
+
     def test_dgp_truth_file(self, tmp_path):
         out = tmp_path / "dgp"
         assert run(
@@ -801,8 +841,9 @@ class TestOptionsAndManifests:
     @pytest.mark.parametrize("kind", ["league", "dgp"])
     def test_simulate_manifest_records_its_seed(self, tmp_path, kind):
         out = tmp_path / kind
+        countries = ("--dgp-countries", 2) if kind == "dgp" else ()
         assert run(
-            "simulate", "--kind", kind, "--n-seasons", 12, "--dgp-countries", 2,
+            "simulate", "--kind", kind, "--n-seasons", 12, *countries,
             "--seed", 17, "--out-dir", out,
         ) == 0
         manifest = json.loads((out / "manifest.json").read_text())
@@ -813,7 +854,8 @@ class TestOptionsAndManifests:
         from leaguebalance.simulate import DgpParams, LeagueSimParams
 
         out = tmp_path / kind
-        assert run("simulate", "--kind", kind, "--dgp-countries", 1, "--out-dir", out) == 0
+        countries = ("--dgp-countries", 1) if kind == "dgp" else ()
+        assert run("simulate", "--kind", kind, *countries, "--out-dir", out) == 0
         name = "league.csv" if kind == "league" else "macro.csv"
         with open(out / name, newline="") as fh:
             seasons = {int(row["season"]) for row in csv.DictReader(fh)}
