@@ -449,7 +449,9 @@ def cmd_simulate(args) -> int:
             option = "--" + name.replace("_", "-")
             raise InputError(f"{option} applies to --kind {other}, not to --kind {args.kind}")
     # imported here: the simulators serve this command only
-    from .simulate import DgpParams, LeagueSimParams, simulate_dgp, simulate_league
+    from .simulate import (
+        COEFFICIENTS, LONG_RUN, DgpParams, LeagueSimParams, simulate_dgp, simulate_league,
+    )
 
     defaults = LeagueSimParams if args.kind == "league" else DgpParams
 
@@ -474,6 +476,7 @@ def cmd_simulate(args) -> int:
         leagues = simulate_league(params, seed=args.seed)
         out = _out_dir(args.out_dir)
         artifacts = [_write_league_csv(out / "league.csv", leagues)]
+        hashed = vars(params)
     else:
         countries = {}
         if args.dgp_countries is not None:
@@ -492,12 +495,13 @@ def cmd_simulate(args) -> int:
         truth_path = out / "truth.json"
         with open(truth_path, "w", encoding="utf-8") as fh:
             json.dump(
-                {"long_run": sim.truth, "coefficients": sim.coefficients},
-                fh, indent=2, sort_keys=True,
+                {"long_run": LONG_RUN, "coefficients": COEFFICIENTS}, fh, indent=2, sort_keys=True
             )
             fh.write("\n")
         artifacts.append(str(truth_path))
-    config_hash = sha256_text(json.dumps(params.__dict__, default=str, sort_keys=True))
+        # the hash covers the equation's coefficients, not only the settable values
+        hashed = dict(vars(params), coefficients=COEFFICIENTS)
+    config_hash = sha256_text(json.dumps(hashed, default=str, sort_keys=True))
     write_manifest(out, f"simulate-{args.kind}", {}, config_hash, artifacts, seed=args.seed)
     print(f"wrote {args.kind} simulation to {out}")
     return 0

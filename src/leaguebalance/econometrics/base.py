@@ -11,6 +11,8 @@ from .design import DesignMatrix
 class TestResult(Record):
     """A test statistic with its reference distribution and p-value."""
 
+    __test__ = False  # a library record, not a test class for pytest to collect
+
     def __init__(
         self,
         name: str,

@@ -160,6 +160,17 @@ class LevelsRule(Record):
         self.__dict__.update(
             country=country, from_season=from_season, to_season=to_season, K=K, I=I
         )
+        if self.K < 1 or self.I < 1:
+            raise ConfigError(f"K and I must be >= 1, got K={self.K}, I={self.I}")
+        if self.from_season > self.to_season:
+            raise ConfigError(f"from {self.from_season} is after to {self.to_season}")
+
+
+def _json_int(value) -> int:
+    """A JSON integer as given: a float, a string or a boolean is no integer."""
+    if type(value) is not int:
+        raise TypeError(f"expected a JSON integer, got {json.dumps(value)}")
+    return value
 
 
 def _countries(value) -> tuple[str, ...] | None:
@@ -205,8 +216,8 @@ class Config(Record):
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         convert = {
-            "default_K": int, "default_I": int, "g_window": int, "trend_degree": int,
-            "levels": list, "countries": _countries,
+            "default_K": _json_int, "default_I": _json_int, "g_window": _json_int,
+            "trend_degree": _json_int, "levels": list, "countries": _countries,
         }
         unknown = set(raw) - set(convert)
         if unknown:
@@ -215,7 +226,7 @@ class Config(Record):
         for key, value in raw.items():
             try:
                 fields[key] = convert[key](value)
-            except (TypeError, ValueError, OverflowError) as exc:
+            except TypeError as exc:
                 raise ConfigError(f"{path}: bad {key}: {exc}") from exc
         rules = []
         for i, entry in enumerate(fields.pop("levels", [])):
@@ -223,13 +234,13 @@ class Config(Record):
                 rules.append(
                     LevelsRule(
                         country=str(entry["country"]),
-                        from_season=int(entry["from"]),
-                        to_season=int(entry["to"]),
-                        K=int(entry["K"]),
-                        I=int(entry["I"]),
+                        from_season=_json_int(entry["from"]),
+                        to_season=_json_int(entry["to"]),
+                        K=_json_int(entry["K"]),
+                        I=_json_int(entry["I"]),
                     )
                 )
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ConfigError) as exc:
                 raise ConfigError(f"{path}: bad levels entry #{i}: {exc}") from exc
         return cls(levels=tuple(rules), **fields)
 

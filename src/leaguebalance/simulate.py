@@ -144,16 +144,49 @@ def simulate_league(params: LeagueSimParams, seed: int = 0) -> list[LeagueSeason
     return out
 
 
-class DgpParams(Record):
-    """Known coefficients of the simulated attendance equation.
+# The simulated equation's coefficients, keyed by the design column each one
+# drives (``build_adl_design`` at the default ``RegressionSpec``): per
+# covariate its lagged level, current and lagged difference; then lagged log
+# attendance (-A(1)) and its lagged difference, d97 and the trend.
+COEFFICIENTS = {
+    "ln_cb_lag1": -0.6,
+    "d_ln_cb": -0.15,
+    "d_ln_cb_lag1": 0.0,
+    "ln_pop_lag1": 0.5,
+    "d_ln_pop": 0.0,
+    "d_ln_pop_lag1": -2.0,
+    "ln_rgni_lag1": 0.1,
+    "d_ln_rgni": 0.15,
+    "d_ln_rgni_lag1": 0.0,
+    "ln_un_lag1": 0.03,
+    "d_ln_un": 0.0,
+    "d_ln_un_lag1": 0.0,
+    "ln_att_lag1": -0.6,
+    "d_ln_att_lag1": -0.1,
+    "d97": 0.08,
+    "t": -0.001,
+    "t2": 0.00001,
+}
+_COVARIATES = ("cb", "pop", "rgni", "un")  # design.COVARIATES, not loading the estimator
+_A1 = -COEFFICIENTS["ln_att_lag1"]  # the error-correction loading A(1)
+# the long-run effect of each level regressor: its coefficient over A(1)
+LONG_RUN = {
+    **{x: COEFFICIENTS[f"ln_{x}_lag1"] / _A1 for x in _COVARIATES},
+    **{name: COEFFICIENTS[name] / _A1 for name in ("d97", "t", "t2")},
+}
+_BURN_IN = 15  # seasons drawn before the first one kept
+_TARGET_LN_ATT = 9.0  # log attendance of the initial steady state
+_INDEX_NAME = "sdc_ki"  # the name the simulated index is written under
+_MU_CB = math.log(0.5)
+_MU_UN = math.log(7.0)
 
-    The equation is the levels-and-differences form: the change in log
-    attendance responds to lagged levels (cumulated lag coefficients), to
-    current and lagged differences, to the error-correction term ``a1`` on
-    lagged log attendance, plus d97, trend and correlated noise.  The class
+
+class DgpParams(Record):
+    """Shape and noise of a panel of ``simulate_dgp``: the error standard
+    deviations run evenly from ``error_sd_min`` to ``error_sd_max``, with
+    correlation ``error_corr`` between every pair of countries.  The class
     attributes ``start_season`` and ``n_seasons`` are the defaults, which the
-    CLI's ``simulate --kind dgp`` reads.
-    """
+    CLI's ``simulate --kind dgp`` reads."""
 
     start_season = 1959
     n_seasons = 50
@@ -163,131 +196,51 @@ class DgpParams(Record):
         countries: tuple[str, ...] = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8"),
         start_season: int = start_season,
         n_seasons: int = n_seasons,
-        burn_in: int = 15,
-        index_name: str = "sdc_ki",
-        b_cb: float = -0.6,
-        d_cb0: float = -0.15,
-        d_cb1: float = 0.0,
-        b_pop: float = 0.5,
-        d_pop0: float = 0.0,
-        d_pop1: float = -2.0,
-        b_rgni: float = 0.1,
-        d_rgni0: float = 0.15,
-        d_rgni1: float = 0.0,
-        b_un: float = 0.03,
-        d_un0: float = 0.0,
-        d_un1: float = 0.0,
-        a1: float = 0.6,
-        theta1: float = 0.1,
-        b_d97: float = 0.08,
-        b_t: float = -0.001,
-        b_t2: float = 0.00001,
         error_sd_min: float = 0.008,
         error_sd_max: float = 0.012,
         error_corr: float = 0.4,
-        target_ln_att: float = 9.0,
     ) -> None:
         self.__dict__.update(
             countries=countries,
             start_season=start_season,
             n_seasons=n_seasons,
-            burn_in=burn_in,
-            index_name=index_name,
-            b_cb=b_cb,
-            d_cb0=d_cb0,
-            d_cb1=d_cb1,
-            b_pop=b_pop,
-            d_pop0=d_pop0,
-            d_pop1=d_pop1,
-            b_rgni=b_rgni,
-            d_rgni0=d_rgni0,
-            d_rgni1=d_rgni1,
-            b_un=b_un,
-            d_un0=d_un0,
-            d_un1=d_un1,
-            a1=a1,
-            theta1=theta1,
-            b_d97=b_d97,
-            b_t=b_t,
-            b_t2=b_t2,
             error_sd_min=error_sd_min,
             error_sd_max=error_sd_max,
             error_corr=error_corr,
-            target_ln_att=target_ln_att,
         )
         if not self.countries:
             raise InputError("countries must name at least one country")
-        if abs(self.a1) < 1e-6:
-            raise InputError("a1 must be nonzero for a long-run relation to exist")
+        for name in ("error_sd_min", "error_sd_max"):
+            value = self.__dict__[name]
+            if not (math.isfinite(value) and value > 0):
+                raise InputError(f"{name} must be finite and > 0, got {value!r}")
         if not (-0.99 < self.error_corr < 0.99):
             raise InputError("error_corr must be in (-0.99, 0.99)")
         if self.n_seasons < 10:
             raise InputError("n_seasons must be >= 10")
 
-    def long_run_truth(self) -> dict[str, float]:
-        return {
-            "cb": self.b_cb / self.a1,
-            "pop": self.b_pop / self.a1,
-            "rgni": self.b_rgni / self.a1,
-            "un": self.b_un / self.a1,
-            "d97": self.b_d97 / self.a1,
-            "t": self.b_t / self.a1,
-            "t2": self.b_t2 / self.a1,
-        }
-
-    def coefficient_truth(self) -> dict[str, float]:
-        return {
-            "ln_cb_lag1": self.b_cb,
-            "d_ln_cb": self.d_cb0,
-            "d_ln_cb_lag1": self.d_cb1,
-            "ln_pop_lag1": self.b_pop,
-            "d_ln_pop": self.d_pop0,
-            "d_ln_pop_lag1": self.d_pop1,
-            "ln_rgni_lag1": self.b_rgni,
-            "d_ln_rgni": self.d_rgni0,
-            "d_ln_rgni_lag1": self.d_rgni1,
-            "ln_un_lag1": self.b_un,
-            "d_ln_un": self.d_un0,
-            "d_ln_un_lag1": self.d_un1,
-            "ln_att_lag1": -self.a1,
-            "d_ln_att_lag1": -self.theta1,
-            "d97": self.b_d97,
-            "t": self.b_t,
-            "t2": self.b_t2,
-        }
-
 
 class DgpSimulation(Record):
-    """A simulated panel; ``truth`` holds the long-run effects and
-    ``coefficients`` the equation's coefficients (empty when not given)."""
+    """A simulated panel: its macro rows and its index values."""
 
-    def __init__(
-        self,
-        macro: list[MacroObservation],
-        indices: list[IndexValue],
-        truth: dict[str, float] | None = None,
-        coefficients: dict[str, float] | None = None,
-    ) -> None:
-        self.__dict__.update(
-            macro=macro,
-            indices=indices,
-            truth={} if truth is None else truth,
-            coefficients={} if coefficients is None else coefficients,
-        )
-
-
-_MU_CB = math.log(0.5)
-_MU_UN = math.log(7.0)
+    def __init__(self, macro: list[MacroObservation], indices: list[IndexValue]) -> None:
+        self.__dict__.update(macro=macro, indices=indices)
 
 
 def simulate_dgp(params: DgpParams | None = None, seed: int = 0) -> DgpSimulation:
-    """Simulate a panel from the attendance equation with known coefficients."""
+    """Simulate a panel from the attendance equation with the coefficients
+    of ``COEFFICIENTS``; the first ``_BURN_IN`` seasons drawn are dropped."""
     params = params or DgpParams()
     nc = len(params.countries)
-    total = params.burn_in + params.n_seasons
-    seasons = np.arange(params.start_season - params.burn_in, params.start_season + params.n_seasons)
+    total = _BURN_IN + params.n_seasons
+    seasons = np.arange(params.start_season - _BURN_IN, params.start_season + params.n_seasons)
     t_vals = seasons - params.start_season + 1  # matches the panel's trend origin
     d97 = (seasons > D97_CUTOFF).astype(float)
+    # the deterministic terms of seasons 1.. in the equation's order
+    deterministic = [
+        (COEFFICIENTS[name] * col)[1:].tolist()
+        for name, col in (("d97", d97), ("t", t_vals), ("t2", t_vals**2))
+    ]
 
     sds = np.linspace(params.error_sd_min, params.error_sd_max, nc)
     sigma = params.error_corr * np.outer(sds, sds)
@@ -295,6 +248,7 @@ def simulate_dgp(params: DgpParams | None = None, seed: int = 0) -> DgpSimulatio
     chol = np.linalg.cholesky(sigma)
     eps = np.random.default_rng([seed, 0]).standard_normal((total, nc)) @ chol.T
 
+    b_att, b_d_att = COEFFICIENTS["ln_att_lag1"], COEFFICIENTS["d_ln_att_lag1"]
     macro: list[MacroObservation] = []
     indices: list[IndexValue] = []
     for ci, country in enumerate(params.countries):
@@ -311,68 +265,34 @@ def simulate_dgp(params: DgpParams | None = None, seed: int = 0) -> DgpSimulatio
         ln_un[0] = _MU_UN
         for t in range(1, total):
             ln_un[t] = _MU_UN + 0.8 * (ln_un[t - 1] - _MU_UN) + 0.1 * rng.standard_normal()
+        series = (ln_cb, ln_pop, ln_rgni, ln_un)
 
         # intercept pinning the initial steady state near the target attendance
-        c_i = params.a1 * params.target_ln_att - (
-            params.b_cb * ln_cb[0]
-            + params.b_pop * ln_pop[0]
-            + params.b_rgni * ln_rgni[0]
-            + params.b_un * ln_un[0]
+        exogenous = _A1 * _TARGET_LN_ATT - sum(
+            COEFFICIENTS[f"ln_{x}_lag1"] * s[0] for x, s in zip(_COVARIATES, series)
         )
+        # Seasons 1..: each covariate's lagged level and current difference
+        # add to the intercept; the lagged differences (none at season 1)
+        # add up on their own and come last.
+        lagged = 0.0
+        for x, s in zip(_COVARIATES, series):
+            ds = np.diff(s)
+            exogenous = (
+                exogenous + COEFFICIENTS[f"ln_{x}_lag1"] * s[:-1] + COEFFICIENTS[f"d_ln_{x}"] * ds
+            )
+            lagged = lagged + COEFFICIENTS[f"d_ln_{x}_lag1"] * np.concatenate(([0.0], ds[:-1]))
 
-        y = np.empty(total)
-        y[0] = params.target_ln_att
-        dy_prev = 0.0
-        for t in range(1, total):
-            dy = (
-                c_i
-                + params.b_cb * ln_cb[t - 1]
-                + params.d_cb0 * (ln_cb[t] - ln_cb[t - 1])
-                + params.b_pop * ln_pop[t - 1]
-                + params.d_pop0 * (ln_pop[t] - ln_pop[t - 1])
-                + params.b_rgni * ln_rgni[t - 1]
-                + params.d_rgni0 * (ln_rgni[t] - ln_rgni[t - 1])
-                + params.b_un * ln_un[t - 1]
-                + params.d_un0 * (ln_un[t] - ln_un[t - 1])
-                - params.a1 * y[t - 1]
-                - params.theta1 * dy_prev
-                + params.b_d97 * d97[t]
-                + params.b_t * t_vals[t]
-                + params.b_t2 * t_vals[t] ** 2
-                + eps[t, ci]
-            )
-            if t >= 2:
-                dy += (
-                    params.d_cb1 * (ln_cb[t - 1] - ln_cb[t - 2])
-                    + params.d_pop1 * (ln_pop[t - 1] - ln_pop[t - 2])
-                    + params.d_rgni1 * (ln_rgni[t - 1] - ln_rgni[t - 2])
-                    + params.d_un1 * (ln_un[t - 1] - ln_un[t - 2])
-                )
-            y[t] = y[t - 1] + dy
-            dy_prev = dy
+        y = [_TARGET_LN_ATT]
+        dy = 0.0
+        for x_t, d97_t, t_t, t2_t, e_t, lag_t in zip(
+            exogenous.tolist(), *deterministic, eps[1:, ci].tolist(), lagged.tolist()
+        ):
+            dy = x_t + b_att * y[-1] + b_d_att * dy + d97_t + t_t + t2_t + e_t + lag_t
+            y.append(y[-1] + dy)
 
-        for j in range(params.burn_in, total):
-            macro.append(
-                MacroObservation(
-                    country=country,
-                    season=int(seasons[j]),
-                    attendance_per_game=math.exp(y[j]),
-                    population=math.exp(ln_pop[j]),
-                    rgni=math.exp(ln_rgni[j]),
-                    unemployment=math.exp(ln_un[j]),
-                )
-            )
-            indices.append(
-                IndexValue(
-                    name=params.index_name,
-                    country=country,
-                    season=int(seasons[j]),
-                    value=math.exp(ln_cb[j]),
-                )
-            )
-    return DgpSimulation(
-        macro=macro,
-        indices=indices,
-        truth=params.long_run_truth(),
-        coefficients=params.coefficient_truth(),
-    )
+        for j in range(_BURN_IN, total):
+            season = int(seasons[j])
+            levels = (y[j], ln_pop[j], ln_rgni[j], ln_un[j])
+            macro.append(MacroObservation(country, season, *map(math.exp, levels)))
+            indices.append(IndexValue(_INDEX_NAME, country, season, math.exp(ln_cb[j])))
+    return DgpSimulation(macro=macro, indices=indices)

@@ -54,7 +54,13 @@ from leaguebalance.econometrics import (
 from leaguebalance.econometrics.diagnostics import jarque_bera_stat
 from leaguebalance.panel import MacroObservation
 from leaguebalance.pipeline import series_from_values
-from leaguebalance.simulate import DgpParams, LeagueSimParams, simulate_dgp, simulate_league
+from leaguebalance.simulate import (
+    COEFFICIENTS,
+    DgpParams,
+    LeagueSimParams,
+    simulate_dgp,
+    simulate_league,
+)
 from support import (
     all_draw_season,
     build_adl_lag_design,
@@ -309,7 +315,7 @@ def test_c05_reparameterization_equivalence():
 def test_c06_dgp_recovery():
     params = DgpParams()  # 8 countries x 50 seasons, error correlation 0.4
     spec = RegressionSpec(index_name="sdc_ki")
-    truth = params.b_cb / params.a1
+    truth = COEFFICIENTS["ln_cb_lag1"] / -COEFFICIENTS["ln_att_lag1"]
     hits = 0
     times = []
     for seed in range(200):

@@ -81,6 +81,11 @@ class TestIndicesCommand:
             '"countries": 5',
             '"countries": "C1"',
             '"levels": 3',
+            '"g_window": 2.7',
+            '"g_window": "4"',
+            '"trend_degree": true',
+            '"trend_degree": 1.0',
+            '"default_K": "2"',
         ],
     )
     def test_bad_config_value_is_config_error(self, small_dataset, tmp_path, capsys, entry):
@@ -93,12 +98,39 @@ class TestIndicesCommand:
         key = entry.split('"')[1]
         assert f"config error: {cfg}: bad {key}: " in capsys.readouterr().err
 
-    def test_config_values_accepted_as_before(self, tmp_path):
+    def test_config_integer_keys_take_json_integers(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"g_window": "4", "trend_degree": 1.0, "default_K": true, "countries": null}')
+        cfg.write_text('{"g_window": 4, "trend_degree": 1, "default_K": 1, "countries": null}')
         config = Config.from_json(str(cfg))
         assert (config.g_window, config.trend_degree, config.default_K) == (4, 1, 1)
         assert config.countries is None and config.default_I == 3 and config.levels == ()
+
+    @pytest.mark.parametrize(
+        "rule, message",
+        [
+            ('"from": 1980, "to": 2003, "K": 0, "I": 2', "K and I must be >= 1, got K=0, I=2"),
+            ('"from": 1980, "to": 2003, "K": 2, "I": -1', "K and I must be >= 1, got K=2, I=-1"),
+            ('"from": 2003, "to": 1980, "K": 2, "I": 2', "from 2003 is after to 1980"),
+            ('"from": 1980, "to": 2003, "K": "2", "I": 2', 'expected a JSON integer, got "2"'),
+            ('"from": 1980.0, "to": 2003, "K": 2, "I": 2', "expected a JSON integer, got 1980.0"),
+            ('"from": 1980, "to": 2003, "K": true, "I": 2', "expected a JSON integer, got true"),
+        ],
+        ids=["K0", "I-1", "from-after-to", "K-string", "from-float", "K-bool"],
+    )
+    def test_bad_levels_rule_is_config_error(self, small_dataset, tmp_path, capsys, rule, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"levels": [{"country": "AAA", "from": 1980, "to": 2003, "K": 4, "I": 2},'
+            ' {"country": "BBB", ' + rule + "}]}"
+        )
+        assert run(
+            "indices", "--league", small_dataset["league"], "--config", cfg,
+            "--out-dir", tmp_path / "o",
+        ) == 4
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}: bad levels entry #1: {message}\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     def test_config_levels_applied(self, small_dataset, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -793,9 +825,16 @@ class TestSimulateCommand:
             "simulate", "--kind", "dgp", "--n-seasons", 20, "--dgp-countries", 3,
             "--out-dir", out, "--seed", 9,
         ) == 0
+        from leaguebalance.simulate import COEFFICIENTS, LONG_RUN, DgpParams
+
         truth = json.loads((out / "truth.json").read_text())
-        assert "long_run" in truth and "cb" in truth["long_run"]
+        assert truth == {"long_run": LONG_RUN, "coefficients": COEFFICIENTS}
         assert (out / "macro.csv").exists() and (out / "indices.csv").exists()
+        # the manifest's hash covers the coefficients with the settable values
+        params = DgpParams(countries=("C1", "C2", "C3"), n_seasons=20)
+        hashed = json.dumps(dict(vars(params), coefficients=COEFFICIENTS), sort_keys=True)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_hash"] == sha256_text(hashed)
 
 
 class TestOptionsAndManifests:

@@ -17,7 +17,7 @@ import leaguebalance
 from leaguebalance.catalog import PRIZE_LEVELS, IndexValue, PrizeLevel
 from leaguebalance.cli import IndexFitReport, build_parser
 from leaguebalance.dynamic import GIndexResult, SeasonPair, TopKWindow
-from leaguebalance.econometrics import FitResult, LongRunEffect, RegressionSpec, base
+from leaguebalance.econometrics import FitResult, LongRunEffect, RegressionSpec, TestResult
 from leaguebalance.econometrics.design import DesignMatrix, YearGrid
 from leaguebalance.econometrics.longrun import EffectResult
 from leaguebalance.econometrics.unitroot import AdfResult
@@ -69,7 +69,7 @@ HASHABLE = {
     "TopKWindow": lambda: TopKWindow((season(2000), season(2001)), 1),
     "GIndexResult": lambda: GIndexResult(0.5, 3, 4.5),
     "GDiagnostic": lambda: GDiagnostic("A", 2004, 4.5),
-    "TestResult": lambda: base.TestResult("lm", 3.5, (2, 10), 0.25, "note"),
+    "TestResult": lambda: TestResult("lm", 3.5, (2, 10), 0.25, "note"),
     "AdfResult": lambda: AdfResult("adf_c", -2.5, None, 0.1, lag=2),
     "RegressionSpec": lambda: RegressionSpec("sdc_ki", adl_order=3),
     "LongRunEffect": lambda: LongRunEffect("cb", -1.0, 0.5, -2.0, 0.05),
@@ -81,9 +81,7 @@ UNHASHABLE = {
     "CheckedPercentages": lambda: CheckedPercentages(WEIGHTS),
     "DesignMatrix": lambda: DesignMatrix(DESIGN.y, DESIGN.X, ["c"], ["A"], DESIGN.grid),
     "IndexFitReport": lambda: IndexFitReport("namsi", FIT, [], [("dw", 2.0, "", 0.5, "")]),
-    "DgpSimulation": lambda: DgpSimulation(
-        [], [IndexValue("namsi", "C1", 2000, 0.25)], {"cb": 1.0}
-    ),
+    "DgpSimulation": lambda: DgpSimulation([], [IndexValue("namsi", "C1", 2000, 0.25)]),
 }
 DESIGN = design()
 FIT = fit()
@@ -121,7 +119,7 @@ def test_equal_fields_compare_equal(name):
 def test_a_changed_field_or_another_class_is_unequal():
     assert IndexValue("namsi", "A", 2000, 0.25) != IndexValue("namsi", "A", 2001, 0.25)
     assert RegressionSpec("sdc_ki") != RegressionSpec("sdc_ki", include_d97=False)
-    test = base.TestResult("adf_c", -2.5, None, 0.1)
+    test = TestResult("adf_c", -2.5, None, 0.1)
     assert test != AdfResult("adf_c", -2.5, None, 0.1) and test != ("adf_c", -2.5, None, 0.1)
 
 
@@ -140,9 +138,9 @@ def test_constructors_keep_positional_order_and_checks():
     }
     with pytest.raises(ValueError, match="p-value 1.5 outside"):
         AdfResult("adf_c", -2.5, None, 1.5)
-    sim = DgpSimulation([], [])
-    assert sim.truth == {} and sim.coefficients == {}
-    assert DgpSimulation([], []).truth is not sim.truth
+    assert vars(DgpSimulation([], [IndexValue("namsi", "C1", 2000, 0.25)])) == {
+        "macro": [], "indices": [IndexValue("namsi", "C1", 2000, 0.25)],
+    }
 
 
 def test_panel_compares_by_identity():

@@ -1,10 +1,19 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from leaguebalance import InputError, winning_percentages
-from leaguebalance.simulate import DgpParams, LeagueSimParams, simulate_dgp, simulate_league
+from leaguebalance.simulate import (
+    COEFFICIENTS,
+    LONG_RUN,
+    DgpParams,
+    LeagueSimParams,
+    simulate_dgp,
+    simulate_league,
+)
+from support import dgp_design
 
 
 class TestLeagueSimulation:
@@ -66,14 +75,34 @@ class TestDgpSimulation:
         assert seasons[0] == 1985 and seasons[-1] == 2004
 
     def test_truth_matches_parameters(self):
-        params = DgpParams()
-        sim = simulate_dgp(params, seed=2)
-        assert sim.truth["cb"] == pytest.approx(params.b_cb / params.a1)
-        assert sim.coefficients["ln_att_lag1"] == pytest.approx(-params.a1)
+        a1 = -COEFFICIENTS["ln_att_lag1"]
+        assert abs(a1) > 1e-6  # a long-run relation exists
+        for name in ("cb", "pop", "rgni", "un"):
+            assert LONG_RUN[name] == pytest.approx(COEFFICIENTS[f"ln_{name}_lag1"] / a1)
+        for name in ("d97", "t", "t2"):
+            assert LONG_RUN[name] == pytest.approx(COEFFICIENTS[name] / a1)
 
     def test_no_countries_is_input_error(self):
         with pytest.raises(InputError, match="at least one country"):
             DgpParams(countries=())
+
+    @pytest.mark.parametrize("name", ["error_sd_min", "error_sd_max"])
+    @pytest.mark.parametrize("value", [0.0, -0.01, math.nan, math.inf])
+    def test_error_scale_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(InputError, match=f"{name} must be finite and > 0, got {value!r}"):
+            DgpParams(**{name: value})
+
+    def test_shape_and_noise_are_the_only_settable_values(self):
+        assert list(inspect.signature(DgpParams).parameters) == [
+            "countries", "start_season", "n_seasons", "error_sd_min", "error_sd_max",
+            "error_corr",
+        ]
+
+    def test_coefficient_table_is_the_designs_slopes(self):
+        design, _, _ = dgp_design(seed=1)  # the default RegressionSpec
+        slopes = [c for c in design.columns if not c.startswith("const[")]
+        assert list(COEFFICIENTS) == slopes
+        assert sorted(LONG_RUN) == sorted(["cb", "pop", "rgni", "un", "d97", "t", "t2"])
 
     def test_deterministic_per_seed(self):
         assert simulate_dgp(seed=5) == simulate_dgp(seed=5)

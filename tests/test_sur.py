@@ -12,6 +12,7 @@ from leaguebalance.econometrics import (
     white_cross_section_cov,
 )
 from leaguebalance.econometrics.sur import _lower_inverse, pairwise_sigma, repair_covariance
+from leaguebalance.simulate import COEFFICIENTS
 from support import dgp_design, known_sigma_gls, labelled_design, ols_fit, ols_fit_design
 
 
@@ -141,10 +142,10 @@ class TestZellnerEquivalences:
 
 class TestSurOnDgp:
     def test_coefficients_within_three_robust_ses(self):
-        design, sim, spec = dgp_design(seed=12)
+        design, _, _ = dgp_design(seed=12)
         fit = sur_egls_fit(design, iterate=True)
         fit.cov_robust = white_cross_section_cov(fit)
-        for name, truth in sim.coefficients.items():
+        for name, truth in COEFFICIENTS.items():
             assert abs(fit.coef(name) - truth) <= 3.0 * fit.se(name, robust=True), name
 
     def test_iteration_converges(self):
