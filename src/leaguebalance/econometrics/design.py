@@ -64,17 +64,15 @@ class YearGrid:
     ``row[t, j]`` is the design row of season ``years[t]`` and country j
     (``country_list`` order), -1 where the country has no row that season
     (``mask`` False).  ``years`` holds only seasons with at least one row.
-    ``patterns`` pairs each distinct presence pattern (the columns present)
-    with its years, in ``np.unique(mask, axis=0)`` order.
+    ``pattern_masks`` (P, countries) holds each distinct presence pattern in
+    ``np.unique(mask, axis=0)`` order and ``pattern_of_year`` (years,) the
+    pattern of each year.
     """
 
     def __init__(self, years: np.ndarray, row: np.ndarray) -> None:
         self.years, self.row, self.mask = years, row, row >= 0
-        keys, which = np.unique(self.mask, axis=0, return_inverse=True)
-        which = which.reshape(-1)
-        self.patterns = [
-            (np.flatnonzero(key), np.flatnonzero(which == p)) for p, key in enumerate(keys)
-        ]
+        self.pattern_masks, which = np.unique(self.mask, axis=0, return_inverse=True)
+        self.pattern_of_year = which.reshape(-1)
 
     def fill(self, values: np.ndarray) -> np.ndarray:
         """Per-row ``values`` (design rows along axis 0) placed on the grid,

@@ -6,8 +6,10 @@ error covariance is block-diagonal by year: within a year, errors of the
 countries present are correlated with country-pair covariances estimated
 from residuals over overlapping years (Schmidt 1977).  The design carries
 the dense (years, countries) grid of its rows; years sharing a presence
-pattern share a covariance block, so GLS whitens ``[X | y]`` with one
-Cholesky factor per pattern and solves the whitened system by QR.
+pattern share a covariance block.  Each GLS pass factors the blocks of all
+patterns in one batched Cholesky call, padded to a common size, whitens
+``[X | y]`` on the grid with one batched product and solves the whitened
+system by QR.
 
 On a balanced panel, iterating the feasible GLS to convergence gives the
 maximum-likelihood estimate under normality (Oberhofer & Kmenta 1974).  On
@@ -59,46 +61,27 @@ def repair_covariance(sigma: np.ndarray) -> tuple[np.ndarray, float]:
     return (eigvec * np.maximum(eigval, _EIG_FLOOR)) @ eigvec.T, eig_min
 
 
-def _lower_inverse(chol: np.ndarray) -> np.ndarray:
-    """L^-1 of a lower-triangular L by forward substitution, one row at a
-    time; the entries above the diagonal stay exactly 0."""
-    eye = np.eye(chol.shape[0])
-    inv = np.zeros_like(chol)
-    for i in range(chol.shape[0]):
-        inv[i] = (eye[i] - chol[i, :i] @ inv[:i]) / chol[i, i]
-    return inv
+def _whiten(grid: YearGrid, zgrid: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """The (years, countries, m) grid ``zgrid``, zero where a country is
+    absent, premultiplied year by year by L^-1, with L L' the block of
+    ``sigma`` for the countries present.
+
+    Each presence pattern's block is padded to n x n with 1 on the diagonal
+    of every absent country, so one Cholesky call and one inverse serve all
+    patterns; the padding leaves the absent rows of the result exactly 0.
+    """
+    pair_mask = grid.pattern_masks[:, :, None] & grid.pattern_masks[:, None, :]
+    try:
+        chol = np.linalg.cholesky(np.where(pair_mask, sigma, np.eye(sigma.shape[0])))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"year covariance block not positive definite: {exc}") from exc
+    return np.matmul(np.linalg.inv(chol)[grid.pattern_of_year], zgrid)
 
 
-def _pattern_blocks(grid: YearGrid, rows: np.ndarray) -> list[tuple[tuple, np.ndarray]]:
-    """Per presence pattern, the ``np.ix_`` index of its block of the
-    cross-country covariance and the (years, countries present, m) block of
-    the per-design-row ``rows``.  They depend on the design only, so a fit
-    gathers them once for all its GLS passes."""
-    return [
-        (np.ix_(present, present), rows[grid.row[np.ix_(years, present)]])
-        for present, years in grid.patterns
-    ]
-
-
-def _whiten(blocks: list[tuple[tuple, np.ndarray]], sigma: np.ndarray) -> list[np.ndarray]:
-    """Each pattern's block premultiplied year by year by L^-1, with L L' the
-    block of ``sigma`` for the countries present."""
-    white = []
-    for cov_block, block in blocks:
-        try:
-            chol = np.linalg.cholesky(sigma[cov_block])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"year covariance block not positive definite: {exc}") from exc
-        # L^-1 times all years at once: a triangular solve over every year's
-        # columns is large enough to wake BLAS threads, these calls are not
-        white.append(np.matmul(_lower_inverse(chol), block))
-    return white
-
-
-def _gls(blocks: list[tuple[tuple, np.ndarray]], sigma: np.ndarray, names: list[str]):
+def _gls(grid: YearGrid, zgrid: np.ndarray, sigma: np.ndarray, names: list[str]):
     """GLS coefficients and the R factor of the whitened ``[X | y]``;
-    ``blocks`` are the pattern blocks of ``[X | y]``."""
-    white = np.concatenate([b.reshape(-1, b.shape[-1]) for b in _whiten(blocks, sigma)])
+    ``zgrid`` is ``[X | y]`` on the grid."""
+    white = _whiten(grid, zgrid, sigma)[grid.mask]
     return qr_solve(white[:, :-1], white[:, -1], names)
 
 
@@ -175,7 +158,7 @@ def sur_egls_fit(
     if len(design.country_list) < 2:
         raise InputError("system estimation needs at least 2 countries")
     grid = design.grid
-    blocks = _pattern_blocks(grid, np.column_stack([design.X, design.y]))
+    zgrid = grid.fill(np.column_stack([design.X, design.y]))
 
     beta, _ = qr_solve(design.X, design.y, design.columns)
     floored = []  # the smallest eigenvalue of each repaired covariance
@@ -186,7 +169,7 @@ def sur_egls_fit(
         sigma_hat, eig_min = repair_covariance(pairwise_sigma(grid.fill(resid), grid.mask))
         if eig_min < _EIG_FLOOR:
             floored.append(eig_min)
-        beta_new, r = _gls(blocks, sigma_hat, design.columns)
+        beta_new, r = _gls(grid, zgrid, sigma_hat, design.columns)
         if iterations:
             delta = float(np.max(np.abs(beta_new - beta)))
         beta = beta_new
@@ -236,8 +219,8 @@ def white_cross_section_cov(fit: FitResult) -> np.ndarray:
             "rank deficient",
             stacklevel=2,
         )
-    blocks = _whiten(_pattern_blocks(grid, np.column_stack([design.X, fit.residuals])), fit.sigma)
-    rinv = r_inverse(r_factor(np.concatenate([b.reshape(-1, k + 1) for b in blocks])), k)
-    scores = np.concatenate([np.einsum("tck,tc->tk", b[..., :k], b[..., k]) for b in blocks])
+    white = _whiten(grid, grid.fill(np.column_stack([design.X, fit.residuals])), fit.sigma)
+    rinv = r_inverse(r_factor(white[grid.mask]), k)
+    scores = np.einsum("tck,tc->tk", white[..., :k], white[..., k])
     half = scores @ rinv @ rinv.T
     return half.T @ half

@@ -173,10 +173,21 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_str(value) -> str:
+    """A JSON string as given: a number is no country name."""
+    if type(value) is not str:
+        raise TypeError(f"expected a JSON string, got {json.dumps(value)}")
+    return value
+
+
+def _json_list(value) -> list:
+    if type(value) is not list:
+        raise TypeError(f"expected a JSON list, got {json.dumps(value)}")
+    return value
+
+
 def _countries(value) -> tuple[str, ...] | None:
-    if isinstance(value, str):
-        raise TypeError(f"expected a list of countries, not the string {value!r}")
-    return None if value is None else tuple(map(str, value))
+    return None if value is None else tuple(map(_json_str, _json_list(value)))
 
 
 class Config(Record):
@@ -217,7 +228,7 @@ class Config(Record):
             raise ConfigError(f"{path}: config must be a JSON object")
         convert = {
             "default_K": _json_int, "default_I": _json_int, "g_window": _json_int,
-            "trend_degree": _json_int, "levels": list, "countries": _countries,
+            "trend_degree": _json_int, "levels": _json_list, "countries": _countries,
         }
         unknown = set(raw) - set(convert)
         if unknown:
@@ -231,9 +242,11 @@ class Config(Record):
         rules = []
         for i, entry in enumerate(fields.pop("levels", [])):
             try:
+                if type(entry) is not dict:
+                    raise TypeError(f"expected a JSON object, got {json.dumps(entry)}")
                 rules.append(
                     LevelsRule(
-                        country=str(entry["country"]),
+                        country=_json_str(entry["country"]),
                         from_season=_json_int(entry["from"]),
                         to_season=_json_int(entry["to"]),
                         K=_json_int(entry["K"]),

@@ -11,7 +11,7 @@ import numpy as np
 from leaguebalance.econometrics import DesignMatrix, FitResult, RegressionSpec
 from leaguebalance.econometrics.design import COVARIATES, YearGrid
 from leaguebalance.econometrics.ols import qr_solve, r_inverse
-from leaguebalance.econometrics.sur import _finalize, _gls, _pattern_blocks, pairwise_sigma
+from leaguebalance.econometrics.sur import _finalize, _gls, pairwise_sigma
 from leaguebalance.econometrics.unitroot import ADF_CASES
 from leaguebalance.errors import InputError, NumericalError
 from leaguebalance.panel import D97_CUTOFF, LeagueSeason, PanelDataset, TeamSeasonRecord
@@ -274,9 +274,10 @@ def _deterministic_block(data, sl, spec: RegressionSpec) -> list[np.ndarray]:
 def year_grid_reference(countries, years, country_list):
     """The (years, countries) grid worked out from per-row labels: the
     distinct years ascending, ``row[t, j]`` the row of year t and country j
-    (-1 where absent), the presence mask and the (countries present, years)
-    pairs of each distinct mask row in ``np.unique`` order.  The reference
-    for the grid ``build_adl_design`` hands to its ``DesignMatrix``."""
+    (-1 where absent), the presence mask, the distinct mask rows in
+    ``np.unique`` order and the index of each year's row among them.  The
+    reference for the grid ``build_adl_design`` hands to its
+    ``DesignMatrix``."""
     years_out, t_idx = np.unique(np.asarray(years), return_inverse=True)
     code = {c: j for j, c in enumerate(country_list)}
     c_idx = np.array([code[c] for c in list(countries)], dtype=int)
@@ -286,14 +287,12 @@ def year_grid_reference(countries, years, country_list):
     if np.count_nonzero(mask) != c_idx.size:
         raise InputError("design has more than one row for a (country, year)")
     keys, which = np.unique(mask, axis=0, return_inverse=True)
-    which = which.reshape(-1)
-    patterns = [(np.flatnonzero(key), np.flatnonzero(which == p)) for p, key in enumerate(keys)]
-    return years_out, row, mask, patterns
+    return years_out, row, mask, keys, which.reshape(-1)
 
 
 def labelled_design(y, X, columns, countries, years, country_list) -> DesignMatrix:
     """A ``DesignMatrix`` from per-row country and year labels."""
-    grid_years, row, _, _ = year_grid_reference(countries, years, country_list)
+    grid_years, row, *_ = year_grid_reference(countries, years, country_list)
     return DesignMatrix(
         y=y, X=X, columns=columns, country_list=list(country_list),
         grid=YearGrid(grid_years, row),
@@ -349,8 +348,8 @@ def known_sigma_gls(design: DesignMatrix, sigma: np.ndarray) -> FitResult:
     With ``sigma`` known the plug-in covariance (X' O^-1 X)^-1 is exact, so
     the fit carries no finite-sample factor.
     """
-    blocks = _pattern_blocks(design.grid, np.column_stack([design.X, design.y]))
-    beta, r = _gls(blocks, sigma, design.columns)
+    zgrid = design.grid.fill(np.column_stack([design.X, design.y]))
+    beta, r = _gls(design.grid, zgrid, sigma, design.columns)
     return _finalize(design, beta, r, sigma, 1.0)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import leaguebalance
 from leaguebalance.cli import main
+from leaguebalance.errors import ConfigError
 from leaguebalance.manifest import sha256_file, sha256_text
 from leaguebalance.panel import Config
 
@@ -80,6 +81,8 @@ class TestIndicesCommand:
             '"trend_degree": null',
             '"countries": 5',
             '"countries": "C1"',
+            '"countries": ["C1", null]',
+            '"countries": {"C1": 1}',
             '"levels": 3',
             '"g_window": 2.7',
             '"g_window": "4"',
@@ -104,6 +107,25 @@ class TestIndicesCommand:
         config = Config.from_json(str(cfg))
         assert (config.g_window, config.trend_degree, config.default_K) == (4, 1, 1)
         assert config.countries is None and config.default_I == 3 and config.levels == ()
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ('{"levels": {"AAA": 1}}', 'bad levels: expected a JSON list, got {"AAA": 1}'),
+            ('{"levels": ["AAA"]}', 'bad levels entry #0: expected a JSON object, got "AAA"'),
+            ('{"countries": [5, 6.5]}', "bad countries: expected a JSON string, got 5"),
+            (
+                '{"levels": [{"country": 5, "from": 1980, "to": 2003, "K": 2, "I": 2}]}',
+                "bad levels entry #0: expected a JSON string, got 5",
+            ),
+        ],
+    )
+    def test_config_takes_lists_as_given(self, tmp_path, entry, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(entry)
+        with pytest.raises(ConfigError) as info:
+            Config.from_json(str(cfg))
+        assert str(info.value) == f"{cfg}: {message}"
 
     @pytest.mark.parametrize(
         "rule, message",

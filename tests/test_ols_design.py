@@ -212,14 +212,16 @@ class TestDesignAgainstReference:
 def assert_grid_matches_reference(design, want):
     """``design.grid`` equals the grid worked out from ``want``'s per-row
     labels, and no year of it is all-absent."""
-    years, row, mask, patterns = year_grid_reference(want.countries, want.years, want.country_list)
+    years, row, mask, keys, which = year_grid_reference(
+        want.countries, want.years, want.country_list
+    )
     grid = design.grid
     assert grid.years.tolist() == years.tolist()
     assert grid.row.tolist() == row.tolist()
     assert grid.mask.tolist() == mask.tolist()
-    assert [(p.tolist(), t.tolist()) for p, t in grid.patterns] == [
-        (p.tolist(), t.tolist()) for p, t in patterns
-    ]
+    assert grid.pattern_masks.tolist() == keys.tolist()
+    assert grid.pattern_of_year.tolist() == which.tolist()
+    assert grid.pattern_masks[grid.pattern_of_year].tolist() == mask.tolist()
     assert grid.mask.any(axis=1).all()
 
 
@@ -249,7 +251,8 @@ class TestDesignGrid:
         design = build_adl_design(panel, series, spec)
         assert_grid_matches_reference(design, adl_design_reference(panel, series, spec))
         assert design.grid.years.tolist() == list(range(1987, 1995)) + list(range(2002, 2010))
-        assert [p.tolist() for p, _ in design.grid.patterns] == [[1], [0]]
+        assert design.grid.pattern_masks.tolist() == [[False, True], [True, False]]
+        assert design.grid.pattern_of_year.tolist() == [0] * 8 + [1] * 8
 
     def test_labels_round_trip_in_any_row_order(self):
         rng = np.random.default_rng(4)
@@ -268,7 +271,7 @@ class TestDesignGrid:
         )
         assert design.countries.tolist() == labels_c.tolist()
         assert design.years.tolist() == labels_t.tolist()
-        assert len(design.grid.patterns) == 2
+        assert len(design.grid.pattern_masks) == 2
 
     def test_grid_must_hold_each_row_once(self):
         design, _, _ = dgp_design(seed=0)

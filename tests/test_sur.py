@@ -11,7 +11,7 @@ from leaguebalance.econometrics import (
     sur_egls_fit,
     white_cross_section_cov,
 )
-from leaguebalance.econometrics.sur import _lower_inverse, pairwise_sigma, repair_covariance
+from leaguebalance.econometrics.sur import _whiten, pairwise_sigma, repair_covariance
 from leaguebalance.simulate import COEFFICIENTS
 from support import dgp_design, known_sigma_gls, labelled_design, ols_fit, ols_fit_design
 
@@ -82,15 +82,15 @@ def unbalanced_design(seed, n_countries=4, span=30, k=2):
 
 
 def per_year_gls(design, sigma, resid=None):
-    """Reference GLS by per-year Cholesky normal equations: coefficients,
-    (X' O^-1 X)^-1 and, given residuals, the year-clustered sandwich."""
+    """Reference GLS by per-year normal equations, each year's covariance
+    block inverted explicitly: coefficients, (X' O^-1 X)^-1 and, given
+    residuals, the year-clustered sandwich."""
     k = len(design.columns)
     a, b, meat = np.zeros((k, k)), np.zeros(k), np.zeros((k, k))
     for year in np.unique(design.years):
         idx = np.flatnonzero(design.years == year)
         present = [design.country_list.index(c) for c in design.countries[idx]]
-        chol = np.linalg.cholesky(sigma[np.ix_(present, present)])
-        oix = np.linalg.solve(chol.T, np.linalg.solve(chol, design.X[idx]))
+        oix = np.linalg.inv(sigma[np.ix_(present, present)]) @ design.X[idx]
         a += design.X[idx].T @ oix
         b += oix.T @ design.y[idx]
         if resid is not None:
@@ -224,17 +224,67 @@ class TestGridGls:
         assert np.all(np.diag(white_cross_section_cov(fit)) >= 0.0)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 20), st.integers(0, 2**32 - 1))
-def test_lower_inverse_matches_triangular_solve(n, seed):
-    from scipy.linalg import solve_triangular
+@st.composite
+def presence_masks(draw):
+    """A (years, countries) presence mask for 2 to 8 countries and a seed.
+    Random years lie between fixed ones: the full panel first and last, a
+    year with only the first country and one with only the last, so the
+    last country is absent in the middle years and two single-country
+    patterns are not nested."""
+    n = draw(st.integers(2, 8))
+    year = st.lists(st.booleans(), min_size=n, max_size=n).filter(any)
+    full, first, last = [True] * n, [True] + [False] * (n - 1), [False] * (n - 1) + [True]
+    mask = np.array([full, first] + draw(st.lists(year, max_size=12)) + [last, full])
+    return mask, draw(st.integers(0, 2**32 - 1))
 
-    b = np.random.default_rng(seed).standard_normal((n, n))
-    chol = np.linalg.cholesky(b @ b.T + n * np.eye(n))
-    inv = _lower_inverse(chol)
-    assert np.all(inv[np.triu_indices(n, 1)] == 0.0)
-    ref = solve_triangular(chol, np.eye(n), lower=True)
-    assert np.abs(inv - ref).max() <= 1e-13 * np.abs(ref).max()
+
+def masked_design(mask, rng, k=2):
+    """Shared-slope design with country intercepts, one row per present
+    cell of ``mask``, rows numbered country by country."""
+    n = mask.shape[1]
+    c_idx, t_idx = np.nonzero(mask.T)
+    countries = [f"C{j}" for j in range(n)]
+    X = np.column_stack([c_idx[:, None] == np.arange(n), rng.standard_normal((c_idx.size, k))])
+    return labelled_design(
+        y=X[:, n:] @ np.linspace(1.0, -1.0, k) + rng.standard_normal(c_idx.size),
+        X=X.astype(float),
+        columns=[f"const[{c}]" for c in countries] + [f"x{j}" for j in range(k)],
+        countries=np.array(countries, dtype=object)[c_idx],
+        years=1980 + t_idx,
+        country_list=countries,
+    )
+
+
+class TestBatchedWhitening:
+    """One padded Cholesky stack for all presence patterns against
+    per-year explicit inverses."""
+
+    @pytest.mark.filterwarnings("ignore:only .* years for .* coefficients")
+    @settings(max_examples=60, deadline=None)
+    @given(presence_masks())
+    def test_matches_per_year_inverses(self, drawn):
+        mask, seed = drawn
+        rng = np.random.default_rng(seed)
+        design = masked_design(mask, rng)
+        grid = design.grid
+        sigma = random_sigma(rng, mask.shape[1])
+        white = _whiten(grid, grid.fill(np.column_stack([design.X, design.y])), sigma)
+        assert np.all(white[~grid.mask] == 0.0)
+        fit = known_sigma_gls(design, sigma)
+        beta, cov, sandwich = per_year_gls(design, sigma, fit.residuals)
+        assert np.allclose(fit.beta, beta, rtol=1e-9, atol=1e-9)
+        assert np.allclose(fit.cov, cov, rtol=1e-9, atol=1e-12)
+        assert np.allclose(white_cross_section_cov(fit), sandwich, rtol=1e-9, atol=1e-12)
+
+    def test_indefinite_year_block_is_numerical_error(self):
+        design = masked_design(np.ones((6, 2), dtype=bool), np.random.default_rng(0))
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(NumericalError, match="year covariance block not positive definite"):
+            known_sigma_gls(design, indefinite)
+        fit = known_sigma_gls(design, np.eye(2))
+        fit.sigma = indefinite
+        with pytest.raises(NumericalError, match="year covariance block not positive definite"):
+            white_cross_section_cov(fit)
 
 
 class TestSigmaEstimation:
