@@ -1,7 +1,9 @@
-"""Command-line driver: indices, unit-root, fit, effects, simulate, report.
+"""Command-line driver: indices, unit-root, fit, effects, simulate-league,
+simulate-dgp, report.
 
-Only ``simulate`` draws random numbers, so only it takes ``--seed``; every
-other command's manifest records ``"seed": null``.
+Only the two simulators draw random numbers, so only ``simulate-league`` and
+``simulate-dgp`` take ``--seed``; every other command's manifest records
+``"seed": null``.
 
 Exit codes: 0 success, 2 input or schema error, 3 numerical failure,
 4 configuration error.
@@ -331,16 +333,14 @@ def cmd_fit(args) -> int:
     inputs = {"macro": sha256_file(args.macro)}
     macro = parse_macro_csv(args.macro)
 
-    if args.indices:
+    if args.indices is not None:
         index_values = parse_index_csv(args.indices, names)
         inputs["indices"] = sha256_file(args.indices)
-    elif args.league:
+    else:
         leagues = parse_league_csv(args.league, config)
         inputs["league"] = sha256_file(args.league)
         index_values, _ = compute_all_indices(leagues, config, names=names)
         index_values = _quantised(index_values)
-    else:
-        raise InputError("fit needs --indices or --league")
 
     panel = build_panel(macro)
     reports, artifacts = _fit(panel, index_values, names, args, config, args.out_dir)
@@ -435,75 +435,62 @@ def _write_macro_csv(path, macro) -> str:
     )
 
 
-# the simulate options that only one --kind reads; they default to None
-SIMULATE_KIND_OPTIONS = {
-    "league": ("n_teams", "dispersion", "churn", "country"),
-    "dgp": ("dgp_countries",),
-}
+def _given(args, names: tuple[str, ...]) -> dict:
+    """The options in ``names`` that the command line gave; the simulator's
+    own defaults stand for the others."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
-def cmd_simulate(args) -> int:
-    other = "dgp" if args.kind == "league" else "league"
-    for name in SIMULATE_KIND_OPTIONS[other]:
-        if getattr(args, name) is not None:
-            option = "--" + name.replace("_", "-")
-            raise InputError(f"{option} applies to --kind {other}, not to --kind {args.kind}")
-    # imported here: the simulators serve this command only
-    from .simulate import (
-        COEFFICIENTS, LONG_RUN, DgpParams, LeagueSimParams, simulate_dgp, simulate_league,
+def cmd_simulate_league(args) -> int:
+    # imported here: the simulators serve the simulate commands only
+    from .simulate import LeagueSimParams, simulate_league
+
+    given = _given(args, ("n_teams", "n_seasons", "dispersion", "churn", "country", "start_season"))
+    # the prize levels follow the league's shape, the simulator's where not given
+    country, season, n_teams = (
+        given.get(name, getattr(LeagueSimParams, name))
+        for name in ("country", "start_season", "n_teams")
     )
+    K, I = Config().levels_for(country, season, n_teams)
+    params = LeagueSimParams(**given, K=K, I=I)
+    leagues = simulate_league(params, seed=args.seed)
+    out = _out_dir(args.out_dir)
+    artifacts = [_write_league_csv(out / "league.csv", leagues)]
+    config_hash = sha256_text(json.dumps(vars(params), default=str, sort_keys=True))
+    write_manifest(out, "simulate-league", {}, config_hash, artifacts, seed=args.seed)
+    print(f"wrote league simulation to {out}")
+    return 0
 
-    defaults = LeagueSimParams if args.kind == "league" else DgpParams
 
-    def option(name: str):
-        value = getattr(args, name)
-        return getattr(defaults, name) if value is None else value
+def cmd_simulate_dgp(args) -> int:
+    from .simulate import COEFFICIENTS, LONG_RUN, DgpParams, simulate_dgp
 
-    n_seasons, start_season = option("n_seasons"), option("start_season")
-    if args.kind == "league":
-        country, n_teams = option("country"), option("n_teams")
-        K, I = Config().levels_for(country, start_season, n_teams)
-        params = LeagueSimParams(
-            n_teams=n_teams,
-            n_seasons=n_seasons,
-            dispersion=option("dispersion"),
-            country=country,
-            start_season=start_season,
-            churn=option("churn"),
-            K=K,
-            I=I,
+    given = _given(args, ("start_season", "n_seasons"))
+    if args.n_countries is not None:
+        given["countries"] = tuple(f"C{i + 1}" for i in range(args.n_countries))
+    params = DgpParams(**given)
+    sim = simulate_dgp(params, seed=args.seed)
+    out = _out_dir(args.out_dir)
+    artifacts = [
+        _write_macro_csv(out / "macro.csv", sim.macro),
+        write_csv(
+            out / "indices.csv",
+            INDEX_COLUMNS,
+            [(v.country, v.season, v.name, v.value) for v in sim.indices],
+        ),
+    ]
+    truth_path = out / "truth.json"
+    with open(truth_path, "w", encoding="utf-8") as fh:
+        json.dump(
+            {"long_run": LONG_RUN, "coefficients": COEFFICIENTS}, fh, indent=2, sort_keys=True
         )
-        leagues = simulate_league(params, seed=args.seed)
-        out = _out_dir(args.out_dir)
-        artifacts = [_write_league_csv(out / "league.csv", leagues)]
-        hashed = vars(params)
-    else:
-        countries = {}
-        if args.dgp_countries is not None:
-            countries["countries"] = tuple(f"C{i + 1}" for i in range(args.dgp_countries))
-        params = DgpParams(start_season=start_season, n_seasons=n_seasons, **countries)
-        sim = simulate_dgp(params, seed=args.seed)
-        out = _out_dir(args.out_dir)
-        artifacts = [
-            _write_macro_csv(out / "macro.csv", sim.macro),
-            write_csv(
-                out / "indices.csv",
-                INDEX_COLUMNS,
-                [(v.country, v.season, v.name, v.value) for v in sim.indices],
-            ),
-        ]
-        truth_path = out / "truth.json"
-        with open(truth_path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"long_run": LONG_RUN, "coefficients": COEFFICIENTS}, fh, indent=2, sort_keys=True
-            )
-            fh.write("\n")
-        artifacts.append(str(truth_path))
-        # the hash covers the equation's coefficients, not only the settable values
-        hashed = dict(vars(params), coefficients=COEFFICIENTS)
+        fh.write("\n")
+    artifacts.append(str(truth_path))
+    # the hash covers the equation's coefficients, not only the settable values
+    hashed = dict(vars(params), coefficients=COEFFICIENTS)
     config_hash = sha256_text(json.dumps(hashed, default=str, sort_keys=True))
-    write_manifest(out, f"simulate-{args.kind}", {}, config_hash, artifacts, seed=args.seed)
-    print(f"wrote {args.kind} simulation to {out}")
+    write_manifest(out, "simulate-dgp", {}, config_hash, artifacts, seed=args.seed)
+    print(f"wrote dgp simulation to {out}")
     return 0
 
 
@@ -570,8 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="pooled EGLS system fit per index")
     p.add_argument("--macro", required=True)
-    p.add_argument("--league", default=None)
-    p.add_argument("--indices", default=None, help="indices.csv from the indices command")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--league")
+    source.add_argument("--indices", help="indices.csv from the indices command")
     model_options(p)
     common(p)
     p.set_defaults(func=cmd_fit)
@@ -584,21 +572,24 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_effects)
 
-    p = sub.add_parser("simulate", help="generate synthetic league or panel data")
-    p.add_argument("--kind", choices=("league", "dgp"), required=True)
-    p.add_argument("--n-teams", type=int, default=None, help="league only, default 12")
-    p.add_argument("--n-seasons", type=int, default=None, help="default 10 (league) or 50 (dgp)")
-    p.add_argument("--dispersion", type=float, default=None,
-                   help="league only: float or 'inf', default 2.0")
-    p.add_argument("--churn", type=int, default=None, help="league only, default 0")
-    p.add_argument("--country", default=None, help="league only, default SIM")
-    p.add_argument("--start-season", type=int, default=None,
-                   help="default 1990 (league) or 1959 (dgp)")
-    p.add_argument("--dgp-countries", type=int, default=None,
-                   help="dgp only: countries C1, C2, ...; default 8")
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=cmd_simulate)
+    def simulate_options(p, func):
+        """The options that both simulators read; each gives its own defaults."""
+        p.add_argument("--n-seasons", type=int, default=None)
+        p.add_argument("--start-season", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
+        common(p)
+        p.set_defaults(func=func)
+
+    p = sub.add_parser("simulate-league", help="simulate league tables")
+    p.add_argument("--n-teams", type=int, default=None)
+    p.add_argument("--dispersion", type=float, default=None, help="float or 'inf'")
+    p.add_argument("--churn", type=int, default=None)
+    p.add_argument("--country", default=None)
+    simulate_options(p, cmd_simulate_league)
+
+    p = sub.add_parser("simulate-dgp", help="simulate a known-coefficient attendance panel")
+    p.add_argument("--n-countries", type=int, default=None, help="countries C1, C2, ...")
+    simulate_options(p, cmd_simulate_dgp)
 
     p = sub.add_parser("report", help="full pipeline: indices, unit root, fit, effects")
     p.add_argument("--league", required=True)

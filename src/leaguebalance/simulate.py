@@ -22,7 +22,7 @@ from .record import Record
 
 class LeagueSimParams(Record):
     """Shape of a simulated league.  The class attributes are the defaults,
-    which the CLI's ``simulate --kind league`` reads."""
+    which ``simulate-league`` reads for the options it was not given."""
 
     n_teams = 12
     n_seasons = 10
@@ -185,8 +185,8 @@ class DgpParams(Record):
     """Shape and noise of a panel of ``simulate_dgp``: the error standard
     deviations run evenly from ``error_sd_min`` to ``error_sd_max``, with
     correlation ``error_corr`` between every pair of countries.  The class
-    attributes ``start_season`` and ``n_seasons`` are the defaults, which the
-    CLI's ``simulate --kind dgp`` reads."""
+    attributes ``start_season`` and ``n_seasons`` are the defaults of
+    ``simulate-dgp``."""
 
     start_season = 1959
     n_seasons = 50

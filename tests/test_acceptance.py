@@ -335,7 +335,9 @@ def test_c06_dgp_recovery():
     report(
         "6 (DGP recovery)",
         f"iterated system fit on 8x50 panels with error correlation 0.4: 95% CI "
-        f"coverage {coverage:.1%} (nominal 95% +/- 5pp), median fit {median_time * 1e3:.0f}ms",
+        f"coverage {coverage:.1%} (nominal 95% +/- 5pp) from the classical covariance, "
+        f"as no cov_robust is set (the CLI reports the robust one, ROADMAP direction 7), "
+        f"median fit {median_time * 1e3:.0f}ms",
     )
 
 
@@ -529,11 +531,11 @@ def test_c10_cli_determinism(small_dataset, tmp_path):
     league, macro = small_dataset["league"], small_dataset["macro"]
     commands = {
         "simulate-league": lambda out: [
-            "simulate", "--kind", "league", "--n-teams", "8", "--n-seasons", "6",
+            "simulate-league", "--n-teams", "8", "--n-seasons", "6",
             "--dispersion", "1.5", "--churn", "1", "--seed", "11", "--out-dir", out,
         ],
         "simulate-dgp": lambda out: [
-            "simulate", "--kind", "dgp", "--n-seasons", "20", "--dgp-countries", "3",
+            "simulate-dgp", "--n-seasons", "20", "--n-countries", "3",
             "--seed", "12", "--out-dir", out,
         ],
         "indices": lambda out: [
@@ -572,5 +574,6 @@ def test_c10_cli_determinism(small_dataset, tmp_path):
     assert runs[0] == runs[1]
     report(
         "10 (CLI determinism)",
-        "simulate/indices/unit-root/fit/effects/report byte-identical across reruns",
+        "simulate-league/simulate-dgp/indices/unit-root/fit/effects/report byte-identical "
+        "across reruns",
     )

@@ -294,6 +294,23 @@ class TestFitCommand:
             rows = {r["variable"]: r for r in csv.DictReader(fh)}
         assert set(rows) == {"cb", "pop", "rgni", "un", "d97", "t", "t2"}
 
+    @pytest.mark.parametrize(
+        "sources, message",
+        [
+            (("--indices", "indices.csv", "--league", "/nonexistent.csv"),
+             "argument --league: not allowed with argument --indices"),
+            ((), "one of the arguments --league --indices is required"),
+        ],
+        ids=["both", "neither"],
+    )
+    def test_one_index_source(self, small_dataset, tmp_path, capsys, sources, message):
+        out = tmp_path / "fit"
+        with pytest.raises(SystemExit) as exc:
+            run("fit", "--macro", small_dataset["macro"], *sources, "--out-dir", out)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diagnostics_record_convergence(self, small_dataset, tmp_path):
         out = tmp_path / "fit"
         assert run(
@@ -465,7 +482,7 @@ class TestFitCommand:
 
     def test_index_country_without_macro_rows_is_named(self, tmp_path):
         root = tmp_path / "dgp"
-        assert run("simulate", "--kind", "dgp", "--n-seasons", 45, "--out-dir", root) == 0
+        assert run("simulate-dgp", "--n-seasons", 45, "--out-dir", root) == 0
         header, *rows = (root / "macro.csv").read_text().splitlines(keepends=True)
         macro = tmp_path / "macro.csv"
         macro.write_text(header + "".join(r for r in rows if not r.startswith("C8,")))
@@ -732,7 +749,7 @@ class TestSimulateCommand:
     def test_league_csv_round_trips(self, tmp_path):
         out = tmp_path / "sim"
         assert run(
-            "simulate", "--kind", "league", "--n-teams", 8, "--n-seasons", 6,
+            "simulate-league", "--n-teams", 8, "--n-seasons", 6,
             "--dispersion", "1.0", "--churn", 1, "--out-dir", out, "--seed", 8,
         ) == 0
         from leaguebalance import parse_league_csv
@@ -746,7 +763,7 @@ class TestSimulateCommand:
         out = tmp_path / "sim"
         try:
             got = run(
-                "simulate", "--kind", "league", "--n-teams", 6, "--n-seasons", 2,
+                "simulate-league", "--n-teams", 6, "--n-seasons", 2,
                 "--dispersion", value, "--out-dir", out,
             )
         except SystemExit as exc:  # argparse rejects a value that is no float
@@ -757,27 +774,24 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("count", [0, -2])
     def test_dgp_without_countries_is_input_error(self, tmp_path, capsys, count):
         out = tmp_path / "dgp"
-        assert run(
-            "simulate", "--kind", "dgp", "--dgp-countries", count, "--out-dir", out,
-        ) == 2
+        assert run("simulate-dgp", "--n-countries", count, "--out-dir", out) == 2
         assert "input error: countries must name at least one country" in capsys.readouterr().err
         assert not (out / "macro.csv").exists() and not (out / "indices.csv").exists()
 
     @pytest.mark.parametrize(
         "argv",
-        [("--kind", "league", "--n-teams", 2), ("--kind", "dgp", "--dgp-countries", 0)],
+        [("simulate-league", "--n-teams", 2), ("simulate-dgp", "--n-countries", 0)],
         ids=["league", "dgp"],
     )
     def test_rejected_parameters_create_no_out_dir(self, tmp_path, argv):
         out = tmp_path / "d"
-        assert run("simulate", *argv, "--out-dir", out) == 2
+        assert run(*argv, "--out-dir", out) == 2
         assert not out.exists()
 
     def test_dgp_honours_start_season(self, tmp_path):
         out = tmp_path / "dgp"
         assert run(
-            "simulate", "--kind", "dgp", "--start-season", 1970, "--n-seasons", 40,
-            "--out-dir", out,
+            "simulate-dgp", "--start-season", 1970, "--n-seasons", 40, "--out-dir", out,
         ) == 0
         for name in ("macro.csv", "indices.csv"):
             with open(out / name, newline="") as fh:
@@ -790,13 +804,13 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "argv, first",
-        [(("--kind", "league"), 1990), (("--kind", "dgp", "--dgp-countries", 1), 1959)],
+        [(("simulate-league",), 1990), (("simulate-dgp", "--n-countries", 1), 1959)],
         ids=["league", "dgp"],
     )
     def test_default_start_season(self, tmp_path, argv, first):
         out = tmp_path / "sim"
-        assert run("simulate", *argv, "--n-seasons", 10, "--out-dir", out) == 0
-        name = "league.csv" if argv[1] == "league" else "macro.csv"
+        assert run(*argv, "--n-seasons", 10, "--out-dir", out) == 0
+        name = "league.csv" if argv[0] == "simulate-league" else "macro.csv"
         with open(out / name, newline="") as fh:
             seasons = {int(row["season"]) for row in csv.DictReader(fh)}
         assert seasons == set(range(first, first + 10))
@@ -808,44 +822,44 @@ class TestSimulateCommand:
             ("dgp", "--dispersion", 9),
             ("dgp", "--churn", 1),
             ("dgp", "--country", "XYZ"),
-            ("league", "--dgp-countries", 0),
-            ("league", "--dgp-countries", 3),
+            ("league", "--n-countries", 0),
+            ("league", "--n-countries", 3),
         ],
     )
     def test_option_of_the_other_kind_is_input_error(self, tmp_path, capsys, kind, option, value):
+        """Each simulator's command declares only the options it reads."""
         out = tmp_path / "sim"
-        assert run("simulate", "--kind", kind, option, value, "--seed", 1, "--out-dir", out) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("input error: ")
-        assert option in err and f"--kind {kind}" in err
+        with pytest.raises(SystemExit) as exc:
+            run(f"simulate-{kind}", option, value, "--seed", 1, "--out-dir", out)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ("--kind", "league", "--n-teams", 8, "--dispersion", 1.0, "--churn", 1,
+            ("simulate-league", "--n-teams", 8, "--dispersion", 1.0, "--churn", 1,
              "--country", "XYZ"),
-            ("--kind", "dgp", "--dgp-countries", 2),
+            ("simulate-dgp", "--n-countries", 2),
         ],
         ids=["league", "dgp"],
     )
     def test_options_of_the_own_kind_apply(self, tmp_path, argv):
         out = tmp_path / "sim"
-        assert run(
-            "simulate", *argv, "--n-seasons", 10, "--start-season", 1980, "--out-dir", out,
-        ) == 0
-        name = "league.csv" if argv[1] == "league" else "macro.csv"
+        assert run(*argv, "--n-seasons", 10, "--start-season", 1980, "--out-dir", out) == 0
+        league = argv[0] == "simulate-league"
+        name = "league.csv" if league else "macro.csv"
         with open(out / name, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert {int(row["season"]) for row in rows} == set(range(1980, 1990))
         countries = {row["country"] for row in rows}
-        assert countries == ({"XYZ"} if argv[1] == "league" else {"C1", "C2"})
+        assert countries == ({"XYZ"} if league else {"C1", "C2"})
 
     def test_dgp_truth_file(self, tmp_path):
         out = tmp_path / "dgp"
         assert run(
-            "simulate", "--kind", "dgp", "--n-seasons", 20, "--dgp-countries", 3,
-            "--out-dir", out, "--seed", 9,
+            "simulate-dgp", "--n-seasons", 20, "--n-countries", 3, "--out-dir", out,
+            "--seed", 9,
         ) == 0
         from leaguebalance.simulate import COEFFICIENTS, LONG_RUN, DgpParams
 
@@ -860,63 +874,62 @@ class TestSimulateCommand:
 
 
 class TestOptionsAndManifests:
-    """Only ``simulate`` draws random numbers, so only it takes a seed."""
+    """Only the simulators draw random numbers, so only their commands take a seed."""
 
     @pytest.mark.parametrize(
-        "argv, unknown",
+        "argv, message",
         [
-            (("fit", "--macro", "m.csv", "--seed", 1), "--seed 1"),
-            (("unit-root", "--macro", "m.csv", "--config", "c.json"), "--config c.json"),
+            (("fit", "--macro", "m.csv", "--indices", "i.csv", "--seed", 1),
+             "unrecognized arguments: --seed 1"),
+            (("unit-root", "--macro", "m.csv", "--config", "c.json"),
+             "unrecognized arguments: --config c.json"),
+            (("simulate", "--kind", "dgp"), "invalid choice: 'simulate'"),
         ],
-        ids=["fit_seed", "unit_root_config"],
+        ids=["fit_seed", "unit_root_config", "simulate_kind"],
     )
-    def test_removed_option_is_unknown(self, tmp_path, capsys, argv, unknown):
+    def test_removed_option_is_unknown(self, tmp_path, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             run(*argv, "--out-dir", tmp_path / "o")
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {unknown}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_deterministic_manifests_record_no_seed(self, small_dataset, tmp_path):
+    @pytest.mark.parametrize(
+        "command",
+        ["indices", "unit-root", "fit", "effects", "report", "simulate-league", "simulate-dgp"],
+    )
+    def test_manifest_names_its_command_and_seed(self, small_dataset, tmp_path, command):
         league, macro = small_dataset["league"], small_dataset["macro"]
-        idx = tmp_path / "indices"
-        commands = {
-            "indices": ("indices", "--league", league),
-            "unit-root": ("unit-root", "--macro", macro),
-            "fit": ("fit", "--macro", macro, "--league", league, "--index", "scr_ki"),
-            "effects": ("effects", "--indices", idx / "indices.csv", "--macro", macro,
+        if command == "effects":
+            assert run("indices", "--league", league, "--out-dir", tmp_path / "indices") == 0
+        argv = {
+            "indices": ("--league", league),
+            "unit-root": ("--macro", macro),
+            "fit": ("--macro", macro, "--league", league, "--index", "scr_ki"),
+            "effects": ("--indices", tmp_path / "indices" / "indices.csv", "--macro", macro,
                         "--index", "scr_ki", "--elasticity", "-1.0"),
-            "report": ("report", "--league", league, "--macro", macro, "--index", "scr_ki"),
-        }
-        for command, argv in commands.items():
-            out = idx if command == "indices" else tmp_path / command
-            assert run(*argv, "--out-dir", out) == 0, command
-            manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["command"] == command
-            assert manifest["seed"] is None, command
-        effects = json.loads((tmp_path / "report" / "effects_scr_ki" / "manifest.json").read_text())
-        assert effects["seed"] is None
-        unit_root = json.loads((tmp_path / "unit-root" / "manifest.json").read_text())
-        assert unit_root["config_hash"] == sha256_text("default")
-
-    @pytest.mark.parametrize("kind", ["league", "dgp"])
-    def test_simulate_manifest_records_its_seed(self, tmp_path, kind):
-        out = tmp_path / kind
-        countries = ("--dgp-countries", 2) if kind == "dgp" else ()
-        assert run(
-            "simulate", "--kind", kind, "--n-seasons", 12, *countries,
-            "--seed", 17, "--out-dir", out,
-        ) == 0
+            "report": ("--league", league, "--macro", macro, "--index", "scr_ki"),
+            "simulate-league": ("--n-seasons", 12, "--seed", 17),
+            "simulate-dgp": ("--n-seasons", 12, "--n-countries", 2, "--seed", 17),
+        }[command]
+        out = tmp_path / "out"
+        assert run(command, *argv, "--out-dir", out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert (manifest["command"], manifest["seed"]) == (f"simulate-{kind}", 17)
+        seed = 17 if command.startswith("simulate-") else None
+        assert (manifest["command"], manifest["seed"]) == (command, seed)
+        if command == "report":
+            effects = json.loads((out / "effects_scr_ki" / "manifest.json").read_text())
+            assert (effects["command"], effects["seed"]) == ("effects", None)
+        if command == "unit-root":
+            assert manifest["config_hash"] == sha256_text("default")
 
     @pytest.mark.parametrize("kind", ["league", "dgp"])
     def test_simulate_default_season_count_is_the_simulators(self, tmp_path, kind):
         from leaguebalance.simulate import DgpParams, LeagueSimParams
 
         out = tmp_path / kind
-        countries = ("--dgp-countries", 1) if kind == "dgp" else ()
-        assert run("simulate", "--kind", kind, *countries, "--out-dir", out) == 0
+        countries = ("--n-countries", 1) if kind == "dgp" else ()
+        assert run(f"simulate-{kind}", *countries, "--out-dir", out) == 0
         name = "league.csv" if kind == "league" else "macro.csv"
         with open(out / name, newline="") as fh:
             seasons = {int(row["season"]) for row in csv.DictReader(fh)}
@@ -938,8 +951,8 @@ class TestD97Cut:
     def test_constant_d97_is_input_error(self, tmp_path, capsys, start, message):
         sim = tmp_path / "sim"
         assert run(
-            "simulate", "--kind", "dgp", "--start-season", start, "--n-seasons", 20,
-            "--dgp-countries", 3, "--seed", 1, "--out-dir", sim,
+            "simulate-dgp", "--start-season", start, "--n-seasons", 20,
+            "--n-countries", 3, "--seed", 1, "--out-dir", sim,
         ) == 0
         argv = ("fit", "--macro", sim / "macro.csv", "--indices", sim / "indices.csv",
                 "--index", "sdc_ki")

@@ -66,7 +66,7 @@ def dgp(tmp_path_factory):
     """A simulated 3-country panel, 1959-2003, and its fits with and without d97."""
     root = tmp_path_factory.mktemp("dgp")
     assert run(
-        "simulate", "--kind", "dgp", "--dgp-countries", 3, "--n-seasons", 45,
+        "simulate-dgp", "--n-countries", 3, "--n-seasons", 45,
         "--seed", 4, "--out-dir", root,
     ) == 0
     macro, indices = root / "macro.csv", root / "indices.csv"
@@ -138,7 +138,7 @@ def test_earlier_macro_row_changes_no_design_row(dgp, tmp_path):
     strict=True,
     reason="build_adl_design counts the trend from the panel's first macro season, "
     "which no design row reads, so the row moves t and the intercepts "
-    "(CHANGES.md FOUND on the trend origin, ROADMAP direction 6)",
+    "(CHANGES.md FOUND on the trend origin, ROADMAP smaller item 1)",
 )
 def test_earlier_macro_row_changes_no_output(dgp, tmp_path):
     macro = with_earlier_first_row(dgp["macro"], tmp_path / "macro.csv")

@@ -170,7 +170,9 @@ def test_class_defaults_match_the_constructors():
 
     assert RegressionSpec.adl_order == default(RegressionSpec, "adl_order")
     assert RegressionSpec.adl_order == RegressionSpec("sdc_ki").adl_order
-    fit_args = build_parser().parse_args(["fit", "--macro", "m.csv", "--out-dir", "o"])
+    fit_args = build_parser().parse_args(
+        ["fit", "--macro", "m.csv", "--indices", "i.csv", "--out-dir", "o"]
+    )
     assert fit_args.adl_order == RegressionSpec.adl_order
     for name in inspect.signature(LeagueSimParams).parameters:
         assert getattr(LeagueSimParams, name) == default(LeagueSimParams, name), name
