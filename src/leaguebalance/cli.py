@@ -330,8 +330,8 @@ def _fit(panel, index_values, names: list[str], args, config: Config, out_dir):
 def cmd_fit(args) -> int:
     config, config_hash = _load_config(args)
     names = _index_names(args.index)
-    inputs = {"macro": sha256_file(args.macro)}
     macro = parse_macro_csv(args.macro)
+    inputs = {"macro": sha256_file(args.macro)}
 
     if args.indices is not None:
         index_values = parse_index_csv(args.indices, names)
@@ -525,6 +525,13 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def non_negative_int(text: str) -> int:
+    seed = int(text)
+    if seed < 0:  # numpy seeds only from non-negative integers
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leaguebalance",
@@ -576,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         """The options that both simulators read; each gives its own defaults."""
         p.add_argument("--n-seasons", type=int, default=None)
         p.add_argument("--start-season", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=non_negative_int, default=0, help="an integer >= 0")
         common(p)
         p.set_defaults(func=func)
 

@@ -9,6 +9,7 @@ regression stage.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 
@@ -222,7 +223,7 @@ class Config(Record):
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
@@ -296,20 +297,25 @@ def csv_rows(path, columns):
     """Yield ``(line, fields)`` for every data row of a CSV whose header is ``columns``.
 
     Blank lines are skipped; a row with more or fewer fields than the header
-    is an InputError naming its line.
+    is an InputError naming its line, and a file that cannot be read or is not
+    UTF-8 is one naming its path.
     """
     n = len(columns)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != tuple(columns):
-            raise InputError(f"{path}: bad header {header}; expected {','.join(columns)}")
-        for fields in reader:
-            if not fields:
-                continue
-            if len(fields) != n:
-                raise InputError(f"{path}:{reader.line_num}: expected {n} fields, got {len(fields)}")
-            yield reader.line_num, fields
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise InputError(f"cannot read {path}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or tuple(header) != tuple(columns):
+        raise InputError(f"{path}: bad header {header}; expected {','.join(columns)}")
+    for fields in reader:
+        if not fields:
+            continue
+        if len(fields) != n:
+            raise InputError(f"{path}:{reader.line_num}: expected {n} fields, got {len(fields)}")
+        yield reader.line_num, fields
 
 
 def parse_league_csv(path: str, config: Config | None = None) -> list[LeagueSeason]:

@@ -2,7 +2,9 @@
 
 ``simulate_league`` samples match outcomes from a team-strength model whose
 dispersion parameter sweeps from perfect balance (0, every match drawn) to a
-frozen completely unbalanced league (inf).  ``simulate_dgp`` simulates the
+frozen completely unbalanced league (inf, the limit of large values).  The
+outcome probabilities of a league's matches are one array, computed once,
+and each season is one uniform draw per match.  ``simulate_dgp`` simulates the
 attendance equation in its levels-and-differences form with known
 coefficients and cross-country error correlation, so estimators can be
 checked against the truth.
@@ -20,13 +22,17 @@ from .panel import D97_CUTOFF, LeagueSeason, MacroObservation, TeamSeasonRecord
 from .record import Record
 
 
+MAX_TEAMS = 1000  # a season holds O(n_teams**2) arrays: about 8 MB each at 1000
+
+
 class LeagueSimParams(Record):
     """Shape of a simulated league.  The class attributes are the defaults,
-    which ``simulate-league`` reads for the options it was not given."""
+    which ``simulate-league`` reads for the options it was not given;
+    ``n_teams`` runs from 3 to ``MAX_TEAMS``."""
 
     n_teams = 12
     n_seasons = 10
-    dispersion = 2.0  # 0 = all draws, inf = frozen completely unbalanced
+    dispersion = 2.0  # 0 = all draws; inf, the limit of large values, = frozen
     country = "SIM"
     start_season = 1990
     K = 3
@@ -56,6 +62,8 @@ class LeagueSimParams(Record):
         )
         if self.n_teams < 3:
             raise InputError("n_teams must be >= 3")
+        if self.n_teams > MAX_TEAMS:
+            raise InputError(f"n_teams must be <= {MAX_TEAMS}")
         if self.n_seasons < 1:
             raise InputError("n_seasons must be >= 1")
         if not self.dispersion >= 0:  # NaN too
@@ -66,81 +74,49 @@ class LeagueSimParams(Record):
             raise InputError("K + I must be < n_teams")
 
 
-def _sample_match(rng: np.random.Generator, s_home: float, s_away: float, theta: float) -> int:
-    """0 = home win, 1 = draw, 2 = away win."""
-    d = s_home - s_away
-    if math.isinf(theta):
-        if d == 0.0:
-            return 1
-        return 0 if d > 0 else 2
-    p_draw = math.exp(-theta * abs(d))
-    p_home = (1.0 - p_draw) / (1.0 + math.exp(-theta * d))
-    u = rng.random()
-    if u < p_draw:
-        return 1
-    return 0 if u < p_draw + p_home else 2
-
-
 def simulate_league(params: LeagueSimParams, seed: int = 0) -> list[LeagueSeason]:
     """Simulate seasons of a double round robin under a fixed-strength model.
 
-    Strengths are equally spaced and persist across seasons; with churn the
-    bottom teams hand their strength slots to fresh team ids, mimicking
-    promotion and relegation.
+    Strengths are equally spaced and belong to slots that persist across
+    seasons; with churn the bottom teams hand their slots to fresh team ids,
+    mimicking promotion and relegation.  A match between strengths s_h and
+    s_a, d = s_h - s_a, is drawn with probability exp(-theta |d|) and
+    otherwise won by the home side with odds exp(theta d).  Each season
+    plays its n(n-1) matches, home slot i against away slot j != i in
+    row-major order, on one uniform draw each from the generator seeded
+    ``[seed, season index]``; at theta = inf no draw is made and the
+    stronger side wins.
     """
     n = params.n_teams
-    teams = [f"T{i:02d}" for i in range(n)]
-    strength = {team: (n - 1.0 - i) / (n - 1.0) for i, team in enumerate(teams)}
-    fresh = 0
+    strength = (n - 1.0 - np.arange(n)) / (n - 1.0)
+    home, away = np.nonzero(~np.eye(n, dtype=bool))  # the play order
+    d = strength[home] - strength[away]
+    theta = params.dispersion
+    p_draw = np.exp(-theta * np.abs(d))
+    with np.errstate(over="ignore"):  # exp(-theta d) = inf: a home win's chance is 0
+        home_cut = p_draw + (1.0 - p_draw) / (1.0 + np.exp(-theta * d))
+    # a match counts in cell 3 * slot + result of both its slots, result 0, 1
+    # or 2 = W, D or L; the away side's result is 2 minus the home side's
+    cells = np.concatenate((3 * home, 3 * away + 2))
+    teams = [f"T{i:02d}" for i in range(n)]  # the team in each slot
     out: list[LeagueSeason] = []
 
     for s_idx in range(params.n_seasons):
-        season = params.start_season + s_idx
-        rng = np.random.default_rng([seed, s_idx])
-        wins = {t: 0 for t in teams}
-        draws = {t: 0 for t in teams}
-        losses = {t: 0 for t in teams}
-        for home in teams:
-            for away in teams:
-                if home == away:
-                    continue
-                res = _sample_match(rng, strength[home], strength[away], params.dispersion)
-                if res == 0:
-                    wins[home] += 1
-                    losses[away] += 1
-                elif res == 2:
-                    wins[away] += 1
-                    losses[home] += 1
-                else:
-                    draws[home] += 1
-                    draws[away] += 1
-        order = sorted(teams, key=lambda t: (-(2 * wins[t] + draws[t]), t))
+        # theta = inf: thresholds 0 and 0 or 1, so u = 0 lets the stronger side win
+        u = 0.0 if math.isinf(theta) else np.random.default_rng([seed, s_idx]).random(d.size)
+        result = np.where(u < p_draw, 1, np.where(u < home_cut, 0, 2))  # the home side's
+        counts = np.bincount(cells + np.concatenate((result, -result)), minlength=3 * n)
+        wins, draws, losses = counts.reshape(n, 3).T.tolist()
+        points = [2 * w + dr for w, dr in zip(wins, draws)]
+        order = sorted(range(n), key=lambda i: (-points[i], teams[i]))
         records = tuple(
-            TeamSeasonRecord(
-                team=t,
-                rank=r + 1,
-                wins=wins[t],
-                draws=draws[t],
-                losses=losses[t],
-                points=2 * wins[t] + draws[t],
-            )
-            for r, t in enumerate(order)
+            TeamSeasonRecord(teams[i], r + 1, wins[i], draws[i], losses[i], points[i])
+            for r, i in enumerate(order)
         )
-        out.append(
-            LeagueSeason(
-                country=params.country,
-                season=season,
-                records=records,
-                K=params.K,
-                I=params.I,
-            )
-        )
-        if params.churn:
-            for t in order[-params.churn :]:
-                new_team = f"N{fresh:03d}"
-                fresh += 1
-                strength[new_team] = strength.pop(t)
-                teams[teams.index(t)] = new_team
+        season = params.start_season + s_idx
+        out.append(LeagueSeason(params.country, season, records, K=params.K, I=params.I))
+        for k, i in enumerate(order[n - params.churn :]):
+            teams[i] = f"N{s_idx * params.churn + k:03d}"
     return out
 
 

@@ -149,6 +149,70 @@ def random_outcomes(n: int, rng: np.random.Generator):
     return rng.integers(0, 3, size=n * (n - 1))
 
 
+def _sample_match(rng: np.random.Generator, s_home: float, s_away: float, theta: float) -> int:
+    d = s_home - s_away
+    if math.isinf(theta):
+        if d == 0.0:
+            return DRAW
+        return HOME if d > 0 else AWAY
+    p_draw = math.exp(-theta * abs(d))
+    p_home = (1.0 - p_draw) / (1.0 + math.exp(-theta * d))
+    u = rng.random()
+    if u < p_draw:
+        return DRAW
+    return HOME if u < p_draw + p_home else AWAY
+
+
+def simulate_league_reference(params, seed: int = 0) -> list[LeagueSeason]:
+    """``simulate_league`` played one match at a time, with a per-team
+    strength that promoted teams inherit; ``math.exp`` overflows above a
+    dispersion of about 709."""
+    n = params.n_teams
+    teams = [f"T{i:02d}" for i in range(n)]
+    strength = {team: (n - 1.0 - i) / (n - 1.0) for i, team in enumerate(teams)}
+    fresh = 0
+    out: list[LeagueSeason] = []
+    for s_idx in range(params.n_seasons):
+        rng = np.random.default_rng([seed, s_idx])
+        wins = {t: 0 for t in teams}
+        draws = {t: 0 for t in teams}
+        losses = {t: 0 for t in teams}
+        for home in teams:
+            for away in teams:
+                if home == away:
+                    continue
+                res = _sample_match(rng, strength[home], strength[away], params.dispersion)
+                if res == HOME:
+                    wins[home] += 1
+                    losses[away] += 1
+                elif res == AWAY:
+                    wins[away] += 1
+                    losses[home] += 1
+                else:
+                    draws[home] += 1
+                    draws[away] += 1
+        order = sorted(teams, key=lambda t: (-(2 * wins[t] + draws[t]), t))
+        records = tuple(
+            TeamSeasonRecord(
+                team=t, rank=r + 1, wins=wins[t], draws=draws[t], losses=losses[t],
+                points=2 * wins[t] + draws[t],
+            )
+            for r, t in enumerate(order)
+        )
+        out.append(
+            LeagueSeason(
+                country=params.country, season=params.start_season + s_idx, records=records,
+                K=params.K, I=params.I,
+            )
+        )
+        for t in order[n - params.churn :]:
+            new_team = f"N{fresh:03d}"
+            fresh += 1
+            strength[new_team] = strength.pop(t)
+            teams[teams.index(t)] = new_team
+    return out
+
+
 def fit_from_residuals(resid_by_country: dict[str, np.ndarray], years_by_country=None) -> FitResult:
     """Minimal FitResult wrapping given residual series.  Its design has no
     columns; the design's grid places the series on the year x country grid.

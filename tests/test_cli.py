@@ -923,6 +923,68 @@ class TestOptionsAndManifests:
         if command == "unit-root":
             assert manifest["config_hash"] == sha256_text("default")
 
+    @pytest.mark.parametrize("command", ["simulate-league", "simulate-dgp"])
+    def test_negative_seed_is_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "sim"
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--seed", -1, "--out-dir", out)
+        assert exc.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("indices", "--league"),
+            ("indices", "--config"),
+            ("unit-root", "--macro"),
+            ("fit", "--macro"),
+            ("fit", "--indices"),
+            ("fit", "--league"),
+            ("fit", "--config"),
+            ("effects", "--indices"),
+            ("effects", "--macro"),
+            ("report", "--league"),
+            ("report", "--macro"),
+            ("report", "--config"),
+        ],
+    )
+    @pytest.mark.parametrize("problem", ["missing", "directory", "not_utf8"])
+    def test_unreadable_input_is_a_typed_error(
+        self, small_dataset, tmp_path, capsys, command, option, problem
+    ):
+        """A file that cannot be read is an input error (exit 2), or a
+        config error (exit 4) for ``--config``, never a traceback."""
+        bad = tmp_path / "bad"
+        if problem == "directory":
+            bad.mkdir()
+        elif problem == "not_utf8":
+            bad.write_bytes(b"country,season\n\xff\xfe,1990\n")
+        indices = tmp_path / "indices.csv"
+        indices.write_text("country,season,index,value\nAAA,1990,sdc_ki,0.5\n")
+        inputs = {
+            "--league": small_dataset["league"], "--macro": small_dataset["macro"],
+            "--indices": indices,
+        }
+        options = {
+            "indices": ("--league",),
+            "unit-root": ("--macro",),
+            "fit": ("--macro", "--league" if option == "--league" else "--indices"),
+            "effects": ("--indices", "--macro"),
+            "report": ("--league", "--macro"),
+        }[command]
+        argv = [a for name in options for a in (name, bad if name == option else inputs[name])]
+        if option == "--config":
+            argv += ["--config", bad]
+        if command == "effects":
+            argv += ["--elasticity", "-1.0"]
+        code, message = (
+            (4, "config error: cannot read config") if option == "--config"
+            else (2, "input error: cannot read")
+        )
+        assert run(command, *argv, "--out-dir", tmp_path / "o") == code
+        assert f"{message} {bad}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["league", "dgp"])
     def test_simulate_default_season_count_is_the_simulators(self, tmp_path, kind):
         from leaguebalance.simulate import DgpParams, LeagueSimParams

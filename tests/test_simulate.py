@@ -1,19 +1,36 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leaguebalance import InputError, winning_percentages
 from leaguebalance.simulate import (
     COEFFICIENTS,
     LONG_RUN,
+    MAX_TEAMS,
     DgpParams,
     LeagueSimParams,
     simulate_dgp,
     simulate_league,
 )
-from support import dgp_design
+from support import dgp_design, simulate_league_reference
+
+
+@st.composite
+def league_params(draw) -> LeagueSimParams:
+    n = draw(st.integers(3, 24))
+    return LeagueSimParams(
+        n_teams=n,
+        n_seasons=draw(st.integers(1, 4)),
+        dispersion=draw(st.sampled_from([0.0, 0.3, 2.0, 7.3, 500.0, math.inf])),
+        churn=draw(st.integers(0, n // 2)),
+        K=1,
+        I=1,
+    )
 
 
 class TestLeagueSimulation:
@@ -49,9 +66,34 @@ class TestLeagueSimulation:
         assert simulate_league(params, seed=11) == simulate_league(params, seed=11)
         assert simulate_league(params, seed=11) != simulate_league(params, seed=12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(league_params(), st.integers(0, 2**32 - 1))
+    def test_matches_the_per_match_reference(self, params, seed):
+        assert simulate_league(params, seed) == simulate_league_reference(params, seed)
+
+    @pytest.mark.parametrize("dispersion", [1e3, 1e308])
+    @pytest.mark.parametrize("n_teams", [3, 12, 24])
+    def test_large_dispersion_tends_to_the_frozen_league(self, n_teams, dispersion):
+        """No overflow and no warning: the home side's odds exp(theta d)
+        overflow for theta |d| above about 709."""
+        frozen = simulate_league(
+            LeagueSimParams(n_teams=n_teams, dispersion=math.inf, churn=1, K=1, I=1), seed=4
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            leagues = simulate_league(
+                LeagueSimParams(n_teams=n_teams, dispersion=dispersion, churn=1, K=1, I=1),
+                seed=4,
+            )
+        assert leagues == frozen
+
     def test_parameter_validation(self):
         with pytest.raises(InputError):
             LeagueSimParams(n_teams=2)
+        # the bound on the parameters alone: a season holds O(n_teams**2) arrays
+        assert LeagueSimParams(n_teams=MAX_TEAMS).n_teams == MAX_TEAMS
+        with pytest.raises(InputError, match=f"n_teams must be <= {MAX_TEAMS}"):
+            LeagueSimParams(n_teams=MAX_TEAMS + 1)
         with pytest.raises(InputError):
             LeagueSimParams(dispersion=-1.0)
         with pytest.raises(InputError):
