@@ -502,9 +502,9 @@ def cmd_report(args) -> int:
     config, config_hash = _load_config(args)
     names = _index_names(args.index)
     out = Path(args.out_dir)
-    values, artifacts = _indices(args.league, config, out)
-    macro = parse_macro_csv(args.macro)
+    macro = parse_macro_csv(args.macro)  # a bad macro file stops the run before any write
     panel = build_panel(macro)
+    values, artifacts = _indices(args.league, config, out)
     artifacts += _unit_root(panel, None, out)
     index_values = _quantised([v for v in values if v.name in names])
     reports, fit_artifacts = _fit(panel, index_values, names, args, config, out)

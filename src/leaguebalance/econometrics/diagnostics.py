@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import InputError, LeagueBalanceError, NumericalError
 from .base import FitResult, TestResult
-from .ols import check_rank, r_factor
+from .ols import check_rank
 from .tails import chi2_sf, f2_sf, two_sided_normal
 
 
@@ -130,7 +130,7 @@ def ramsey_reset(fit: FitResult) -> TestResult:
     if dof < 1:
         raise NumericalError(f"not enough rows ({design.nobs}) for RESET's {k + 2} coefficients")
     z = (yhat - yhat.mean()) / scale  # standardised to keep the powers well conditioned
-    r = r_factor(np.column_stack([design.X, z**2, z**3, design.y]))
+    r = np.linalg.qr(np.column_stack([design.X, z**2, z**3, design.y]), mode="r")
     try:
         check_rank(r, design.columns + ["fitted^2", "fitted^3"])
     except NumericalError as exc:

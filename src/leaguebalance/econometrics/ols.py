@@ -1,4 +1,10 @@
-"""Least squares by QR: one triangular factor answers every question."""
+"""Least squares by QR: one triangular factor answers every question.
+
+Each caller factors its whole matrix with ``np.linalg.qr(z, mode="r")``.
+With ``z = [X | y]`` the last column of R holds Q'y, and the sum of its
+squares below row j is the residual sum of squares of y on the first j
+columns of X.
+"""
 
 from __future__ import annotations
 
@@ -7,23 +13,6 @@ import numpy as np
 from ..errors import NumericalError
 
 _RCOND = 1e-10
-_QR_ROWS = 256
-
-
-def r_factor(z: np.ndarray) -> np.ndarray:
-    """Upper-triangular R of ``z`` = QR, so that z'z = R'R.
-
-    R is reduced from blocks of at most ``_QR_ROWS`` rows (tall-skinny QR).
-    Small blocks keep each BLAS call single-threaded: on a loaded 2-core
-    host one 384 x 25 QR that woke BLAS threads made a GLS pass 15 times
-    slower.  With ``z = [X | y]`` the last column of R holds Q'y, and the
-    sum of its squares below row j is the residual sum of squares of y on
-    the first j columns of X.
-    """
-    rows = max(_QR_ROWS, 2 * z.shape[1])
-    while z.shape[0] > rows:
-        z = np.vstack([np.linalg.qr(z[i : i + rows], mode="r") for i in range(0, z.shape[0], rows)])
-    return np.linalg.qr(z, mode="r")
 
 
 def check_rank(r: np.ndarray, names: list[str]) -> None:
@@ -46,7 +35,7 @@ def qr_solve(X: np.ndarray, y: np.ndarray, names: list[str]) -> tuple[np.ndarray
     n, k = X.shape
     if n <= k:
         raise NumericalError(f"not enough rows ({n}) for {k} coefficients")
-    r = r_factor(np.column_stack([X, y]))
+    r = np.linalg.qr(np.column_stack([X, y]), mode="r")
     check_rank(r, names)
     return np.linalg.solve(r[:k, :k], r[:k, k]), r
 

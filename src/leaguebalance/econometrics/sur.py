@@ -26,7 +26,7 @@ import numpy as np
 from ..errors import InputError, NumericalError
 from .base import FitResult
 from .design import DesignMatrix, YearGrid
-from .ols import qr_solve, r_factor, r_inverse
+from .ols import qr_solve, r_inverse
 
 _EIG_FLOOR = 1e-10
 
@@ -220,7 +220,7 @@ def white_cross_section_cov(fit: FitResult) -> np.ndarray:
             stacklevel=2,
         )
     white = _whiten(grid, grid.fill(np.column_stack([design.X, fit.residuals])), fit.sigma)
-    rinv = r_inverse(r_factor(white[grid.mask]), k)
+    rinv = r_inverse(np.linalg.qr(white[grid.mask], mode="r"), k)
     scores = np.einsum("tck,tc->tk", white[..., :k], white[..., k])
     half = scores @ rinv @ rinv.T
     return half.T @ half

@@ -23,7 +23,6 @@ import numpy as np
 
 from ..errors import InputError, NumericalError
 from .base import TestResult
-from .ols import r_factor
 from .tails import chi2_sf
 
 ADF_CASES = ("c", "ct")
@@ -130,7 +129,7 @@ def _scaled_r(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     norms = np.linalg.norm(z[:, :-1], axis=0)
     norms[norms == 0.0] = 1.0
-    r = r_factor(z / np.append(norms, 1.0))
+    r = np.linalg.qr(z / np.append(norms, 1.0), mode="r")
     return r, np.abs(np.diag(r)[:-1])
 
 

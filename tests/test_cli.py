@@ -705,6 +705,27 @@ class TestReportCommand:
         assert set(manifest["artifacts"]) == files - {"manifest.json"}
         assert "effects_sdc_ki/effects.csv" in files and "unit_root.csv" in files
 
+    @pytest.mark.parametrize("problem", ["missing", "not_utf8", "zero_attendance"])
+    def test_bad_macro_writes_nothing(self, small_dataset, tmp_path, capsys, problem):
+        """``--macro`` is read and checked before the index stage writes."""
+        macro = tmp_path / "macro.csv"
+        message = "input error: cannot read"
+        if problem == "not_utf8":
+            macro.write_bytes(b"country,season\n\xff\xfe,1990\n")
+        elif problem == "zero_attendance":
+            message = "log-domain error: non-positive attendance_avg"
+            header, first, *rest = Path(small_dataset["macro"]).read_text().splitlines()
+            fields = first.split(",")
+            fields[2] = "0"
+            macro.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+        out = tmp_path / "rep"
+        assert run(
+            "report", "--league", small_dataset["league"], "--macro", macro, "--out-dir", out,
+        ) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "indices.csv").exists()
+        assert not (out / "g_diagnostics.csv").exists()
+
     def test_matches_the_single_commands(self, small_dataset, tmp_path):
         macro = small_dataset["macro"]
         out = tmp_path / "rep"
