@@ -94,6 +94,11 @@ def check_index_value(name: str, country: str, season: int, value: float) -> Non
         raise InputError(f"{name} for ({country}, {season}) out of [0, 1]: {value}")
 
 
+def valid_index_values(names: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``check_index_value`` over columns: True where a row would pass."""
+    return np.isin(names, ALL_INDEX_NAMES) & (-_VALUE_TOL <= values) & (values <= 1.0 + _VALUE_TOL)
+
+
 class IndexValue(Record):
     """One index value for one country-season, on the 0=balance..1=imbalance scale."""
 

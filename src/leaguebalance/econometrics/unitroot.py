@@ -14,7 +14,6 @@ referred to a chi-squared distribution with 2n degrees of freedom.
 from __future__ import annotations
 
 import bisect
-import csv
 import functools
 import math
 from importlib import resources
@@ -53,23 +52,29 @@ class AdfResult(TestResult):
         self.__dict__.update(lag=lag)
 
 
+_TABLE_ROW = np.dtype(
+    [("case", "U2"), ("T", np.int64), ("quantile", np.float64), ("value", np.float64)]
+)
+
+
 @functools.cache
 def _quantile_table() -> dict[str, tuple[tuple[int, ...], list[tuple[np.ndarray, np.ndarray]]]]:
     """The shipped quantile table, parsed once: per case, the sorted T buckets
     and each bucket's (values, quantiles) arrays in quantile order."""
-    cells: dict[tuple[str, int], list[tuple[float, float]]] = {}
     ref = resources.files("leaguebalance").joinpath("data/adf_quantiles.csv")
     with ref.open("r", encoding="utf-8", newline="") as fh:
-        next(fh), next(fh)  # the version comment and the column names
-        for case, t_len, q, v in csv.reader(fh):
-            cells.setdefault((case, int(t_len)), []).append((float(q), float(v)))
+        rows = np.loadtxt(  # past the version comment and the column names
+            fh, dtype=_TABLE_ROW, delimiter=",", skiprows=2, quotechar=None, comments=None
+        )
     table = {}
     for case in ADF_CASES:
-        buckets = tuple(sorted(t for c, t in cells if c == case))
+        cells = rows[rows["case"] == case]
+        buckets = tuple(sorted(set(cells["T"].tolist())))
         grids = []
         for t_len in buckets:
-            qs, vs = zip(*sorted(cells[(case, t_len)]))
-            grids.append((np.array(vs), np.array(qs)))
+            grid = cells[cells["T"] == t_len]
+            order = np.lexsort((grid["value"], grid["quantile"]))
+            grids.append((grid["value"][order], grid["quantile"][order]))
         table[case] = (buckets, grids)
     return table
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .catalog import IndexValue, check_index_value
+from .catalog import IndexValue, check_index_value, valid_index_values
 from .errors import ConfigError, InputError
 from .record import Record
 
@@ -296,9 +296,9 @@ def _parse_float(value: str, what: str, where: str) -> float:
 def csv_rows(path, columns):
     """Yield ``(line, fields)`` for every data row of a CSV whose header is ``columns``.
 
-    Blank lines are skipped; a row with more or fewer fields than the header
-    is an InputError naming its line, and a file that cannot be read or is not
-    UTF-8 is one naming its path.
+    Blank lines are skipped; a row with more or fewer fields than the header,
+    or one the ``csv`` module cannot split, is an InputError naming its line,
+    and a file that cannot be read or is not UTF-8 is one naming its path.
     """
     n = len(columns)
     try:
@@ -307,15 +307,20 @@ def csv_rows(path, columns):
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
         raise InputError(f"cannot read {path}: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header is None or tuple(header) != tuple(columns):
-        raise InputError(f"{path}: bad header {header}; expected {','.join(columns)}")
-    for fields in reader:
-        if not fields:
-            continue
-        if len(fields) != n:
-            raise InputError(f"{path}:{reader.line_num}: expected {n} fields, got {len(fields)}")
-        yield reader.line_num, fields
+    try:
+        header = next(reader, None)
+        if header is None or tuple(header) != tuple(columns):
+            raise InputError(f"{path}: bad header {header}; expected {','.join(columns)}")
+        for fields in reader:
+            if not fields:
+                continue
+            if len(fields) != n:
+                raise InputError(
+                    f"{path}:{reader.line_num}: expected {n} fields, got {len(fields)}"
+                )
+            yield reader.line_num, fields
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise InputError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def parse_league_csv(path: str, config: Config | None = None) -> list[LeagueSeason]:
@@ -408,12 +413,126 @@ def parse_macro_csv(path: str) -> list[MacroObservation]:
     return out
 
 
+# A row of indices.csv as numpy's C text reader stores it, every field but
+# the value as text.  A field that fills its slot may have been cut to fit:
+# its last code point is not NUL.
+_NAME_WIDTH, _SEASON_WIDTH = 16, 8
+_INDEX_ROW = np.dtype(
+    [
+        ("country", f"U{_NAME_WIDTH}"),
+        ("season", f"U{_SEASON_WIDTH}"),
+        ("index", f"U{_NAME_WIDTH}"),
+        ("value", np.float64),
+    ]
+)
+
+
+def _chars(field: str) -> range:
+    """The columns of a text field in a row of ``_INDEX_ROW`` seen as code points."""
+    dtype, offset = _INDEX_ROW.fields[field][:2]
+    return range(offset // 4, (offset + dtype.itemsize) // 4)
+
+
+_SEASON_CHARS = _chars("season")
+_LAST_CHARS = [_chars(field)[-1] for field in ("country", "season", "index")]
+# The bytes whose lines the C reader splits and converts as the csv module
+# and float() do: printable ASCII but the quote, and line ends.  Numpy's
+# number reader skips \x1c-\x1f as white space, where float() stops.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\r\n"
+
+
 def parse_index_csv(path: str, names: list[str]) -> list[IndexValue]:
-    """The values of the indices in ``names`` from an ``indices.csv``.
+    """The values of the indices in ``names`` from an ``indices.csv``, in file order.
 
     Every row is validated, requested or not; each (country, season, index)
-    may appear once.
+    may appear once.  A plain file (printable ASCII without quotes, names
+    under 16 characters, seasons of 1 to 7 digits), as ``indices`` writes
+    it, is read in one call of numpy's C text reader and checked as
+    columns.  Any other file, and any file that pass finds fault with, is
+    read row by row, which names the first bad line; both give the same
+    values and the same errors.
     """
+    values = _index_columns(path, names)
+    return _parse_index_rows(path, names) if values is None else values
+
+
+def _index_columns(path: str, names: list[str]) -> list[IndexValue] | None:
+    """``parse_index_csv`` read as columns, or None where the row reader must
+    decide: a file that is not plain, or one with a fault."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    # in plain text, str.splitlines ends a line where the csv module does:
+    # at \r\n, \n or a bare \r
+    lines = data.decode("ascii").splitlines()
+    if not lines or lines[0] != ",".join(INDEX_COLUMNS) or not any(lines[1:]):
+        return None
+    try:
+        table = np.loadtxt(
+            lines, dtype=_INDEX_ROW, delimiter=",", skiprows=1, quotechar=None,
+            comments=None, ndmin=1,
+        )
+    except ValueError:  # a field count or a value that is no number
+        return None
+    chars = table.view(np.uint32).reshape(len(table), -1)
+    if chars[:, _LAST_CHARS].any():
+        return None
+    season = _digit_strings(chars[:, _SEASON_CHARS])
+    country, name, value = table["country"], table["index"], table["value"]
+    if season is None or not (
+        valid_index_values(name, value).all() and _distinct(country, season, name)
+    ):
+        return None
+    pick = np.flatnonzero(np.isin(name, names))
+    return [
+        IndexValue(*row)
+        for row in zip(
+            name[pick].tolist(), country[pick].tolist(), season[pick].tolist(),
+            value[pick].tolist(),
+        )
+    ]
+
+
+def _digit_strings(chars: np.ndarray) -> np.ndarray | None:
+    """The integers written in ``chars``, one row of NUL-padded code points
+    each, or None unless every row holds one or more ASCII digits.
+
+    int() reads those the same way; a season with a sign, spaces, "_" or
+    other digits is left to it.  Numpy's own integer reader would differ:
+    it takes non-ASCII characters for digits, and numpy 1.x reads "1991.0"
+    as 1991.
+    """
+    digit = (chars >= ord("0")) & (chars <= ord("9"))
+    length = digit.sum(axis=1)
+    if not ((length > 0) & (length == np.count_nonzero(chars, axis=1))).all():
+        return None
+    # left-aligned: read every row as all its slots, then drop the padding's zeros
+    width = chars.shape[1]
+    digits = np.where(digit, chars, ord("0")).astype(np.int64) - ord("0")
+    return (digits @ 10 ** np.arange(width - 1, -1, -1)) // 10 ** (width - length)
+
+
+def _distinct(*keys: np.ndarray) -> bool:
+    """Whether no two rows have the same key, a tuple of the columns ``keys``.
+
+    Keys in strictly increasing order, as ``indices`` writes them, are
+    distinct; a set settles any other order.
+    """
+    increasing = np.zeros(len(keys[0]) - 1, dtype=bool)
+    tied = ~increasing
+    for key in keys:
+        before, after = key[:-1], key[1:]
+        increasing |= tied & (after > before)
+        tied &= after == before
+    return bool(increasing.all()) or len(set(zip(*(key.tolist() for key in keys)))) == len(keys[0])
+
+
+def _parse_index_rows(path: str, names: list[str]) -> list[IndexValue]:
+    """``parse_index_csv`` one row at a time, checking each row in turn."""
     wanted = frozenset(names)
     out = []
     seen: set[tuple[str, int, str]] = set()

@@ -12,7 +12,7 @@ import leaguebalance
 from leaguebalance.cli import main
 from leaguebalance.errors import ConfigError
 from leaguebalance.manifest import sha256_file, sha256_text
-from leaguebalance.panel import Config
+from leaguebalance.panel import INDEX_COLUMNS, LEAGUE_COLUMNS, MACRO_COLUMNS, Config
 
 
 def run(*argv) -> int:
@@ -1005,6 +1005,27 @@ class TestOptionsAndManifests:
         )
         assert run(command, *argv, "--out-dir", tmp_path / "o") == code
         assert f"{message} {bad}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, option", [("indices", "--league"), ("unit-root", "--macro"), ("fit", "--indices")]
+    )
+    def test_oversized_field_is_a_typed_error(
+        self, small_dataset, tmp_path, capsys, command, option
+    ):
+        """A field longer than the csv module's limit is an input error
+        naming its line, never a traceback."""
+        header = {
+            "--league": LEAGUE_COLUMNS, "--macro": MACRO_COLUMNS, "--indices": INDEX_COLUMNS,
+        }[option]
+        big = tmp_path / "big.csv"
+        big.write_text(",".join(header) + "\n" + "A" * 200_000 + ",1" * (len(header) - 1) + "\n")
+        argv = [option, big]
+        if command == "fit":
+            argv += ["--macro", small_dataset["macro"], "--index", "sdc_ki"]
+        assert run(command, *argv, "--out-dir", tmp_path / "o") == 2
+        assert (
+            f"input error: {big}:2: field larger than field limit" in capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize("kind", ["league", "dgp"])
     def test_simulate_default_season_count_is_the_simulators(self, tmp_path, kind):

@@ -1,3 +1,4 @@
+import csv
 import math
 from importlib import resources
 
@@ -8,8 +9,14 @@ from hypothesis import strategies as st
 
 from leaguebalance import InputError, NumericalError
 from leaguebalance.econometrics import adf_test, fisher_panel_unit_root
-from leaguebalance.econometrics.unitroot import ADF_CASES, adf_p_value
-from support import adf_exact_tstat, adf_lstsq_reference, generate_adf_table, write_adf_table
+from leaguebalance.econometrics.unitroot import ADF_CASES, _quantile_table, adf_p_value
+from support import (
+    ADF_T_GRID,
+    adf_exact_tstat,
+    adf_lstsq_reference,
+    generate_adf_table,
+    write_adf_table,
+)
 
 
 class TestFisherCombination:
@@ -76,6 +83,24 @@ class TestAdfPValueTable:
         write_adf_table(generate_adf_table(), path)
         shipped = resources.files("leaguebalance").joinpath("data/adf_quantiles.csv")
         assert path.read_bytes() == shipped.read_bytes()
+
+    def test_parsed_table_is_the_csv_modules_bit_for_bit(self):
+        cells = {}
+        shipped = resources.files("leaguebalance").joinpath("data/adf_quantiles.csv")
+        with shipped.open("r", encoding="utf-8", newline="") as fh:
+            next(fh), next(fh)  # the version comment and the column names
+            for case, t_len, q, v in csv.reader(fh):
+                cells.setdefault((case, int(t_len)), []).append((float(q), float(v)))
+        table = _quantile_table()
+        assert tuple(table) == ADF_CASES
+        for case in ADF_CASES:
+            buckets, grids = table[case]
+            assert buckets == ADF_T_GRID and len(grids) == len(buckets)
+            for t_len, (values, quantiles) in zip(buckets, grids):
+                qs, vs = zip(*sorted(cells[(case, t_len)]))
+                for parsed, expected in ((values, vs), (quantiles, qs)):
+                    assert parsed.dtype == np.float64 and parsed.flags.c_contiguous
+                    assert parsed.tobytes() == np.array(expected).tobytes()
 
 
 class TestAdfTest:
