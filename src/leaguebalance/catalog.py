@@ -94,9 +94,16 @@ def check_index_value(name: str, country: str, season: int, value: float) -> Non
         raise InputError(f"{name} for ({country}, {season}) out of [0, 1]: {value}")
 
 
-def valid_index_values(names: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``check_index_value`` over columns: True where a row would pass."""
-    return np.isin(names, ALL_INDEX_NAMES) & (-_VALUE_TOL <= values) & (values <= 1.0 + _VALUE_TOL)
+def check_index_values(names, countries, seasons, values) -> None:
+    """``check_index_value`` over columns of finite values: the first row
+    that fails raises its InputError."""
+    if not (
+        _KNOWN_NAMES.issuperset(names)
+        and -_VALUE_TOL <= min(values)
+        and max(values) <= 1.0 + _VALUE_TOL
+    ):
+        for row in zip(names, countries, seasons, values):
+            check_index_value(*row)
 
 
 class IndexValue(Record):

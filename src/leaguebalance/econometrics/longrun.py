@@ -101,4 +101,9 @@ def attendance_effect(
     if avg_attendance <= 0.0:
         raise InputError(f"avg_attendance must be positive, got {avg_attendance}")
     percent = abs(elasticity) * (cb_worst - cb_best) / cb_worst
-    return EffectResult(percent=percent, fans_per_game=percent * avg_attendance)
+    fans_per_game = percent * avg_attendance
+    if not (math.isfinite(percent) and math.isfinite(fans_per_game)):
+        raise InputError(
+            f"effect of elasticity {elasticity} on attendance {avg_attendance} is not finite"
+        )
+    return EffectResult(percent=percent, fans_per_game=fans_per_game)

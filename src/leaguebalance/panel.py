@@ -12,10 +12,13 @@ import csv
 import io
 import json
 import math
+from functools import partial
+from itertools import compress, islice, starmap
+from typing import NoReturn
 
 import numpy as np
 
-from .catalog import IndexValue, check_index_value, valid_index_values
+from .catalog import IndexValue, check_index_values
 from .errors import ConfigError, InputError
 from .record import Record
 
@@ -276,31 +279,18 @@ class Config(Record):
         return k, i
 
 
-def _parse_int(value: str, what: str, where: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{where}: {what} is not an integer: {value!r}") from None
+def _read_csv(path: str, columns: tuple[str, ...], check) -> tuple[str, tuple]:
+    """The text of the CSV at ``path`` and its data rows as the columns that
+    ``check`` converts.
 
-
-def _parse_float(value: str, what: str, where: str) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{where}: {what} is not a number: {value!r}") from None
-    if not math.isfinite(out):
-        raise InputError(f"{where}: {what} is not finite: {value!r}")
-    return out
-
-
-def csv_rows(path, columns):
-    """Yield ``(line, fields)`` for every data row of a CSV whose header is ``columns``.
-
-    Blank lines are skipped; a row with more or fewer fields than the header,
-    or one the ``csv`` module cannot split, is an InputError naming its line,
-    and a file that cannot be read or is not UTF-8 is one naming its path.
+    The header must be ``columns`` and blank lines are skipped.
+    ``check(fields, seen)`` converts and validates text columns, one list of
+    texts per column, and raises InputError at a fault; ``seen`` holds the
+    keys of the rows before.  The whole file is checked as columns at once;
+    only a file with a fault is walked again row by row, by ``_first_fault``,
+    to name its first bad line.  A file that cannot be read or is not UTF-8
+    is an InputError naming its path.
     """
-    n = len(columns)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             text = fh.read()
@@ -308,19 +298,118 @@ def csv_rows(path, columns):
         raise InputError(f"cannot read {path}: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
+        if next(reader, None) == list(columns):
+            fields = list(zip(*filter(None, reader), strict=True))
+            if len(fields) == len(columns):
+                return text, check(fields, set())
+    except (csv.Error, ValueError, InputError):  # ValueError: rows of unequal length
+        pass
+    _first_fault(path, text, columns, check)
+
+
+def _first_fault(path: str, text: str, columns: tuple[str, ...], check) -> NoReturn:
+    """Raise the InputError of the first bad line of a CSV ``text``.
+
+    The rows are checked one at a time, in file order: a row that ``check``
+    rejects, a row with more or fewer fields than the header and one that
+    the ``csv`` module cannot split each end the walk.  A file with no bad
+    line has no data rows.
+    """
+    n = len(columns)
+    seen: set = set()
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         header = next(reader, None)
-        if header is None or tuple(header) != tuple(columns):
+        if header is None or tuple(header) != columns:
             raise InputError(f"{path}: bad header {header}; expected {','.join(columns)}")
-        for fields in reader:
-            if not fields:
-                continue
+        for fields in filter(None, reader):
             if len(fields) != n:
                 raise InputError(
                     f"{path}:{reader.line_num}: expected {n} fields, got {len(fields)}"
                 )
-            yield reader.line_num, fields
+            try:
+                check([[field] for field in fields], seen)
+            except InputError as exc:
+                raise InputError(f"{path}:{reader.line_num}: {exc}") from None
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
         raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+    raise InputError(f"{path}: no data rows")
+
+
+def _line_of(text: str, row: int) -> int:
+    """The line of a CSV ``text`` on which data row ``row`` (0 is the first) ends."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(islice(filter(None, reader), row + 1, None))  # the header, then ``row`` rows
+    return reader.line_num
+
+
+def _stripped(column, message: str) -> list[str]:
+    """The texts of a column without surrounding white space; an empty one
+    is an InputError."""
+    names = list(map(str.strip, column))
+    if not all(names):
+        raise InputError(message)
+    return names
+
+
+def _unreadable(kind, column) -> str:
+    """The first text of a column that ``kind``, int or float, has failed to read."""
+    for text in column:
+        try:
+            kind(text)
+        except ValueError:
+            return text
+
+
+def _ints(column, what: str) -> list[int]:
+    try:
+        return list(map(int, column))
+    except ValueError:
+        raise InputError(f"{what} is not an integer: {_unreadable(int, column)!r}") from None
+
+
+def _floats(column, what: str) -> list[float]:
+    try:
+        values = list(map(float, column))
+    except ValueError:
+        raise InputError(f"{what} is not a number: {_unreadable(float, column)!r}") from None
+    if not all(map(math.isfinite, values)):
+        bad = next(text for text, v in zip(column, values) if not math.isfinite(v))
+        raise InputError(f"{what} is not finite: {bad!r}")
+    return values
+
+
+def _distinct(keys: list, seen: set, what: str) -> None:
+    """Add ``keys`` to ``seen``, the keys of the rows before; the first key
+    met twice is an InputError."""
+    distinct = set(keys)
+    if len(distinct) == len(keys) and seen.isdisjoint(distinct):
+        seen |= distinct
+        return
+    for key in keys:
+        if key in seen:
+            raise InputError(f"{what} {key}")
+        seen.add(key)
+
+
+def _check_league(config: Config, fields, seen: set) -> tuple:
+    """The checks of league.csv's rows, in the order a row meets them."""
+    country, season, team, *counts = fields
+    country = _stripped(country, "empty country")
+    if config.countries is not None and not set(config.countries).issuperset(country):
+        unknown = next(c for c in country if c not in config.countries)
+        raise InputError(f"unknown country {unknown!r}")
+    season = _ints(season, "season")
+    team = _stripped(team, "empty team id")
+    rank, wins, draws, losses, points = (
+        _ints(column, what) for column, what in zip(counts, LEAGUE_COLUMNS[3:])
+    )
+    if min(rank) < 1:
+        raise InputError("rank must be >= 1")
+    if min(map(min, (wins, draws, losses, points))) < 0:
+        bad = next(t for t, *counts in zip(team, wins, draws, losses, points) if min(counts) < 0)
+        raise InputError(f"negative count for team {bad}")
+    return country, season, team, rank, wins, draws, losses, points
 
 
 def parse_league_csv(path: str, config: Config | None = None) -> list[LeagueSeason]:
@@ -332,44 +421,20 @@ def parse_league_csv(path: str, config: Config | None = None) -> list[LeagueSeas
     ``config`` (defaults K=3, I=3, shrunk for small leagues).
     """
     config = config or Config()
-    groups: dict[tuple[str, int], list[tuple[int, TeamSeasonRecord]]] = {}
-    for line, (country, season, team, rank, wins, draws, losses, points) in csv_rows(
-        path, LEAGUE_COLUMNS
-    ):
-        where = f"{path}:{line}"
-        country = country.strip()
-        if not country:
-            raise InputError(f"{where}: empty country")
-        if config.countries is not None and country not in config.countries:
-            raise InputError(f"{where}: unknown country {country!r}")
-        season = _parse_int(season, "season", where)
-        team = team.strip()
-        if not team:
-            raise InputError(f"{where}: empty team id")
-        rec = TeamSeasonRecord(
-            team=team,
-            rank=_parse_int(rank, "rank", where),
-            wins=_parse_int(wins, "wins", where),
-            draws=_parse_int(draws, "draws", where),
-            losses=_parse_int(losses, "losses", where),
-            points=_parse_int(points, "points", where),
-        )
-        if rec.rank < 1:
-            raise InputError(f"{where}: rank must be >= 1")
-        if min(rec.wins, rec.draws, rec.losses, rec.points) < 0:
-            raise InputError(f"{where}: negative count for team {team}")
-        groups.setdefault((country, season), []).append((line, rec))
-
-    if not groups:
-        raise InputError(f"{path}: no data rows")
+    text, (country, season, *fields) = _read_csv(
+        path, LEAGUE_COLUMNS, partial(_check_league, config)
+    )
+    records = list(map(TeamSeasonRecord, *fields))
+    groups: dict[tuple[str, int], list[int]] = {}
+    for row, key in enumerate(zip(country, season)):
+        groups.setdefault(key, []).append(row)
 
     seasons: list[LeagueSeason] = []
-    for (country, season), entries in sorted(groups.items()):
-        first_line = min(line for line, _ in entries)
-        where = f"{path}:{first_line} ({country}, {season})"
-        recs = sorted((rec for _, rec in entries), key=lambda r: r.rank)
+    for (country, season), rows in sorted(groups.items()):
+        recs = sorted((records[row] for row in rows), key=lambda r: r.rank)
         n = len(recs)
         if len({r.team for r in recs}) != n:
+            where = f"{path}:{_line_of(text, rows[0])} ({country}, {season})"
             raise InputError(f"{where}: duplicate team id")
         # LeagueSeason validates the ranks
         k, i = config.levels_for(country, season, n)
@@ -378,181 +443,43 @@ def parse_league_csv(path: str, config: Config | None = None) -> list[LeagueSeas
                 LeagueSeason(country=country, season=season, records=tuple(recs), K=k, I=i)
             )
         except InputError as exc:
-            raise InputError(f"{path}:{first_line}: {exc}") from None
+            raise InputError(f"{path}:{_line_of(text, rows[0])}: {exc}") from None
     return seasons
+
+
+def _check_macro(fields, seen: set) -> tuple:
+    """The checks of macro.csv's rows, in the order a row meets them."""
+    country, season, *values = fields
+    country = _stripped(country, "empty country")
+    season = _ints(season, "season")
+    _distinct(list(zip(country, season)), seen, "duplicate (country, season)")
+    return country, season, *(_floats(v, what) for v, what in zip(values, MACRO_COLUMNS[2:]))
 
 
 def parse_macro_csv(path: str) -> list[MacroObservation]:
     """Parse the macro covariate CSV (one row per country-season)."""
-    out: list[MacroObservation] = []
-    seen: set[tuple[str, int]] = set()
-    for line, (country, season, attendance, population, rgni, unemployment) in csv_rows(
-        path, MACRO_COLUMNS
-    ):
-        where = f"{path}:{line}"
-        country = country.strip()
-        if not country:
-            raise InputError(f"{where}: empty country")
-        season = _parse_int(season, "season", where)
-        key = (country, season)
-        if key in seen:
-            raise InputError(f"{where}: duplicate (country, season) {key}")
-        seen.add(key)
-        out.append(
-            MacroObservation(
-                country=country,
-                season=season,
-                attendance_per_game=_parse_float(attendance, "attendance_avg", where),
-                population=_parse_float(population, "population", where),
-                rgni=_parse_float(rgni, "rgni_real", where),
-                unemployment=_parse_float(unemployment, "unemployment_rate", where),
-            )
-        )
-    if not out:
-        raise InputError(f"{path}: no data rows")
-    return out
+    return list(map(MacroObservation, *_read_csv(path, MACRO_COLUMNS, _check_macro)[1]))
 
 
-# A row of indices.csv as numpy's C text reader stores it, every field but
-# the value as text.  A field that fills its slot may have been cut to fit:
-# its last code point is not NUL.
-_NAME_WIDTH, _SEASON_WIDTH = 16, 8
-_INDEX_ROW = np.dtype(
-    [
-        ("country", f"U{_NAME_WIDTH}"),
-        ("season", f"U{_SEASON_WIDTH}"),
-        ("index", f"U{_NAME_WIDTH}"),
-        ("value", np.float64),
-    ]
-)
-
-
-def _chars(field: str) -> range:
-    """The columns of a text field in a row of ``_INDEX_ROW`` seen as code points."""
-    dtype, offset = _INDEX_ROW.fields[field][:2]
-    return range(offset // 4, (offset + dtype.itemsize) // 4)
-
-
-_SEASON_CHARS = _chars("season")
-_LAST_CHARS = [_chars(field)[-1] for field in ("country", "season", "index")]
-# The bytes whose lines the C reader splits and converts as the csv module
-# and float() do: printable ASCII but the quote, and line ends.  Numpy's
-# number reader skips \x1c-\x1f as white space, where float() stops.
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\r\n"
+def _check_indices(fields, seen: set) -> tuple:
+    """The checks of indices.csv's rows, in the order a row meets them."""
+    country, season, name, value = fields
+    season = _ints(season, "season")
+    _distinct(list(zip(country, season, name)), seen, "duplicate (country, season, index)")
+    value = _floats(value, "value")
+    check_index_values(name, country, season, value)
+    return name, country, season, value
 
 
 def parse_index_csv(path: str, names: list[str]) -> list[IndexValue]:
     """The values of the indices in ``names`` from an ``indices.csv``, in file order.
 
     Every row is validated, requested or not; each (country, season, index)
-    may appear once.  A plain file (printable ASCII without quotes, names
-    under 16 characters, seasons of 1 to 7 digits), as ``indices`` writes
-    it, is read in one call of numpy's C text reader and checked as
-    columns.  Any other file, and any file that pass finds fault with, is
-    read row by row, which names the first bad line; both give the same
-    values and the same errors.
+    may appear once.
     """
-    values = _index_columns(path, names)
-    return _parse_index_rows(path, names) if values is None else values
-
-
-def _index_columns(path: str, names: list[str]) -> list[IndexValue] | None:
-    """``parse_index_csv`` read as columns, or None where the row reader must
-    decide: a file that is not plain, or one with a fault."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError:
-        return None
-    if data.translate(None, _PLAIN_BYTES):
-        return None
-    # in plain text, str.splitlines ends a line where the csv module does:
-    # at \r\n, \n or a bare \r
-    lines = data.decode("ascii").splitlines()
-    if not lines or lines[0] != ",".join(INDEX_COLUMNS) or not any(lines[1:]):
-        return None
-    try:
-        table = np.loadtxt(
-            lines, dtype=_INDEX_ROW, delimiter=",", skiprows=1, quotechar=None,
-            comments=None, ndmin=1,
-        )
-    except ValueError:  # a field count or a value that is no number
-        return None
-    chars = table.view(np.uint32).reshape(len(table), -1)
-    if chars[:, _LAST_CHARS].any():
-        return None
-    season = _digit_strings(chars[:, _SEASON_CHARS])
-    country, name, value = table["country"], table["index"], table["value"]
-    if season is None or not (
-        valid_index_values(name, value).all() and _distinct(country, season, name)
-    ):
-        return None
-    pick = np.flatnonzero(np.isin(name, names))
-    return [
-        IndexValue(*row)
-        for row in zip(
-            name[pick].tolist(), country[pick].tolist(), season[pick].tolist(),
-            value[pick].tolist(),
-        )
-    ]
-
-
-def _digit_strings(chars: np.ndarray) -> np.ndarray | None:
-    """The integers written in ``chars``, one row of NUL-padded code points
-    each, or None unless every row holds one or more ASCII digits.
-
-    int() reads those the same way; a season with a sign, spaces, "_" or
-    other digits is left to it.  Numpy's own integer reader would differ:
-    it takes non-ASCII characters for digits, and numpy 1.x reads "1991.0"
-    as 1991.
-    """
-    digit = (chars >= ord("0")) & (chars <= ord("9"))
-    length = digit.sum(axis=1)
-    if not ((length > 0) & (length == np.count_nonzero(chars, axis=1))).all():
-        return None
-    # left-aligned: read every row as all its slots, then drop the padding's zeros
-    width = chars.shape[1]
-    digits = np.where(digit, chars, ord("0")).astype(np.int64) - ord("0")
-    return (digits @ 10 ** np.arange(width - 1, -1, -1)) // 10 ** (width - length)
-
-
-def _distinct(*keys: np.ndarray) -> bool:
-    """Whether no two rows have the same key, a tuple of the columns ``keys``.
-
-    Keys in strictly increasing order, as ``indices`` writes them, are
-    distinct; a set settles any other order.
-    """
-    increasing = np.zeros(len(keys[0]) - 1, dtype=bool)
-    tied = ~increasing
-    for key in keys:
-        before, after = key[:-1], key[1:]
-        increasing |= tied & (after > before)
-        tied &= after == before
-    return bool(increasing.all()) or len(set(zip(*(key.tolist() for key in keys)))) == len(keys[0])
-
-
-def _parse_index_rows(path: str, names: list[str]) -> list[IndexValue]:
-    """``parse_index_csv`` one row at a time, checking each row in turn."""
-    wanted = frozenset(names)
-    out = []
-    seen: set[tuple[str, int, str]] = set()
-    for line, (country, season, name, value) in csv_rows(path, INDEX_COLUMNS):
-        where = f"{path}:{line}"
-        season = _parse_int(season, "season", where)
-        key = (country, season, name)
-        if key in seen:
-            raise InputError(f"{where}: duplicate (country, season, index) {key}")
-        seen.add(key)
-        value = _parse_float(value, "value", where)
-        try:
-            check_index_value(name, country, season, value)
-        except InputError as exc:
-            raise InputError(f"{where}: {exc}") from None
-        if name in wanted:
-            out.append(IndexValue(name, country, season, value))
-    if not seen:
-        raise InputError(f"{path}: no data rows")
-    return out
+    columns = _read_csv(path, INDEX_COLUMNS, _check_indices)[1]
+    wanted = map(frozenset(names).__contains__, columns[0])
+    return list(starmap(IndexValue, compress(zip(*columns), wanted)))
 
 
 def winning_percentages(season: LeagueSeason) -> np.ndarray:

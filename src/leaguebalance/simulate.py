@@ -23,6 +23,9 @@ from .record import Record
 
 
 MAX_TEAMS = 1000  # a season holds O(n_teams**2) arrays: about 8 MB each at 1000
+# The DGP's quadratic trend carries log attendance to about 447 at 5000
+# seasons and past exp's range (709.8) near 6500.
+MAX_DGP_SEASONS = 5000
 
 
 class LeagueSimParams(Record):
@@ -162,7 +165,7 @@ class DgpParams(Record):
     deviations run evenly from ``error_sd_min`` to ``error_sd_max``, with
     correlation ``error_corr`` between every pair of countries.  The class
     attributes ``start_season`` and ``n_seasons`` are the defaults of
-    ``simulate-dgp``."""
+    ``simulate-dgp``; ``n_seasons`` runs from 10 to ``MAX_DGP_SEASONS``."""
 
     start_season = 1959
     n_seasons = 50
@@ -194,6 +197,8 @@ class DgpParams(Record):
             raise InputError("error_corr must be in (-0.99, 0.99)")
         if self.n_seasons < 10:
             raise InputError("n_seasons must be >= 10")
+        if self.n_seasons > MAX_DGP_SEASONS:
+            raise InputError(f"n_seasons must be <= {MAX_DGP_SEASONS}")
 
 
 class DgpSimulation(Record):

@@ -1,11 +1,19 @@
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from leaguebalance.cli import _write_league_csv
 from leaguebalance.simulate import LeagueSimParams, simulate_league
+
+# HYPOTHESIS_PROFILE=ci runs ten times hypothesis' default number of examples;
+# a test that sets its own count as a multiple of settings.default.max_examples
+# scales with it.  Without the variable the counts are the default profile's.
+settings.register_profile("ci", max_examples=10 * settings.default.max_examples)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

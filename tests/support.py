@@ -3,18 +3,32 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from leaguebalance.econometrics import DesignMatrix, FitResult, RegressionSpec
 from leaguebalance.econometrics.design import COVARIATES, YearGrid
 from leaguebalance.econometrics.ols import qr_solve, r_inverse
 from leaguebalance.econometrics.sur import _finalize, _gls, pairwise_sigma
 from leaguebalance.econometrics.unitroot import ADF_CASES
+from leaguebalance.catalog import IndexValue, check_index_value
 from leaguebalance.errors import InputError, NumericalError
-from leaguebalance.panel import D97_CUTOFF, LeagueSeason, PanelDataset, TeamSeasonRecord
+from leaguebalance.panel import (
+    D97_CUTOFF,
+    INDEX_COLUMNS,
+    LEAGUE_COLUMNS,
+    MACRO_COLUMNS,
+    Config,
+    LeagueSeason,
+    MacroObservation,
+    PanelDataset,
+    TeamSeasonRecord,
+)
 
 HOME, DRAW, AWAY = 0, 1, 2
 
@@ -715,3 +729,257 @@ def reset_exact_f(fit: FitResult) -> float:
     rss_r = _exact_rss(gram, k)
     dof = design.nobs - k - 2
     return float((rss_r - rss_u) / 2 / (rss_u / dof))
+
+
+# ---------------------------------------------------------------- CSV readers
+# The row-by-row readers of league.csv, macro.csv and indices.csv that the
+# column reader of ``leaguebalance.panel`` replaced, kept as the reference of
+# its differential tests: the same values, or the same error, for every file.
+
+
+def _parse_int(value: str, what: str, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{where}: {what} is not an integer: {value!r}") from None
+
+
+def _parse_float(value: str, what: str, where: str) -> float:
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{where}: {what} is not a number: {value!r}") from None
+    if not math.isfinite(out):
+        raise InputError(f"{where}: {what} is not finite: {value!r}")
+    return out
+
+
+def csv_rows(path, columns):
+    """Yield ``(line, fields)`` for every data row of a CSV whose header is ``columns``.
+
+    Blank lines are skipped; a row with more or fewer fields than the header,
+    or one the ``csv`` module cannot split, is an InputError naming its line,
+    and a file that cannot be read or is not UTF-8 is one naming its path.
+    """
+    n = len(columns)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise InputError(f"cannot read {path}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None or tuple(header) != tuple(columns):
+            raise InputError(f"{path}: bad header {header}; expected {','.join(columns)}")
+        for fields in reader:
+            if not fields:
+                continue
+            if len(fields) != n:
+                raise InputError(
+                    f"{path}:{reader.line_num}: expected {n} fields, got {len(fields)}"
+                )
+            yield reader.line_num, fields
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def parse_league_csv_reference(path: str, config: Config | None = None) -> list[LeagueSeason]:
+    """Parse a league-table CSV into validated ``LeagueSeason`` values.
+
+    One row per team-season with header ``country,season,team,rank,wins,
+    draws,losses,points``.  Promoted sets are computed by diffing the
+    rosters of consecutive seasons within each country; K and I come from
+    ``config`` (defaults K=3, I=3, shrunk for small leagues).
+    """
+    config = config or Config()
+    groups: dict[tuple[str, int], list[tuple[int, TeamSeasonRecord]]] = {}
+    for line, (country, season, team, rank, wins, draws, losses, points) in csv_rows(
+        path, LEAGUE_COLUMNS
+    ):
+        where = f"{path}:{line}"
+        country = country.strip()
+        if not country:
+            raise InputError(f"{where}: empty country")
+        if config.countries is not None and country not in config.countries:
+            raise InputError(f"{where}: unknown country {country!r}")
+        season = _parse_int(season, "season", where)
+        team = team.strip()
+        if not team:
+            raise InputError(f"{where}: empty team id")
+        rec = TeamSeasonRecord(
+            team=team,
+            rank=_parse_int(rank, "rank", where),
+            wins=_parse_int(wins, "wins", where),
+            draws=_parse_int(draws, "draws", where),
+            losses=_parse_int(losses, "losses", where),
+            points=_parse_int(points, "points", where),
+        )
+        if rec.rank < 1:
+            raise InputError(f"{where}: rank must be >= 1")
+        if min(rec.wins, rec.draws, rec.losses, rec.points) < 0:
+            raise InputError(f"{where}: negative count for team {team}")
+        groups.setdefault((country, season), []).append((line, rec))
+
+    if not groups:
+        raise InputError(f"{path}: no data rows")
+
+    seasons: list[LeagueSeason] = []
+    for (country, season), entries in sorted(groups.items()):
+        first_line = min(line for line, _ in entries)
+        where = f"{path}:{first_line} ({country}, {season})"
+        recs = sorted((rec for _, rec in entries), key=lambda r: r.rank)
+        n = len(recs)
+        if len({r.team for r in recs}) != n:
+            raise InputError(f"{where}: duplicate team id")
+        # LeagueSeason validates the ranks
+        k, i = config.levels_for(country, season, n)
+        try:
+            seasons.append(
+                LeagueSeason(country=country, season=season, records=tuple(recs), K=k, I=i)
+            )
+        except InputError as exc:
+            raise InputError(f"{path}:{first_line}: {exc}") from None
+    return seasons
+
+
+def parse_macro_csv_reference(path: str) -> list[MacroObservation]:
+    """Parse the macro covariate CSV (one row per country-season)."""
+    out: list[MacroObservation] = []
+    seen: set[tuple[str, int]] = set()
+    for line, (country, season, attendance, population, rgni, unemployment) in csv_rows(
+        path, MACRO_COLUMNS
+    ):
+        where = f"{path}:{line}"
+        country = country.strip()
+        if not country:
+            raise InputError(f"{where}: empty country")
+        season = _parse_int(season, "season", where)
+        key = (country, season)
+        if key in seen:
+            raise InputError(f"{where}: duplicate (country, season) {key}")
+        seen.add(key)
+        out.append(
+            MacroObservation(
+                country=country,
+                season=season,
+                attendance_per_game=_parse_float(attendance, "attendance_avg", where),
+                population=_parse_float(population, "population", where),
+                rgni=_parse_float(rgni, "rgni_real", where),
+                unemployment=_parse_float(unemployment, "unemployment_rate", where),
+            )
+        )
+    if not out:
+        raise InputError(f"{path}: no data rows")
+    return out
+
+
+def parse_index_csv_reference(path: str, names: list[str]) -> list[IndexValue]:
+    """``parse_index_csv`` one row at a time, checking each row in turn."""
+    wanted = frozenset(names)
+    out = []
+    seen: set[tuple[str, int, str]] = set()
+    for line, (country, season, name, value) in csv_rows(path, INDEX_COLUMNS):
+        where = f"{path}:{line}"
+        season = _parse_int(season, "season", where)
+        key = (country, season, name)
+        if key in seen:
+            raise InputError(f"{where}: duplicate (country, season, index) {key}")
+        seen.add(key)
+        value = _parse_float(value, "value", where)
+        try:
+            check_index_value(name, country, season, value)
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from None
+        if name in wanted:
+            out.append(IndexValue(name, country, season, value))
+    if not seen:
+        raise InputError(f"{path}: no data rows")
+    return out
+
+
+# ---------------------------------------------------------------- CSV files with faults
+# Texts that int() and float() read in their own way
+ODD_SEASONS = [
+    "1991.0", "+1991", "1_991", "٣", "１９９１", " 1991", "1991 ", "-5", "x", "", "01991", "0",
+    "99999999999999999999", "1991\x1c", "1991\t",
+]
+# the odd seasons that int() cannot read come up in half the draws
+ODD_INTEGERS = st.sampled_from(ODD_SEASONS) | st.sampled_from(["1991.0", "x", "", "1991\x1c"])
+ODD_VALUES = [
+    "nan", "inf", "-inf", "infinity", "1.5", "-0.25", "abc", "", "0x1p-1", "1_0",
+    "٠.٥", "0.5\x1c", "-0", "1e-400", " 0.5", ".5", "5.", "1.0000000001", "-1e-10",
+]
+# the odd values that are no finite number come up in half the draws
+ODD_NUMBERS = st.sampled_from(ODD_VALUES) | st.sampled_from(["nan", "-inf", "abc", "", "0x1p-1"])
+# names that need quoting, span two lines, are not ASCII or are long
+ODD_NAMES = ["New Zealand", "Ñandú", "Z" * 40, "A,B", "New\nZealand", 'say "hi"']
+# blank lines, and blank-looking ones that are rows of one or two fields
+BLANK_LINES = ["", "", "", "", " ", "\t", ",", '""']
+# at most one fault of the file as a whole, which csv_text makes
+FILE_FAULTS = st.lists(st.sampled_from(["fields", "huge", "open_quote", "header"]), max_size=1)
+
+
+def read_or_error(reader, *args):
+    """The reprs of a reader's values, or the type and message of its InputError."""
+    try:
+        return [repr(v) for v in reader(*args)]
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def outcome(result) -> str:
+    """A short label of what ``read_or_error`` returned, for hypothesis' statistics."""
+    if isinstance(result, list):
+        return "values"
+    message = result[1].split(": ", 1)[-1]  # without the path and line
+    message = re.sub(r"^\(.*?\): ", "", message, flags=re.S)  # without (country, season)
+    return re.split(r"[:'(\[]", message)[0].strip()
+
+
+def row_faults(draw, kinds) -> list:
+    """The faults of one row: a kind of ``kinds``, which lists a file's row
+    faults in the order a row is checked, and some of the three after it.
+    The first of them decides the row's error."""
+    start = draw(st.integers(0, len(kinds) - 1))
+    return [kinds[start], *(kind for kind in kinds[start + 1 : start + 4] if draw(st.booleans()))]
+
+
+def csv_text(draw, header, rows, faults) -> str:
+    """``rows`` of text fields under ``header`` as the text of a CSV file.
+
+    Each of ``faults``, as ``FILE_FAULTS`` draws them, breaks the file once
+    on a line of its own: a row with a field too few or too many, a field longer
+    than the ``csv`` module's limit, a quote that is not closed, or a bad
+    header.  Any field may be quoted and any row may be preceded by a blank
+    or blank-looking line; the lines end in \\n, \\r\\n or a bare \\r.
+    """
+    rows = [list(row) for row in rows]
+    for fault in faults:
+        if rows and fault in ("fields", "huge"):
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            if fault == "huge":
+                row[draw(st.integers(0, len(row) - 1))] = "A" * (csv.field_size_limit() + 1)
+            elif draw(st.booleans()):
+                row.pop()
+            else:
+                row.append("x")
+    quote = st.integers(0, 7).map(lambda k: k == 0)  # one field in eight is quoted
+    lines = [
+        ",".join(
+            '"' + field.replace('"', '""') + '"'
+            if draw(quote) or any(c in field for c in ',"\r\n') else field
+            for field in row
+        )
+        for row in rows
+    ]
+    if "open_quote" in faults and lines:
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = '"' + lines[i]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BLANK_LINES)))
+    head = ",".join(header)
+    if "header" in faults:
+        head = draw(st.sampled_from([",".join(header[:-1]), "﻿" + head, head.title(), ""]))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return ending.join([head, *lines]) + draw(st.sampled_from([ending, ""]))

@@ -556,6 +556,17 @@ class TestEffectsCommand:
         assert "input error: elasticity must be finite" in capsys.readouterr().err
         assert not (out / "effects.csv").exists()
 
+    def test_effect_past_the_float_range_is_input_error(self, small_dataset, tmp_path, capsys):
+        indices = tmp_path / "i.csv"
+        indices.write_text("country,season,index,value\nAAA,1990,scr_ki,0.4\nAAA,1991,scr_ki,0.6\n")
+        out = tmp_path / "eff"
+        assert run(
+            "effects", "--indices", indices, "--macro", small_dataset["macro"],
+            "--index", "scr_ki", "--elasticity", "1e308", "--out-dir", out,
+        ) == 2
+        assert "input error: effect of elasticity 1e+308 on attendance" in capsys.readouterr().err
+        assert not (out / "effects.csv").exists()
+
     def test_missing_attendance_is_input_error(self, small_dataset, tmp_path):
         indices = tmp_path / "i.csv"
         indices.write_text(
@@ -801,8 +812,13 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "argv",
-        [("simulate-league", "--n-teams", 2), ("simulate-dgp", "--n-countries", 0)],
-        ids=["league", "dgp"],
+        [
+            ("simulate-league", "--n-teams", 2),
+            ("simulate-dgp", "--n-countries", 0),
+            # the trend would carry log attendance past exp's range
+            ("simulate-dgp", "--n-seasons", 10_000),
+        ],
+        ids=["league", "dgp", "dgp_seasons"],
     )
     def test_rejected_parameters_create_no_out_dir(self, tmp_path, argv):
         out = tmp_path / "d"

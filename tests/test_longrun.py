@@ -128,6 +128,10 @@ class TestAttendanceEffect:
         with pytest.raises(InputError, match="elasticity must be finite"):
             attendance_effect(elasticity, 0.3, 0.7, 10_000)
 
+    def test_effect_past_the_float_range_is_input_error(self):
+        with pytest.raises(InputError, match="effect of elasticity -1e[+]308 .* is not finite"):
+            attendance_effect(-1e308, 0.3, 0.7, 10_000)
+
     def test_argument_order_error(self):
         with pytest.raises(InputError, match="argument order"):
             attendance_effect(-1.0, 0.8, 0.5, 10_000)

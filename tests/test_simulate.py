@@ -11,6 +11,7 @@ from leaguebalance import InputError, winning_percentages
 from leaguebalance.simulate import (
     COEFFICIENTS,
     LONG_RUN,
+    MAX_DGP_SEASONS,
     MAX_TEAMS,
     DgpParams,
     LeagueSimParams,
@@ -123,6 +124,13 @@ class TestDgpSimulation:
             assert LONG_RUN[name] == pytest.approx(COEFFICIENTS[f"ln_{name}_lag1"] / a1)
         for name in ("d97", "t", "t2"):
             assert LONG_RUN[name] == pytest.approx(COEFFICIENTS[name] / a1)
+
+    def test_season_count_is_bounded(self):
+        """The trend carries log attendance past exp's range near 6500 seasons."""
+        sim = simulate_dgp(DgpParams(countries=("C1",), n_seasons=MAX_DGP_SEASONS), seed=1)
+        assert all(math.isfinite(m.attendance_per_game) for m in sim.macro)
+        with pytest.raises(InputError, match=f"n_seasons must be <= {MAX_DGP_SEASONS}"):
+            DgpParams(n_seasons=MAX_DGP_SEASONS + 1)
 
     def test_no_countries_is_input_error(self):
         with pytest.raises(InputError, match="at least one country"):
