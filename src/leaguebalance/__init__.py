@@ -56,7 +56,6 @@ try:
         SeasonPair,
         TopKWindow,
         adn_top,
-        combine_bidimensional,
         dn_champion,
         dn_relegation,
         g_index_detail,
@@ -76,12 +75,7 @@ try:
         parse_macro_csv,
         winning_percentages,
     )
-    from .pipeline import (
-        compute_all_indices,
-        compute_pairwise,
-        compute_seasonal,
-        series_from_values,
-    )
+    from .pipeline import compute_all_indices, series_from_values
     from .seasonal import (
         acr_top,
         adjusted_gini,

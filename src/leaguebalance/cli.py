@@ -184,9 +184,16 @@ def cmd_unit_root(args) -> int:
 
 class IndexFitReport(Record):
     def __init__(
-        self, name: str, fit: FitResult, effects: list[LongRunEffect], diag_rows: list
+        self,
+        name: str,
+        fit: FitResult,
+        cov_robust: np.ndarray,
+        effects: list[LongRunEffect],
+        diag_rows: list,
     ) -> None:
-        self.__dict__.update(name=name, fit=fit, effects=effects, diag_rows=diag_rows)
+        self.__dict__.update(
+            name=name, fit=fit, cov_robust=cov_robust, effects=effects, diag_rows=diag_rows
+        )
 
 
 def _diagnostic(label: str, compute) -> tuple:
@@ -206,8 +213,8 @@ def fit_index_model(panel, index_values, name: str, spec: RegressionSpec, iterat
         raise InputError(f"no values for index {name!r}")
     design = build_adl_design(panel, series, spec)
     fit = sur_egls_fit(design, iterate=iterate)
-    fit.cov_robust = white_cross_section_cov(fit)
-    effects = long_run_effects(fit, spec)
+    cov_robust = white_cross_section_cov(fit)
+    effects = long_run_effects(fit, spec, cov_robust)
 
     # Each diagnostic is computed on its own, so one that cannot be computed
     # costs its row, not the fit.  The lambdas look the tests up in this
@@ -229,7 +236,7 @@ def fit_index_model(panel, index_values, name: str, spec: RegressionSpec, iterat
     diag_rows.append(("converged", fit.converged, "", "", ""))
     diag_rows.append(("final_delta", fit.final_delta, "", "", ""))
 
-    return IndexFitReport(name=name, fit=fit, effects=effects, diag_rows=diag_rows)
+    return IndexFitReport(name, fit, cov_robust, effects, diag_rows)
 
 
 def _write_fit_report(out: Path, report: IndexFitReport) -> list[str]:
@@ -237,7 +244,7 @@ def _write_fit_report(out: Path, report: IndexFitReport) -> list[str]:
     coef_rows = []
     for i, term in enumerate(fit.design.columns):
         se_c = math.sqrt(fit.cov[i, i])
-        se_r = math.sqrt(fit.cov_robust[i, i])
+        se_r = math.sqrt(report.cov_robust[i, i])
         z = fit.beta[i] / se_r if se_r > 0 else float("inf")
         p = two_sided_normal(z)
         coef_rows.append((term, float(fit.beta[i]), se_c, se_r, z, p, stars(p)))
@@ -463,10 +470,12 @@ def cmd_simulate_league(args) -> int:
 
 
 def cmd_simulate_dgp(args) -> int:
-    from .simulate import COEFFICIENTS, LONG_RUN, DgpParams, simulate_dgp
+    from .simulate import COEFFICIENTS, LONG_RUN, MAX_DGP_COUNTRIES, DgpParams, simulate_dgp
 
     given = _given(args, ("start_season", "n_seasons"))
     if args.n_countries is not None:
+        if args.n_countries > MAX_DGP_COUNTRIES:
+            raise InputError(f"n_countries must be <= {MAX_DGP_COUNTRIES}")
         given["countries"] = tuple(f"C{i + 1}" for i in range(args.n_countries))
     params = DgpParams(**given)
     sim = simulate_dgp(params, seed=args.seed)

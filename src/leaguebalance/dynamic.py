@@ -1,4 +1,4 @@
-"""Between-seasons competitive-balance indices and their bi-dimensional averages.
+"""Between-seasons competitive-balance indices.
 
 Pairwise indices score ranking persistence across two consecutive seasons
 (1 = the tracked places are frozen, 0 = maximal turnover).  The windowed G
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .catalog import ALL_LEVELS, PRIZE_LEVELS, RELEGATION, TITLE, TOP_K, IndexValue, PrizeLevel
+from .catalog import ALL_LEVELS, RELEGATION, TITLE, TOP_K, PrizeLevel
 from .errors import InputError
 from .panel import LeagueSeason
 from .record import Record
@@ -174,29 +174,3 @@ def g_index_detail(window: TopKWindow) -> GIndexResult:
         value=float(min(1.0, max(0.0, raw))), observed=observed, expected=expected
     )
 
-
-def combine_bidimensional(seasonal: IndexValue, dynamic: IndexValue) -> IndexValue:
-    """Average a seasonal index with its dynamic counterpart.
-
-    Valid pairings are the prize levels of ``catalog.PRIZE_LEVELS``:
-    (ncr1, dn1) -> dc1, (acr_k, adn_k) -> adc_k, (ncr_i, dn_i) -> dc_i,
-    (scr_ki, sdn_ki) -> sdc_ki.
-    """
-    for level in PRIZE_LEVELS:
-        if (seasonal.name, dynamic.name) == (level.seasonal, level.dynamic):
-            break
-    else:
-        raise InputError(
-            f"cannot pair seasonal index {seasonal.name!r} with dynamic index {dynamic.name!r}"
-        )
-    if (seasonal.country, seasonal.season) != (dynamic.country, dynamic.season):
-        raise InputError(
-            f"pairing error: {seasonal.name} is for ({seasonal.country}, {seasonal.season}) "
-            f"but {dynamic.name} is for ({dynamic.country}, {dynamic.season})"
-        )
-    return IndexValue(
-        name=level.bidimensional,
-        country=seasonal.country,
-        season=seasonal.season,
-        value=(seasonal.value + dynamic.value) / 2.0,
-    )

@@ -32,17 +32,12 @@ class FitResult(Record):
     The design owns the coefficient names (``design.columns``), the row
     count and the grid; ``residuals`` are stacked in design row order.
     ``sigma`` is the cross-country residual covariance in
-    ``design.country_list`` order; ``cov`` is the classical coefficient
-    covariance and ``cov_robust`` the year-clustered sandwich when set.
-    ``iterations`` counts GLS passes; ``converged`` is False when an
-    iterated fit stopped at its limit; ``final_delta`` is the largest
+    ``design.country_list`` order and ``cov`` the classical coefficient
+    covariance; ``white_cross_section_cov`` gives the year-clustered one.
+    ``converged`` is False when an iterated fit stopped at its limit;
+    ``iterations`` counts GLS passes; ``final_delta`` is the largest
     coefficient change of the last iteration (NaN without iteration).
-    A fit is mutable, so that ``cov_robust`` can be set after it.
     """
-
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(
         self,
@@ -50,32 +45,30 @@ class FitResult(Record):
         beta: np.ndarray,
         cov: np.ndarray,
         residuals: np.ndarray,
+        sigma: np.ndarray,
+        converged: bool,
         r2_adj: float = float("nan"),
         iterations: int = 0,
-        converged: bool = True,
         final_delta: float = float("nan"),
-        sigma: np.ndarray | None = None,
-        cov_robust: np.ndarray | None = None,
     ) -> None:
         self.__dict__.update(
             design=design,
             beta=beta,
             cov=cov,
             residuals=residuals,
+            sigma=sigma,
+            converged=converged,
             r2_adj=r2_adj,
             iterations=iterations,
-            converged=converged,
             final_delta=final_delta,
-            sigma=sigma,
-            cov_robust=cov_robust,
         )
 
     def coef(self, name: str) -> float:
         return float(self.beta[self.design.columns.index(name)])
 
-    def se(self, name: str, robust: bool = False) -> float:
-        cov = self.cov_robust if (robust and self.cov_robust is not None) else self.cov
-        return float(np.sqrt(np.diag(cov)[self.design.columns.index(name)]))
+    def se(self, name: str) -> float:
+        """Classical standard error of one coefficient."""
+        return float(np.sqrt(np.diag(self.cov)[self.design.columns.index(name)]))
 
     def residual_series(self) -> dict[str, np.ndarray]:
         """Each country's residuals in year order, read from the grid's columns."""

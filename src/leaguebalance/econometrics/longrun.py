@@ -43,13 +43,14 @@ def _delta_ratio(fit: FitResult, num_name: str, att_name: str, cov: np.ndarray):
     return est, math.sqrt(max(var, 0.0))
 
 
-def long_run_effects(fit: FitResult, spec: RegressionSpec) -> list[LongRunEffect]:
+def long_run_effects(fit: FitResult, spec: RegressionSpec, cov: np.ndarray) -> list[LongRunEffect]:
     """Equilibrium effects once all first differences are set to zero.
 
     For each covariate j the long-run elasticity is B_j(1) / A(1), where
     A(1) is the magnitude of the lagged-log-attendance coefficient; trend
     and dummy effects are their coefficients divided by A(1).  Standard
-    errors use the delta method on the robust covariance when available.
+    errors use the delta method on ``cov``, the coefficient covariance of
+    ``fit`` to report: ``fit.cov`` or ``white_cross_section_cov(fit)``.
     """
     att_name = "ln_att_lag1"
     if att_name not in fit.design.columns:
@@ -59,7 +60,6 @@ def long_run_effects(fit: FitResult, spec: RegressionSpec) -> list[LongRunEffect
         raise NumericalError(
             f"no error correction: |A(1)|={abs(a1):.3g} < {_A1_TOL:g}, no long-run relation"
         )
-    cov = fit.cov_robust if fit.cov_robust is not None else fit.cov
     targets = [(v, f"ln_{v}_lag1") for v in COVARIATES]
     targets.extend((name, name) for name in spec.deterministic_columns())
 

@@ -208,9 +208,6 @@ def white_cross_section_cov(fit: FitResult) -> np.ndarray:
     B = S R^-1 R^-T, so no variance is negative.
     """
     design = fit.design
-    n = len(design.country_list)
-    if fit.sigma is None or fit.sigma.shape != (n, n):
-        raise NumericalError("fit carries no cross-country covariance; run the system fit first")
     grid = design.grid
     k = len(design.columns)
     if grid.row.shape[0] < k:

@@ -464,6 +464,7 @@ def parse_macro_csv(path: str) -> list[MacroObservation]:
 def _check_indices(fields, seen: set) -> tuple:
     """The checks of indices.csv's rows, in the order a row meets them."""
     country, season, name, value = fields
+    country = _stripped(country, "empty country")
     season = _ints(season, "season")
     _distinct(list(zip(country, season, name)), seen, "duplicate (country, season, index)")
     value = _floats(value, "value")

@@ -21,40 +21,6 @@ class GDiagnostic(Record):
         self.__dict__.update(country=country, season=season, e_hat=e_hat)
 
 
-def compute_seasonal(season: LeagueSeason) -> list[IndexValue]:
-    """The seven within-season indices for one league table."""
-    w = seas.check_percentages(winning_percentages(season), f"({season.country}, {season.season})")
-    values = {
-        "namsi": seas.namsi(w),
-        "hhi_star": seas.hhi_star(w),
-        "agini": seas.adjusted_gini(w),
-        "ncr1": seas.ncr_champion(w),
-        "acr_k": seas.acr_top(w, season.K),
-        "ncr_i": seas.ncr_relegation(w, season.I),
-        "scr_ki": seas.scr(w, season.K, season.I),
-    }
-    return [
-        IndexValue(name=name, country=season.country, season=season.season, value=v)
-        for name, v in values.items()
-    ]
-
-
-def compute_pairwise(pair: dyn.SeasonPair) -> list[IndexValue]:
-    """The five consecutive-season indices, recorded at the current season."""
-    curr = pair.curr
-    values = {
-        "tau": dyn.tau_rescaled(pair),
-        "dn1": dyn.dn_champion(pair),
-        "adn_k": dyn.adn_top(pair, curr.K),
-        "dn_i": dyn.dn_relegation(pair, curr.I),
-        "sdn_ki": dyn.sdn(pair, curr.K, curr.I),
-    }
-    return [
-        IndexValue(name=name, country=curr.country, season=curr.season, value=v)
-        for name, v in values.items()
-    ]
-
-
 def compute_all_indices(
     leagues: list[LeagueSeason],
     config: Config | None = None,
@@ -64,11 +30,13 @@ def compute_all_indices(
 
     Seasonal indices exist for every season; pairwise dynamic indices start
     one season late; G is recorded at the end of every full ``g_window``;
-    bi-dimensional averages exist where both components do.  Output is
-    sorted by (country, season, index).
+    each prize level's bi-dimensional index, the mean of its seasonal index
+    and its dynamic twin, exists where both do.  Output is sorted by
+    (country, season, index).
 
-    ``names`` restricts the output; G windows are only scored when g is
-    requested.
+    ``names`` restricts the output, but every seasonal and pairwise index
+    is computed for every season, so a season's first error and warnings do
+    not depend on it; G windows are only scored when g is requested.
     """
     config = config or Config()
     requested = set(ALL_INDEX_NAMES) if names is None else set(names)
@@ -87,16 +55,35 @@ def compute_all_indices(
         seasons = by_country[country]
         prev = None
         for lg in seasons:
-            season_values = compute_seasonal(lg)
+            K, I = lg.K, lg.I
+            w = seas.check_percentages(winning_percentages(lg), f"({country}, {lg.season})")
+            found = {
+                "namsi": seas.namsi(w),
+                "hhi_star": seas.hhi_star(w),
+                "agini": seas.adjusted_gini(w),
+                "ncr1": seas.ncr_champion(w),
+                "acr_k": seas.acr_top(w, K),
+                "ncr_i": seas.ncr_relegation(w, I),
+                "scr_ki": seas.scr(w, K, I),
+            }
             if prev is not None and lg.season == prev.season + 1:
-                season_values += compute_pairwise(dyn.SeasonPair(prev=prev, curr=lg))
-                by_name = {v.name: v for v in season_values}
-                season_values += [
-                    dyn.combine_bidimensional(by_name[level.seasonal], by_name[level.dynamic])
-                    for level in PRIZE_LEVELS
-                    if level.bidimensional in requested
-                ]
-            values.extend(season_values)
+                pair = dyn.SeasonPair(prev=prev, curr=lg)
+                found.update(
+                    tau=dyn.tau_rescaled(pair),
+                    dn1=dyn.dn_champion(pair),
+                    adn_k=dyn.adn_top(pair, K),
+                    dn_i=dyn.dn_relegation(pair, I),
+                    sdn_ki=dyn.sdn(pair, K, I),
+                )
+                for level in PRIZE_LEVELS:
+                    found[level.bidimensional] = (
+                        found[level.seasonal] + found[level.dynamic]
+                    ) / 2.0
+            values.extend(
+                IndexValue(name=name, country=country, season=lg.season, value=v)
+                for name, v in found.items()
+                if name in requested
+            )
             prev = lg
         if "g" in requested:
             t = config.g_window
@@ -113,11 +100,8 @@ def compute_all_indices(
                     )
                     g_diags.append(GDiagnostic(country, window.end_season, detail.expected))
 
-    out = sorted(
-        (v for v in values if v.name in requested),
-        key=lambda v: (v.country, v.season, v.name),
-    )
-    return out, g_diags
+    values.sort(key=lambda v: (v.country, v.season, v.name))
+    return values, g_diags
 
 
 def series_from_values(values: list[IndexValue], name: str) -> dict[tuple[str, int], float]:

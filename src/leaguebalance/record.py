@@ -11,9 +11,7 @@ class Record:
     ``__dict__`` is the field list, and equality, hash and repr read it:
     records of the same class are equal when their fields are, the hash is
     that of the field tuple, and the repr is ``Name(field=value, ...)``.
-    Assigning or deleting an attribute raises AttributeError; a mutable
-    subclass restores ``object``'s ``__setattr__`` and ``__delattr__`` and
-    drops the hash.
+    Assigning or deleting an attribute raises AttributeError.
 
     Records are written by hand, not generated by the standard library's
     record decorator: on Python 3.10-3.12 that decorator compiles each

@@ -26,6 +26,7 @@ MAX_TEAMS = 1000  # a season holds O(n_teams**2) arrays: about 8 MB each at 1000
 # The DGP's quadratic trend carries log attendance to about 447 at 5000
 # seasons and past exp's range (709.8) near 6500.
 MAX_DGP_SEASONS = 5000
+MAX_DGP_COUNTRIES = 1000  # the countries' error covariance is n x n: 8 MB at 1000
 
 
 class LeagueSimParams(Record):
@@ -165,7 +166,8 @@ class DgpParams(Record):
     deviations run evenly from ``error_sd_min`` to ``error_sd_max``, with
     correlation ``error_corr`` between every pair of countries.  The class
     attributes ``start_season`` and ``n_seasons`` are the defaults of
-    ``simulate-dgp``; ``n_seasons`` runs from 10 to ``MAX_DGP_SEASONS``."""
+    ``simulate-dgp``; ``n_seasons`` runs from 10 to ``MAX_DGP_SEASONS`` and
+    there are 1 to ``MAX_DGP_COUNTRIES`` countries."""
 
     start_season = 1959
     n_seasons = 50
@@ -189,6 +191,8 @@ class DgpParams(Record):
         )
         if not self.countries:
             raise InputError("countries must name at least one country")
+        if len(self.countries) > MAX_DGP_COUNTRIES:
+            raise InputError(f"countries must name at most {MAX_DGP_COUNTRIES} countries")
         for name in ("error_sd_min", "error_sd_max"):
             value = self.__dict__[name]
             if not (math.isfinite(value) and value > 0):

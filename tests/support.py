@@ -246,7 +246,19 @@ def fit_from_residuals(resid_by_country: dict[str, np.ndarray], years_by_country
         years=np.concatenate([years[c] for c in countries]),
         country_list=countries,
     )
-    return FitResult(design=design, beta=np.empty(0), cov=np.empty((0, 0)), residuals=stacked)
+    return one_pass_fit(design, np.empty(0), np.empty((0, 0)), stacked)
+
+
+def one_pass_fit(design: DesignMatrix, beta, cov, residuals) -> FitResult:
+    """A converged one-pass fit whose cross-country covariance is the
+    pairwise one of its residuals."""
+    sigma = pairwise_sigma(design.grid.fill(residuals), design.grid.mask)
+    return FitResult(design, beta, cov, residuals, sigma=sigma, converged=True)
+
+
+def with_fields(fit: FitResult, **changes) -> FitResult:
+    """A copy of ``fit`` with the given fields replaced."""
+    return FitResult(**{**vars(fit), **changes})
 
 
 def pairwise_oracle(resid_by_country, years_by_country):
@@ -403,11 +415,11 @@ def ols_fit(y, X, names: list[str] | None = None) -> FitResult:
     rinv = r_inverse(r, k)
     resid = y - X @ beta
     sigma2 = float(resid @ resid) / (n - k)
-    return FitResult(
-        design=labelled_design(y, X, list(names), ["A"] * n, np.arange(n), ["A"]),
-        beta=beta,
-        cov=sigma2 * (rinv @ rinv.T),
-        residuals=resid,
+    return one_pass_fit(
+        labelled_design(y, X, list(names), ["A"] * n, np.arange(n), ["A"]),
+        beta,
+        sigma2 * (rinv @ rinv.T),
+        resid,
     )
 
 
@@ -415,9 +427,8 @@ def ols_fit_design(design: DesignMatrix) -> FitResult:
     """Pooled OLS on a design, carrying the design and the diagonal
     cross-country covariance."""
     fit = ols_fit(design.y, design.X, design.columns)
-    fit.design = design
-    fit.sigma = np.diag(np.diag(pairwise_sigma(design.grid.fill(fit.residuals), design.grid.mask)))
-    return fit
+    sigma = pairwise_sigma(design.grid.fill(fit.residuals), design.grid.mask)
+    return with_fields(fit, design=design, sigma=np.diag(np.diag(sigma)))
 
 
 def known_sigma_gls(design: DesignMatrix, sigma: np.ndarray) -> FitResult:
@@ -428,7 +439,7 @@ def known_sigma_gls(design: DesignMatrix, sigma: np.ndarray) -> FitResult:
     """
     zgrid = design.grid.fill(np.column_stack([design.X, design.y]))
     beta, r = _gls(design.grid, zgrid, sigma, design.columns)
-    return _finalize(design, beta, r, sigma, 1.0)
+    return _finalize(design, beta, r, sigma, 1.0, converged=True)
 
 
 def _stacked(data, countries, spec, var_names, country_columns) -> DesignMatrix:
@@ -881,6 +892,9 @@ def parse_index_csv_reference(path: str, names: list[str]) -> list[IndexValue]:
     seen: set[tuple[str, int, str]] = set()
     for line, (country, season, name, value) in csv_rows(path, INDEX_COLUMNS):
         where = f"{path}:{line}"
+        country = country.strip()
+        if not country:
+            raise InputError(f"{where}: empty country")
         season = _parse_int(season, "season", where)
         key = (country, season, name)
         if key in seen:

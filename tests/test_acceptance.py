@@ -13,16 +13,12 @@ import pytest
 
 from leaguebalance import (
     Config,
-    SeasonPair,
     TopKWindow,
     acr_top,
     adjusted_gini,
     adn_top,
     build_panel,
-    combine_bidimensional,
     compute_all_indices,
-    compute_pairwise,
-    compute_seasonal,
     dn_champion,
     dn_relegation,
     g_index_detail,
@@ -106,13 +102,13 @@ def test_c01_longrun_solver_crosscheck():
         "un": (0.141, 0.01),
         "t": (-0.082, 0.02),
     }
-    effects = {e.variable: e.estimate for e in long_run_effects(fit, spec)}
+    effects = {e.variable: e.estimate for e in long_run_effects(fit, spec, fit.cov)}
     for var, (target, rel) in expected.items():
         assert effects[var] == pytest.approx(target, rel=rel), var
     timings = []
     for _ in range(10):
         t0 = time.perf_counter()
-        long_run_effects(fit, spec)
+        long_run_effects(fit, spec, fit.cov)
         timings.append(time.perf_counter() - t0)
     runtime = min(timings)
     assert runtime < 1e-3
@@ -155,22 +151,21 @@ def test_c03_index_endpoints():
     for n in (3, 4, 6, 16, 20):
         k, i = levels_for(n)
         draw = all_draw_season(n, K=k, I=i)
-        for v in compute_seasonal(draw):
+        values, _ = compute_all_indices([draw])
+        assert len(values) == 7
+        for v in values:
             assert abs(v.value) < tol, (n, v.name)
 
         prev = cu_season(n, season=1999, K=k, I=i)
         curr = reranked(prev, list(range(n)))
-        seasonal = {v.name: v for v in compute_seasonal(curr)}
-        dynamic = {v.name: v for v in compute_pairwise(SeasonPair(prev, curr))}
-        for v in list(seasonal.values()) + list(dynamic.values()):
+        values, _ = compute_all_indices([prev, curr])
+        # the seven seasonal, five pairwise and four bi-dimensional indices
+        at_curr = [v for v in values if v.season == curr.season]
+        assert len(at_curr) == 16
+        for v in at_curr:
             assert abs(v.value - 1.0) < tol, (n, v.name)
         g = g_index_detail(TopKWindow(seasons=(prev, curr), K=k))
         assert abs(g.value - 1.0) < tol
-        for s_name, d_name in (
-            ("ncr1", "dn1"), ("acr_k", "adn_k"), ("ncr_i", "dn_i"), ("scr_ki", "sdn_ki"),
-        ):
-            combined = combine_bidimensional(seasonal[s_name], dynamic[d_name])
-            assert abs(combined.value - 1.0) < tol
     report(
         "3 (index endpoints)",
         "all-draw season = 0 on the 7 seasonal indices and frozen CU pair = 1 on all 17, "
@@ -325,7 +320,7 @@ def test_c06_dgp_recovery():
         t0 = time.perf_counter()
         fit = sur_egls_fit(design, iterate=True)
         times.append(time.perf_counter() - t0)
-        effect = {e.variable: e for e in long_run_effects(fit, spec)}["cb"]
+        effect = {e.variable: e for e in long_run_effects(fit, spec, fit.cov)}["cb"]
         if abs(effect.estimate - truth) <= 1.96 * effect.se:
             hits += 1
     coverage = hits / 200
@@ -335,8 +330,8 @@ def test_c06_dgp_recovery():
     report(
         "6 (DGP recovery)",
         f"iterated system fit on 8x50 panels with error correlation 0.4: 95% CI "
-        f"coverage {coverage:.1%} (nominal 95% +/- 5pp) from the classical covariance, "
-        f"as no cov_robust is set (the CLI reports the robust one, ROADMAP direction 7), "
+        f"coverage {coverage:.1%} (nominal 95% +/- 5pp) from the classical covariance "
+        f"(the CLI reports the robust one, ROADMAP direction 7), "
         f"median fit {median_time * 1e3:.0f}ms",
     )
 

@@ -500,6 +500,21 @@ class TestFitCommand:
             del tree["manifest.json"]
         assert trees[0] == trees[1]
 
+    def test_index_country_is_read_stripped(self, small_dataset, tmp_path):
+        assert run("indices", "--league", small_dataset["league"], "--out-dir", tmp_path) == 0
+        header, *rows = (tmp_path / "indices.csv").read_text().splitlines(keepends=True)
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text(header + "".join(" " + r for r in rows))
+        args = ("fit", "--macro", small_dataset["macro"], "--index", "sdc_ki", "--iterate-sur")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="index .* has values for")
+            assert run(*args, "--indices", tmp_path / "indices.csv", "--out-dir", tmp_path / "a") == 0
+            assert run(*args, "--indices", spaced, "--out-dir", tmp_path / "b") == 0
+        trees = [tree_bytes(tmp_path / d) for d in "ab"]
+        for tree in trees:
+            del tree["manifest.json"]
+        assert trees[0] == trees[1]
+
     def test_fit_composes_with_indices_command(self, small_dataset, tmp_path):
         idx_out = tmp_path / "idx"
         assert run(
@@ -635,6 +650,7 @@ class TestEffectsCommand:
     @pytest.mark.parametrize(
         "row, message",
         [
+            (",1991,scr_ki,0.6", "empty country"),
             ("AAA,1991,foo,0.6", "unknown index name 'foo'"),
             ("AAA,1991,scr_ki,1.5", "out of [0, 1]"),
             ("AAA,1991,dn1,1.5", "out of [0, 1]"),  # rows of other indices are checked too
@@ -646,7 +662,9 @@ class TestEffectsCommand:
             ("AAA,1991,scr_ki,nan", "value is not finite: 'nan'"),
             ("AAA,1991,scr_ki,inf", "value is not finite: 'inf'"),
             ("AAA,1991,scr_ki,-inf", "value is not finite: '-inf'"),
-            # the season is checked before the value, the value before the name
+            # the country is checked first, the season before the value, the
+            # value before the name
+            (" ,x1991,scr_ki,nan", "empty country"),
             ("AAA,x1991,scr_ki,nan", "season is not an integer: 'x1991'"),
             ("AAA,1991,foo,nan", "value is not finite: 'nan'"),
             ("AAA,1991,foo,1.5", "unknown index name 'foo'"),
@@ -817,8 +835,10 @@ class TestSimulateCommand:
             ("simulate-dgp", "--n-countries", 0),
             # the trend would carry log attendance past exp's range
             ("simulate-dgp", "--n-seasons", 10_000),
+            # one more than MAX_DGP_COUNTRIES: the error covariance is n x n
+            ("simulate-dgp", "--n-countries", 1_001),
         ],
-        ids=["league", "dgp", "dgp_seasons"],
+        ids=["league", "dgp", "dgp_seasons", "dgp_countries"],
     )
     def test_rejected_parameters_create_no_out_dir(self, tmp_path, argv):
         out = tmp_path / "d"

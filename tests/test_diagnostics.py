@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from leaguebalance import InputError, NumericalError
 from leaguebalance.econometrics import (
-    FitResult,
     breusch_pagan_lm,
     durbin_watson_panel,
     jarque_bera,
@@ -21,6 +20,7 @@ from support import (
     fit_from_residuals,
     labelled_design,
     ols_fit_design,
+    one_pass_fit,
     pairwise_oracle,
     reset_exact_f,
 )
@@ -214,7 +214,7 @@ def reset_on(x, y, beta):
     """RESET on a one-country design ``x``, ``y`` with coefficients ``beta``."""
     n, k = x.shape
     design = labelled_design(y, x, [f"x{j}" for j in range(k)], ["A"] * n, np.arange(n), ["A"])
-    fit = FitResult(design=design, beta=beta, cov=np.eye(k), residuals=y - x @ beta)
+    fit = one_pass_fit(design, beta, np.eye(k), y - x @ beta)
     return ramsey_reset(fit)
 
 

@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leaguebalance import (
-    IndexValue,
     InputError,
     SeasonPair,
     TopKWindow,
     adn_top,
-    combine_bidimensional,
     dn_champion,
     dn_relegation,
     g_index_detail,
@@ -327,34 +325,3 @@ class TestGIndex:
             TopKWindow(seasons=(cu_season(6, season=2000),), K=2)
         with pytest.raises(InputError, match="consecutive"):
             TopKWindow(seasons=(cu_season(6, season=2000), cu_season(6, season=2002)), K=2)
-
-
-# ---------------------------------------------------------------- bi-dimensional
-
-
-class TestCombine:
-    def test_midpoint_is_exact(self):
-        s = IndexValue("scr_ki", "BEL", 1990, 0.4)
-        d = IndexValue("sdn_ki", "BEL", 1990, 0.8)
-        out = combine_bidimensional(s, d)
-        assert out.name == "sdc_ki"
-        assert out.value == (0.4 + 0.8) / 2
-
-    @pytest.mark.parametrize("sv,dv,expected", [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)])
-    def test_endpoints(self, sv, dv, expected):
-        out = combine_bidimensional(
-            IndexValue("ncr1", "BEL", 1990, sv), IndexValue("dn1", "BEL", 1990, dv)
-        )
-        assert out.value == expected
-
-    def test_wrong_pairing_rejected(self):
-        with pytest.raises(InputError, match="cannot pair"):
-            combine_bidimensional(
-                IndexValue("ncr1", "BEL", 1990, 0.3), IndexValue("sdn_ki", "BEL", 1990, 0.5)
-            )
-
-    def test_mismatched_keys_rejected(self):
-        with pytest.raises(InputError, match="pairing error"):
-            combine_bidimensional(
-                IndexValue("ncr1", "BEL", 1990, 0.3), IndexValue("dn1", "BEL", 1991, 0.5)
-            )

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from leaguebalance import InputError, NumericalError
-from leaguebalance.econometrics import (
-    FitResult,
-    RegressionSpec,
-    attendance_effect,
-    long_run_effects,
-)
+from leaguebalance.econometrics import FitResult, RegressionSpec, attendance_effect, long_run_effects
 from leaguebalance.reports import stars
-from support import labelled_design
+from support import labelled_design, one_pass_fit
 
 # pooled attendance-model estimates used as an arithmetic cross-check:
 # change in log attendance on lagged levels, differences, d97 and trend
@@ -34,14 +29,14 @@ def reference_fit(coefs=None) -> FitResult:
     beta = np.array([coefs[n] for n in names])
     k = len(names)
     design = labelled_design(np.zeros(1), np.zeros((1, k)), names, ["A"], [0], ["A"])
-    return FitResult(design=design, beta=beta, cov=0.01 * np.eye(k), residuals=np.zeros(1))
+    return one_pass_fit(design, beta, 0.01 * np.eye(k), np.zeros(1))
 
 
 class TestLongRunEffects:
     def test_reference_elasticities(self):
         fit = reference_fit()
         spec = RegressionSpec(index_name="sdc_ki", include_d97=False)
-        effects = {e.variable: e.estimate for e in long_run_effects(fit, spec)}
+        effects = {e.variable: e.estimate for e in long_run_effects(fit, spec, fit.cov)}
         assert effects["cb"] == pytest.approx(-0.213 / 0.186, abs=1e-12)
         assert effects["cb"] == pytest.approx(-1.142, rel=0.005)
         assert effects["pop"] == pytest.approx(4.591, rel=0.005)
@@ -53,13 +48,13 @@ class TestLongRunEffects:
         coefs = dict(REFERENCE_COEFS, ln_att_lag1=-1.0)
         fit = reference_fit(coefs)
         spec = RegressionSpec(index_name="sdc_ki", include_d97=False)
-        effects = {e.variable: e.estimate for e in long_run_effects(fit, spec)}
+        effects = {e.variable: e.estimate for e in long_run_effects(fit, spec, fit.cov)}
         assert effects["cb"] == pytest.approx(coefs["ln_cb_lag1"], abs=1e-12)
 
     def test_no_error_correction_raises(self):
-        coefs = dict(REFERENCE_COEFS, ln_att_lag1=-1e-12)
+        fit = reference_fit(dict(REFERENCE_COEFS, ln_att_lag1=-1e-12))
         with pytest.raises(NumericalError, match="no long-run relation"):
-            long_run_effects(reference_fit(coefs), RegressionSpec(index_name="sdc_ki"))
+            long_run_effects(fit, RegressionSpec(index_name="sdc_ki"), fit.cov)
 
     def test_delta_method_matches_manual_gradient(self):
         fit = reference_fit()
@@ -68,9 +63,8 @@ class TestLongRunEffects:
         cov = np.zeros((len(fit.design.columns),) * 2)
         cov[i, i], cov[j, j], cov[i, j] = 0.0004, 0.0009, 0.0001
         cov[j, i] = cov[i, j]
-        fit.cov = cov
         spec = RegressionSpec(index_name="sdc_ki", include_d97=False)
-        effect = {e.variable: e for e in long_run_effects(fit, spec)}["cb"]
+        effect = {e.variable: e for e in long_run_effects(fit, spec, cov)}["cb"]
         b, c = -0.213, -0.186
         grad = np.zeros(len(fit.design.columns))
         grad[i] = -1.0 / c
@@ -85,7 +79,7 @@ class TestLongRunEffects:
             assert stars(p) == expected, p
         fit = reference_fit()
         spec = RegressionSpec(index_name="sdc_ki", include_d97=False)
-        for e in long_run_effects(fit, spec):
+        for e in long_run_effects(fit, spec, fit.cov):
             assert stars(e.p_value) in ("", "*", "**", "***")
 
 

@@ -335,7 +335,7 @@ class TestReparameterization:
         spec = RegressionSpec(index_name="sdc_ki")
         levels = build_adl_design(panel, series, spec)
         f_levels = ols_fit(levels.y, levels.X, levels.columns)
-        effects = {e.variable: e.estimate for e in long_run_effects(f_levels, spec)}
+        effects = {e.variable: e.estimate for e in long_run_effects(f_levels, spec, f_levels.cov)}
         lag_design = build_adl_lag_design(panel, series, spec)
         sums = cumulated_lag_coefficients(
             ols_fit(lag_design.y, lag_design.X, lag_design.columns), spec

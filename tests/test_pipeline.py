@@ -6,8 +6,10 @@ from leaguebalance.catalog import (
     ALL_INDEX_NAMES,
     BIDIMENSIONAL_INDEX_NAMES,
     PAIRWISE_INDEX_NAMES,
+    PRIZE_LEVELS,
     SEASONAL_INDEX_NAMES,
 )
+from leaguebalance.simulate import LeagueSimParams, simulate_league
 from support import cu_season, reranked
 
 
@@ -68,3 +70,17 @@ def test_series_extraction():
     series = series_from_values(values, "scr_ki")
     assert series[("SIM", 2000)] == pytest.approx(1.0)
     assert len(series) == 6
+
+
+def test_bidimensional_values_are_the_mean_of_their_components():
+    leagues = simulate_league(LeagueSimParams(n_teams=12, n_seasons=10, churn=3), seed=1)
+    values, _ = compute_all_indices(leagues)
+    found = {(v.season, v.name): v.value for v in values}
+    averaged = set()
+    for season in range(1991, 2000):
+        for level in PRIZE_LEVELS:
+            seasonal, dynamic = found[season, level.seasonal], found[season, level.dynamic]
+            assert found[season, level.bidimensional] == (seasonal + dynamic) / 2.0
+            averaged.add(found[season, level.bidimensional])
+    assert sum(v.name in BIDIMENSIONAL_INDEX_NAMES for v in values) == 9 * len(PRIZE_LEVELS)
+    assert len(averaged) > 1

@@ -12,7 +12,7 @@ from leaguebalance import (
     TeamSeasonRecord,
     acr_top,
     adjusted_gini,
-    compute_seasonal,
+    compute_all_indices,
     cu_percentages,
     hhi_star,
     namsi,
@@ -165,7 +165,7 @@ def test_compute_seasonal_checks_the_season_once():
     season = LeagueSeason("AAA", 1990, records, K=1, I=1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        values = {v.name: v.value for v in compute_seasonal(season)}
+        values = {v.name: v.value for v in compute_all_indices([season])[0]}
     assert [str(c.message) for c in caught if c.category is IncompleteScheduleWarning] == [
         "(AAA, 1990): winning percentages average 0.5625 instead of 0.5 "
         "(incomplete schedule?); deviations renormalised"

@@ -11,6 +11,7 @@ from leaguebalance import InputError, winning_percentages
 from leaguebalance.simulate import (
     COEFFICIENTS,
     LONG_RUN,
+    MAX_DGP_COUNTRIES,
     MAX_DGP_SEASONS,
     MAX_TEAMS,
     DgpParams,
@@ -131,6 +132,11 @@ class TestDgpSimulation:
         assert all(math.isfinite(m.attendance_per_game) for m in sim.macro)
         with pytest.raises(InputError, match=f"n_seasons must be <= {MAX_DGP_SEASONS}"):
             DgpParams(n_seasons=MAX_DGP_SEASONS + 1)
+
+    def test_country_count_is_bounded(self):
+        countries = tuple(f"C{i + 1}" for i in range(MAX_DGP_COUNTRIES + 1))
+        with pytest.raises(InputError, match=f"at most {MAX_DGP_COUNTRIES} countries"):
+            DgpParams(countries=countries)
 
     def test_no_countries_is_input_error(self):
         with pytest.raises(InputError, match="at least one country"):
