@@ -1,10 +1,12 @@
 """Between-seasons competitive-balance indices.
 
 Pairwise indices score ranking persistence across two consecutive seasons
-(1 = the tracked places are frozen, 0 = maximal turnover).  The windowed G
-index scores how few distinct teams enter the top K over a multi-season
-window relative to their exact expected number under independent random
-rankings per season.
+(1 = the tracked places are frozen, 0 = maximal turnover).  Each pairwise
+function scores a block of season pairs in one call, a ``PairRanks`` or a
+sequence of ``SeasonPair``s whose seasons share their team counts, and
+returns one value per pair.  The windowed G index scores how few distinct
+teams enter the top K over a multi-season window relative to their exact
+expected number under independent random rankings per season.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .catalog import ALL_LEVELS, RELEGATION, TITLE, TOP_K, PrizeLevel
 from .errors import InputError
 from .panel import LeagueSeason
 from .record import Record
+from .seasonal import CHUNK_VALUES
 
 
 class SeasonPair(Record):
@@ -64,76 +67,115 @@ class TopKWindow(Record):
         return self.seasons[-1].season
 
 
-def tau_rescaled(pair: SeasonPair) -> float:
+class PairRanks(Record):
+    """A block of consecutive-season pairs, each as the previous ranks of its
+    current season's places.
+
+    ``prev_ranks[p, r - 1]`` is the rank that the team at place r of pair
+    p's current season held the season before, 0 for a team that was not in
+    the league then.  Every previous season of the block has ``n_prev``
+    teams; ``where[p]`` names pair p's current season in messages.
+    """
+
+    def __init__(self, prev_ranks: np.ndarray, n_prev: int, where: tuple[str, ...]) -> None:
+        self.__dict__.update(prev_ranks=prev_ranks, n_prev=n_prev, where=where)
+
+
+def previous_ranks(prev: LeagueSeason, curr: LeagueSeason) -> list[int]:
+    """The rank in ``prev`` of each team of ``curr`` in place order, 0 for a
+    team new to the league."""
+    before = prev.rank_of()
+    return [before.get(rec.team, 0) for rec in curr.records]
+
+
+def _as_ranks(pairs) -> PairRanks:
+    """``pairs`` as one block: a ``PairRanks`` as it is, or a sequence of
+    ``SeasonPair``s that share both seasons' team counts."""
+    if isinstance(pairs, PairRanks):
+        return pairs
+    shapes = {(pair.prev.n, pair.curr.n) for pair in pairs}
+    if len(shapes) != 1:
+        raise InputError("a block of season pairs needs one team count per season of the pair")
+    ((n_prev, n),) = shapes
+    return PairRanks(
+        np.array([previous_ranks(pair.prev, pair.curr) for pair in pairs]).reshape(-1, n),
+        n_prev,
+        tuple(f"({pair.curr.country}, {pair.curr.season})" for pair in pairs),
+    )
+
+
+def tau_rescaled(pairs) -> np.ndarray:
     """Rank correlation of consecutive-season standings, rescaled to [0, 1].
 
     Kendall's tau over the teams present in both seasons, mapped through
     (1 + tau) / 2 so that 1 means identical ordering (imbalance) and 0 a
     fully reversed one.
     """
-    prev_ranks = pair.prev.rank_of()
-    curr_ranks = pair.curr.rank_of()
-    common = set(prev_ranks) & set(curr_ranks)
-    n = len(common)
-    if n < 2:
-        raise InputError(
-            f"({pair.curr.country}, {pair.curr.season}): fewer than 2 teams present in "
-            "both seasons"
+    block = _as_ranks(pairs)
+    ranks = block.prev_ranks
+    common = np.count_nonzero(ranks, axis=1)
+    for p in np.flatnonzero(common < 2)[:1]:
+        raise InputError(f"{block.where[p]}: fewer than 2 teams present in both seasons")
+    # a season's ranks are a permutation of 1..n, so no pair ties: places
+    # i < j held both seasons are concordant iff their previous ranks rise
+    seasons, n = ranks.shape
+    later = np.triu(np.ones((n, n), dtype=bool), 1)
+    step = max(1, CHUNK_VALUES // (n * n))
+    conc = np.empty(seasons, dtype=np.int64)
+    for start in range(0, seasons, step):
+        chunk = ranks[start : start + step]
+        before = chunk[:, :, None]
+        conc[start : start + step] = np.count_nonzero(
+            (0 < before) & (before < chunk[:, None, :]) & later, axis=(1, 2)
         )
-    # a season's ranks are a permutation of 1..n, so no pair ties: in the
-    # previous season's order, a pair is concordant iff its current ranks rise
-    curr = [curr_ranks[t] for t in sorted(common, key=prev_ranks.__getitem__)]
-    conc = 0
-    for i, a in enumerate(curr):
-        for b in curr[i + 1 :]:
-            conc += a < b
-    n0 = n * (n - 1) // 2
+    n0 = common * (common - 1) // 2
     return (1.0 + (conc - (n0 - conc)) / n0) / 2.0
 
 
-def _persistence(prev_rank: int | None, rank: int, n_prev: int) -> float:
-    """Rank persistence in [0, 1]: 1 = same place, 0 = absent or maximally moved."""
-    if prev_rank is None:
-        return 0.0
-    return 1.0 - min(abs(prev_rank - rank), n_prev - 1) / (n_prev - 1.0)
-
-
-def _weighted_persistence(pair: SeasonPair, level: PrizeLevel, K: int, I: int) -> float:
+def _weighted_persistence(pairs, level: PrizeLevel, K: int, I: int) -> np.ndarray:
     """sum_r v_r * persistence_r / sum_r v_r over the level's weighted places
-    of the current season, with the level's rank weights v."""
-    curr = pair.curr
-    top, bottom = level.weights(K, I, curr.n)
-    ranks = list(range(1, top.size + 1)) + list(range(curr.n - bottom.size + 1, curr.n + 1))
-    prev_ranks = pair.prev.rank_of()
-    n_prev = pair.prev.n
+    of each current season, with the level's rank weights v.
+
+    A place's persistence is 1 when its team held the same rank the season
+    before and 0 when the team is new or moved as far as the previous
+    season allows.  The terms are added place by place in one season's order.
+    """
+    block = _as_ranks(pairs)
+    ranks = block.prev_ranks
+    n = ranks.shape[1]
+    n_prev = block.n_prev
+    top, bottom = level.weights(K, I, n)
+    places = list(range(1, top.size + 1)) + list(range(n - bottom.size + 1, n + 1))
     num = 0.0
     den = 0.0
-    for r, v in zip(ranks, np.concatenate([top, bottom])):
-        num += v * _persistence(prev_ranks.get(curr.records[r - 1].team), r, n_prev)
+    for r, v in zip(places, np.concatenate([top, bottom])):
+        prev = ranks[:, r - 1]
+        moved = 1.0 - np.minimum(np.abs(prev - r), n_prev - 1) / (n_prev - 1.0)
+        num = num + v * np.where(prev == 0, 0.0, moved)
         den += v
-    return float(num / den)
+    return num / den
 
 
-def dn_champion(pair: SeasonPair) -> float:
+def dn_champion(pairs) -> np.ndarray:
     """Champion persistence across two seasons; 1 iff the champion repeats,
     0 for a champion promoted from outside the league."""
-    return _weighted_persistence(pair, TITLE, 0, 0)
+    return _weighted_persistence(pairs, TITLE, 0, 0)
 
 
-def adn_top(pair: SeasonPair, K: int) -> float:
+def adn_top(pairs, K: int) -> np.ndarray:
     """Weighted persistence of the current top K places (``catalog.TOP_K``)."""
-    return _weighted_persistence(pair, TOP_K, K, 0)
+    return _weighted_persistence(pairs, TOP_K, K, 0)
 
 
-def dn_relegation(pair: SeasonPair, I: int) -> float:
+def dn_relegation(pairs, I: int) -> np.ndarray:
     """Mean persistence of the current relegation-zone places."""
-    return _weighted_persistence(pair, RELEGATION, 0, I)
+    return _weighted_persistence(pairs, RELEGATION, 0, I)
 
 
-def sdn(pair: SeasonPair, K: int, I: int) -> float:
+def sdn(pairs, K: int, I: int) -> np.ndarray:
     """Weighted persistence over top-K and relegation places, using the same
     rank weights as the seasonal three-level concentration ratio."""
-    return _weighted_persistence(pair, ALL_LEVELS, K, I)
+    return _weighted_persistence(pairs, ALL_LEVELS, K, I)
 
 
 class GIndexResult(Record):

@@ -9,6 +9,7 @@ regression stage.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import math
@@ -297,6 +298,14 @@ def _read_csv(path: str, columns: tuple[str, ...], check) -> tuple[str, tuple]:
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
         raise InputError(f"cannot read {path}: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
+    # The split makes one list per row, and the transpose and the checks keep
+    # their fields, so the young collections they would trigger walk them all
+    # for nothing.  Collection is off while they run and back in the caller's
+    # state after: on fit-paper's indices.csv, in a fresh process after
+    # ``import leaguebalance.cli``, the read took 9.3-10.0 ms against
+    # 11.3-13.5 ms with collection on (medians of 15 runs, 2-vCPU host).
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         if next(reader, None) == list(columns):
             fields = list(zip(*filter(None, reader), strict=True))
@@ -304,6 +313,9 @@ def _read_csv(path: str, columns: tuple[str, ...], check) -> tuple[str, tuple]:
                 return text, check(fields, set())
     except (csv.Error, ValueError, InputError):  # ValueError: rows of unequal length
         pass
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     _first_fault(path, text, columns, check)
 
 

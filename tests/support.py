@@ -6,6 +6,7 @@ import csv
 import io
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,17 @@ from leaguebalance.econometrics.design import COVARIATES, YearGrid
 from leaguebalance.econometrics.ols import qr_solve, r_inverse
 from leaguebalance.econometrics.sur import _finalize, _gls, pairwise_sigma
 from leaguebalance.econometrics.unitroot import ADF_CASES
-from leaguebalance.catalog import IndexValue, check_index_value
+from leaguebalance.catalog import (
+    ALL_INDEX_NAMES,
+    ALL_LEVELS,
+    PRIZE_LEVELS,
+    RELEGATION,
+    TITLE,
+    TOP_K,
+    IndexValue,
+    check_index_value,
+)
+from leaguebalance.dynamic import TopKWindow, g_index_detail
 from leaguebalance.errors import InputError, NumericalError
 from leaguebalance.panel import (
     D97_CUTOFF,
@@ -28,7 +39,10 @@ from leaguebalance.panel import (
     MacroObservation,
     PanelDataset,
     TeamSeasonRecord,
+    winning_percentages,
 )
+from leaguebalance.pipeline import GDiagnostic
+from leaguebalance.seasonal import IncompleteScheduleWarning, IndexRangeWarning, cu_percentages
 
 HOME, DRAW, AWAY = 0, 1, 2
 
@@ -740,6 +754,171 @@ def reset_exact_f(fit: FitResult) -> float:
     rss_r = _exact_rss(gram, k)
     dof = design.nobs - k - 2
     return float((rss_r - rss_u) / 2 / (rss_u / dof))
+
+
+# ---------------------------------------------------------------- index stage
+# The per-season index functions and the season-by-season index stage that
+# the block functions of ``leaguebalance.seasonal`` and ``.dynamic`` replaced,
+# kept as the reference of their differential test: the same values to the
+# bit, the same warnings and the same first error for every league set.
+
+
+def _percentages_reference(w, name: str) -> np.ndarray:
+    arr = np.asarray(w, dtype=float)
+    if arr.ndim != 1 or arr.size < 2:
+        raise InputError(f"{name}: degenerate league (need a vector of >= 2 winning percentages)")
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+        raise InputError(f"{name}: winning percentages must be finite and non-negative")
+    mean = arr.mean()
+    if mean <= 0.0:
+        raise InputError(f"{name}: degenerate all-zero winning percentages")
+    if abs(mean - 0.5) <= 1e-9:
+        return arr
+    warnings.warn(
+        f"{name}: winning percentages average {mean:.6g} instead of 0.5 "
+        "(incomplete schedule?); deviations renormalised",
+        IncompleteScheduleWarning,
+    )
+    return arr * (0.5 / mean)
+
+
+def _clamp01_reference(value: float, name: str) -> float:
+    if value < -1e-9 or value > 1.0 + 1e-9:
+        warnings.warn(
+            f"{name}={value:.6g} outside [0, 1]; clamped (check input data)", IndexRangeWarning
+        )
+    return float(min(1.0, max(0.0, value)))
+
+
+def _gini_reference(x: np.ndarray) -> float:
+    diffs = np.abs(x[:, None] - x[None, :])
+    return float(diffs.sum() / (2.0 * x.size**2 * x.mean()))
+
+
+def _concentration_reference(arr, level, K: int, I: int, name: str) -> float:
+    n = arr.size
+    top, bottom = level.weights(K, I, n)
+
+    def spread(x: np.ndarray) -> float:
+        return float(top @ (x[: top.size] - 0.5) + bottom @ (0.5 - x[n - bottom.size :]))
+
+    return _clamp01_reference(spread(arr) / spread(cu_percentages(n)), name)
+
+
+def seasonal_reference(arr: np.ndarray, K: int, I: int) -> dict[str, float]:
+    """The seven seasonal indices of one season's checked percentages."""
+    n = arr.size
+    w_cu = cu_percentages(n)
+    shares = arr / arr.sum()
+    hhi_cu = float(np.sum((w_cu / w_cu.sum()) ** 2))
+    hhi = float(np.sum(shares**2))
+    return {
+        "namsi": _clamp01_reference(
+            np.sqrt(float(np.sum((arr - 0.5) ** 2)) / float(np.sum((w_cu - 0.5) ** 2))), "namsi"
+        ),
+        "hhi_star": _clamp01_reference((hhi - 1.0 / n) / (hhi_cu - 1.0 / n), "hhi_star"),
+        "agini": _clamp01_reference(_gini_reference(arr) / _gini_reference(w_cu), "adjusted_gini"),
+        "ncr1": _concentration_reference(arr, TITLE, 0, 0, "ncr_champion"),
+        "acr_k": _concentration_reference(arr, TOP_K, K, 0, "acr_top"),
+        "ncr_i": _concentration_reference(arr, RELEGATION, 0, I, "ncr_relegation"),
+        "scr_ki": _concentration_reference(arr, ALL_LEVELS, K, I, "scr"),
+    }
+
+
+def _tau_reference(prev: LeagueSeason, curr: LeagueSeason) -> float:
+    prev_ranks = prev.rank_of()
+    curr_ranks = curr.rank_of()
+    common = set(prev_ranks) & set(curr_ranks)
+    n = len(common)
+    if n < 2:
+        raise InputError(
+            f"({curr.country}, {curr.season}): fewer than 2 teams present in both seasons"
+        )
+    order = [curr_ranks[t] for t in sorted(common, key=prev_ranks.__getitem__)]
+    conc = 0
+    for i, a in enumerate(order):
+        for b in order[i + 1 :]:
+            conc += a < b
+    n0 = n * (n - 1) // 2
+    return (1.0 + (conc - (n0 - conc)) / n0) / 2.0
+
+
+def _persistence_reference(prev: LeagueSeason, curr: LeagueSeason, level, K: int, I: int):
+    top, bottom = level.weights(K, I, curr.n)
+    ranks = list(range(1, top.size + 1)) + list(range(curr.n - bottom.size + 1, curr.n + 1))
+    prev_ranks = prev.rank_of()
+    n_prev = prev.n
+    num = 0.0
+    den = 0.0
+    for r, v in zip(ranks, np.concatenate([top, bottom])):
+        p = prev_ranks.get(curr.records[r - 1].team)
+        m = 0.0 if p is None else 1.0 - min(abs(p - r), n_prev - 1) / (n_prev - 1.0)
+        num += v * m
+        den += v
+    return float(num / den)
+
+
+def pairwise_reference(prev: LeagueSeason, curr: LeagueSeason, K: int, I: int) -> dict:
+    """The five pairwise indices of two consecutive seasons."""
+    return {
+        "tau": _tau_reference(prev, curr),
+        "dn1": _persistence_reference(prev, curr, TITLE, 0, 0),
+        "adn_k": _persistence_reference(prev, curr, TOP_K, K, 0),
+        "dn_i": _persistence_reference(prev, curr, RELEGATION, 0, I),
+        "sdn_ki": _persistence_reference(prev, curr, ALL_LEVELS, K, I),
+    }
+
+
+def compute_all_indices_reference(leagues, config=None, names=None):
+    """``compute_all_indices`` scoring one season and one season pair at a time."""
+    config = config or Config()
+    requested = set(ALL_INDEX_NAMES) if names is None else set(names)
+    unknown = requested - set(ALL_INDEX_NAMES)
+    if unknown:
+        raise InputError(f"unknown index name(s): {sorted(unknown)}")
+    by_country: dict[str, list[LeagueSeason]] = {}
+    for lg in leagues:
+        by_country.setdefault(lg.country, []).append(lg)
+    for country in by_country:
+        by_country[country].sort(key=lambda s: s.season)
+
+    values: list[IndexValue] = []
+    g_diags: list[GDiagnostic] = []
+    for country in sorted(by_country):
+        seasons = by_country[country]
+        prev = None
+        for lg in seasons:
+            arr = _percentages_reference(winning_percentages(lg), f"({country}, {lg.season})")
+            found = seasonal_reference(arr, lg.K, lg.I)
+            if prev is not None and lg.season == prev.season + 1:
+                found.update(pairwise_reference(prev, lg, lg.K, lg.I))
+                for level in PRIZE_LEVELS:
+                    found[level.bidimensional] = (
+                        found[level.seasonal] + found[level.dynamic]
+                    ) / 2.0
+            values.extend(
+                IndexValue(name=name, country=country, season=lg.season, value=v)
+                for name, v in found.items()
+                if name in requested
+            )
+            prev = lg
+        if "g" in requested:
+            t = config.g_window
+            for end in range(t - 1, len(seasons)):
+                chunk = seasons[end - t + 1 : end + 1]
+                if chunk[-1].season - chunk[0].season == t - 1:
+                    window = TopKWindow(seasons=tuple(chunk), K=chunk[-1].K)
+                    detail = g_index_detail(window)
+                    values.append(
+                        IndexValue(
+                            name="g", country=country, season=window.end_season,
+                            value=detail.value,
+                        )
+                    )
+                    g_diags.append(GDiagnostic(country, window.end_season, detail.expected))
+
+    values.sort(key=lambda v: (v.country, v.season, v.name))
+    return values, g_diags
 
 
 # ---------------------------------------------------------------- CSV readers

@@ -223,13 +223,13 @@ def _vector_indices(w: np.ndarray, k: int, i: int):
 def test_c04_exhaustive_range_oracle():
     tol = 1e-12
     library = {
-        "namsi": lambda w, k, i: namsi(w),
-        "hhi_star": lambda w, k, i: hhi_star(w),
-        "agini": lambda w, k, i: adjusted_gini(w),
-        "ncr1": lambda w, k, i: ncr_champion(w),
-        "acr_k": lambda w, k, i: acr_top(w, k),
-        "ncr_i": lambda w, k, i: ncr_relegation(w, i),
-        "scr_ki": lambda w, k, i: scr(w, k, i),
+        "namsi": lambda w, k, i: namsi([w])[0],
+        "hhi_star": lambda w, k, i: hhi_star([w])[0],
+        "agini": lambda w, k, i: adjusted_gini([w])[0],
+        "ncr1": lambda w, k, i: ncr_champion([w])[0],
+        "acr_k": lambda w, k, i: acr_top([w], k)[0],
+        "ncr_i": lambda w, k, i: ncr_relegation([w], i)[0],
+        "scr_ki": lambda w, k, i: scr([w], k, i)[0],
     }
     checked = 0
     for n, sampler in ((3, None), (4, 1_000_000)):

@@ -67,19 +67,19 @@ class TestTauRescaled:
     def test_identical_rankings(self):
         prev = cu_season(4, season=1999)
         curr = reranked(prev, [0, 1, 2, 3])
-        assert tau_rescaled(SeasonPair(prev, curr)) == 1.0
+        assert tau_rescaled([SeasonPair(prev, curr)])[0] == 1.0
 
     def test_reversed_rankings(self):
         prev = cu_season(4, season=1999)
         curr = reranked(prev, [3, 2, 1, 0])
-        assert tau_rescaled(SeasonPair(prev, curr)) == 0.0
+        assert tau_rescaled([SeasonPair(prev, curr)])[0] == 0.0
 
     def test_adjacent_swap(self):
         prev = cu_season(4, season=1999)
         curr = reranked(prev, [0, 2, 1, 3])
         tau = kendall_oracle([1, 2, 3, 4], [1, 3, 2, 4])
         assert tau == pytest.approx(2.0 / 3.0)
-        assert tau_rescaled(SeasonPair(prev, curr)) == pytest.approx(5.0 / 6.0, abs=1e-12)
+        assert tau_rescaled([SeasonPair(prev, curr)])[0] == pytest.approx(5.0 / 6.0, abs=1e-12)
 
     def test_matches_pair_scan_on_random_permutations(self):
         rng = np.random.default_rng(3)
@@ -90,14 +90,14 @@ class TestTauRescaled:
             prev_ranks = [prev.rank_of()[t] for t in sorted(prev.roster())]
             curr_ranks = [curr.rank_of()[t] for t in sorted(prev.roster())]
             expected = (1 + kendall_oracle(prev_ranks, curr_ranks)) / 2
-            assert tau_rescaled(SeasonPair(prev, curr)) == pytest.approx(expected, abs=1e-12)
+            assert tau_rescaled([SeasonPair(prev, curr)])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_insufficient_overlap(self):
         prev = cu_season(4, season=1999)
         curr = cu_season(4, season=2000)
         curr = relabel(curr, {f"T{i}": f"X{i}" for i in range(4)})
         with pytest.raises(InputError, match="fewer than 2"):
-            tau_rescaled(SeasonPair(prev, curr))
+            tau_rescaled([SeasonPair(prev, curr)])
 
     def test_mismatched_pair_rejected(self):
         with pytest.raises(InputError, match="consecutive"):
@@ -110,56 +110,56 @@ class TestTauRescaled:
 class TestChampionPersistence:
     def test_repeat_champion(self):
         pair = eleven_team_pair({1: 1})
-        assert dn_champion(pair) == 1.0
+        assert dn_champion([pair])[0] == 1.0
 
     def test_promoted_champion_clamps_to_zero(self):
         pair = eleven_team_pair({1: None})
-        assert dn_champion(pair) == 0.0
+        assert dn_champion([pair])[0] == 0.0
 
     def test_champion_from_rank_three(self):
         pair = eleven_team_pair({1: 3})
-        assert dn_champion(pair) == pytest.approx(0.8, abs=1e-12)
+        assert dn_champion([pair])[0] == pytest.approx(0.8, abs=1e-12)
 
 
 class TestWeightedPersistence:
     def test_adn_identical_top(self):
         pair = eleven_team_pair({1: 1, 2: 2})
-        assert adn_top(pair, K=2) == 1.0
+        assert adn_top([pair], K=2)[0] == 1.0
 
     def test_adn_hand_value(self):
         pair = eleven_team_pair({1: 1, 2: 6})
         # champion m=1 (weight 2), runner-up m=1-4/10 (weight 1)
-        assert adn_top(pair, K=2) == pytest.approx((2 * 1 + 1 * 0.6) / 3, abs=1e-12)
+        assert adn_top([pair], K=2)[0] == pytest.approx((2 * 1 + 1 * 0.6) / 3, abs=1e-12)
 
     def test_adn_all_promoted_is_zero(self):
         pair = eleven_team_pair({1: None, 2: None})
-        assert adn_top(pair, K=2) == 0.0
+        assert adn_top([pair], K=2)[0] == 0.0
 
     def test_dn_relegation_hand_value(self):
         pair = eleven_team_pair({10: 5, 11: 11})
-        assert dn_relegation(pair, I=2) == pytest.approx(0.75, abs=1e-12)
+        assert dn_relegation([pair], I=2)[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_dn_relegation_unchanged_zone(self):
         pair = eleven_team_pair({10: 10, 11: 11})
-        assert dn_relegation(pair, I=2) == 1.0
+        assert dn_relegation([pair], I=2)[0] == 1.0
 
     def test_sdn_uses_seasonal_weights(self):
         # K=1: top weight K+2-1 = 2; relegation weight 1
         pair = eleven_team_pair({1: 1, 11: 6})
-        assert sdn(pair, K=1, I=1) == pytest.approx((2 * 1 + 1 * 0.5) / 3, abs=1e-12)
+        assert sdn([pair], K=1, I=1)[0] == pytest.approx((2 * 1 + 1 * 0.5) / 3, abs=1e-12)
 
     def test_sdn_frozen_tracked_ranks(self):
         pair = eleven_team_pair({1: 1, 2: 2, 10: 10, 11: 11})
-        assert sdn(pair, K=2, I=2) == 1.0
+        assert sdn([pair], K=2, I=2)[0] == 1.0
 
     def test_range_checks(self):
         pair = eleven_team_pair({1: 1})
         with pytest.raises(InputError):
-            adn_top(pair, K=11)
+            adn_top([pair], K=11)
         with pytest.raises(InputError):
-            dn_relegation(pair, I=0)
+            dn_relegation([pair], I=0)
         with pytest.raises(InputError):
-            sdn(pair, K=6, I=5)
+            sdn([pair], K=6, I=5)
 
 
 def test_all_pairwise_indices_in_unit_interval_on_random_pairs():
@@ -170,11 +170,11 @@ def test_all_pairwise_indices_in_unit_interval_on_random_pairs():
         curr = reranked(prev, list(rng.permutation(n)))
         pair = SeasonPair(prev, curr)
         for value in (
-            tau_rescaled(pair),
-            dn_champion(pair),
-            adn_top(pair, 2),
-            dn_relegation(pair, 2),
-            sdn(pair, 2, 2),
+            tau_rescaled([pair])[0],
+            dn_champion([pair])[0],
+            adn_top([pair], 2)[0],
+            dn_relegation([pair], 2)[0],
+            sdn([pair], 2, 2)[0],
         ):
             assert 0.0 <= value <= 1.0
 
@@ -187,18 +187,18 @@ def test_dn_champion_is_one_iff_champion_repeats():
         curr = reranked(prev, list(rng.permutation(n)))
         pair = SeasonPair(prev, curr)
         repeats = curr.records[0].team == prev.records[0].team
-        assert (dn_champion(pair) == 1.0) == repeats
+        assert (dn_champion([pair])[0] == 1.0) == repeats
 
 
 def test_frozen_league_scores_one_everywhere():
     prev = cu_season(8, season=1999, K=2, I=2)
     curr = reranked(prev, list(range(8)))
     pair = SeasonPair(prev, curr)
-    assert tau_rescaled(pair) == 1.0
-    assert dn_champion(pair) == 1.0
-    assert adn_top(pair, 2) == 1.0
-    assert dn_relegation(pair, 2) == 1.0
-    assert sdn(pair, 2, 2) == 1.0
+    assert tau_rescaled([pair])[0] == 1.0
+    assert dn_champion([pair])[0] == 1.0
+    assert adn_top([pair], 2)[0] == 1.0
+    assert dn_relegation([pair], 2)[0] == 1.0
+    assert sdn([pair], 2, 2)[0] == 1.0
 
 
 # ---------------------------------------------------------------- G index

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -34,6 +35,24 @@ def four_team_rows(country="BEL", season=1990):
         f"{country},{season},C,3,2,0,4,4",
         f"{country},{season},D,4,0,2,4,2",
     ]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("good", [True, False])
+def test_a_read_leaves_collection_as_the_caller_had_it(tmp_path, enabled, good):
+    rows = four_team_rows() if good else four_team_rows()[:3] + ["BEL,1990,D,4,0,2,4"]
+    path = write_league(tmp_path, rows)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if good:
+            assert len(parse_league_csv(path)) == 1
+        else:
+            with pytest.raises(InputError, match="expected 8 fields"):
+                parse_league_csv(path)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 class TestParseLeagueCsv:

@@ -153,16 +153,16 @@ def test_concentration_family_matches_per_index_oracles(case):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IndexRangeWarning)
         got = {
-            "ncr1": ncr_champion(w),
-            "acr_k": acr_top(w, K),
-            "ncr_i": ncr_relegation(w, I),
-            "scr_ki": scr(w, K, I),
+            "ncr1": ncr_champion([w])[0],
+            "acr_k": acr_top([w], K)[0],
+            "ncr_i": ncr_relegation([w], I)[0],
+            "scr_ki": scr([w], K, I)[0],
         }
     got.update(
-        dn1=dn_champion(pair),
-        adn_k=adn_top(pair, K),
-        dn_i=dn_relegation(pair, I),
-        sdn_ki=sdn(pair, K, I),
+        dn1=dn_champion([pair])[0],
+        adn_k=adn_top([pair], K)[0],
+        dn_i=dn_relegation([pair], I)[0],
+        sdn_ki=sdn([pair], K, I)[0],
     )
     expected = seasonal_oracles(list(w), K, I) | dynamic_oracles(pair.prev, pair.curr, K, I)
     for name, value in expected.items():

@@ -27,13 +27,13 @@ from support import random_outcomes, season_from_outcomes
 W4 = np.array([0.75, 0.5, 0.5, 0.25])
 
 ALL_SEASONAL = [
-    ("namsi", lambda w, K, I: namsi(w)),
-    ("hhi_star", lambda w, K, I: hhi_star(w)),
-    ("agini", lambda w, K, I: adjusted_gini(w)),
-    ("ncr1", lambda w, K, I: ncr_champion(w)),
-    ("acr_k", lambda w, K, I: acr_top(w, K)),
-    ("ncr_i", lambda w, K, I: ncr_relegation(w, I)),
-    ("scr_ki", lambda w, K, I: scr(w, K, I)),
+    ("namsi", lambda w, K, I: namsi([w])[0]),
+    ("hhi_star", lambda w, K, I: hhi_star([w])[0]),
+    ("agini", lambda w, K, I: adjusted_gini([w])[0]),
+    ("ncr1", lambda w, K, I: ncr_champion([w])[0]),
+    ("acr_k", lambda w, K, I: acr_top([w], K)[0]),
+    ("ncr_i", lambda w, K, I: ncr_relegation([w], I)[0]),
+    ("scr_ki", lambda w, K, I: scr([w], K, I)[0]),
 ]
 
 
@@ -81,7 +81,7 @@ def test_completely_unbalanced_season_scores_one(n, name, fn):
 def test_namsi_hand_value():
     expected = namsi_oracle(W4)
     assert expected == pytest.approx(0.474341649, abs=1e-9)
-    assert namsi(W4) == pytest.approx(expected, abs=1e-12)
+    assert namsi([W4])[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_hhi_star_hand_value():
@@ -90,33 +90,33 @@ def test_hhi_star_hand_value():
     assert hhi == pytest.approx(0.28125)
     expected = (hhi - 0.25) / (14.0 / 36.0 - 0.25)
     assert expected == pytest.approx(0.225)
-    assert hhi_star(W4) == pytest.approx(expected, abs=1e-12)
+    assert hhi_star([W4])[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_adjusted_gini_hand_value():
     w3 = [0.75, 0.5, 0.25]
     expected = gini_oracle(w3) / gini_oracle([1.0, 0.5, 0.0])
     assert expected == pytest.approx(0.5)
-    assert adjusted_gini(w3) == pytest.approx(expected, abs=1e-12)
+    assert adjusted_gini([w3])[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_ncr_champion_linear():
-    assert ncr_champion([0.75, 0.5, 0.5, 0.25]) == pytest.approx(0.5)
-    assert ncr_champion([0.5, 0.5, 0.5]) == 0.0
-    assert ncr_champion([1.0, 0.5, 0.0]) == 1.0
+    assert ncr_champion([[0.75, 0.5, 0.5, 0.25]])[0] == pytest.approx(0.5)
+    assert ncr_champion([[0.5, 0.5, 0.5]])[0] == 0.0
+    assert ncr_champion([[1.0, 0.5, 0.0]])[0] == 1.0
 
 
 def test_acr_top_hand_value():
     # S = 2*0.75 + 0.5 = 2.0, PB = 1.5, CU = 2 + 2/3
     expected = (2.0 - 1.5) / (2.0 + 2.0 / 3.0 - 1.5)
     assert expected == pytest.approx(3.0 / 7.0)
-    assert acr_top(W4, K=2) == pytest.approx(expected, abs=1e-12)
+    assert acr_top([W4], K=2)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_ncr_relegation_hand_value():
     expected = (1.0 - 0.75) / (1.0 - 1.0 / 3.0)
     assert expected == pytest.approx(0.375)
-    assert ncr_relegation(W4, I=2) == pytest.approx(expected, abs=1e-12)
+    assert ncr_relegation([W4], I=2)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_scr_hand_value():
@@ -125,7 +125,7 @@ def test_scr_hand_value():
     s = 3 * 0.3 + 2 * 0.1 + 1 * 0.15 + 1 * 0.25
     s_cu = 3 * 0.5 + 2 * 0.3 + 1 * 0.3 + 1 * 0.5
     assert (s, s_cu) == (pytest.approx(1.5), pytest.approx(2.9))
-    assert scr(w, K=2, I=2) == pytest.approx(s / s_cu, abs=1e-12)
+    assert scr([w], K=2, I=2)[0] == pytest.approx(s / s_cu, abs=1e-12)
 
 
 # ---------------------------------------------------------------- errors & clamps
@@ -133,27 +133,27 @@ def test_scr_hand_value():
 
 def test_degenerate_inputs_raise():
     with pytest.raises(InputError):
-        namsi([0.5])
+        namsi([[0.5]])
     with pytest.raises(InputError):
-        hhi_star([0.0, 0.0, 0.0])
+        hhi_star([[0.0, 0.0, 0.0]])
     with pytest.raises(InputError):
-        acr_top(W4, K=4)
+        acr_top([W4], K=4)
     with pytest.raises(InputError):
-        ncr_relegation(W4, I=0)
+        ncr_relegation([W4], I=0)
 
 
 def test_rank_w_mismatch_is_clamped_with_warning():
     # champion (rank 1) below the mean: linear form goes negative, clamps at 0
     with pytest.warns(IndexRangeWarning):
-        assert ncr_champion([0.2, 0.5, 0.8]) == 0.0
+        assert ncr_champion([[0.2, 0.5, 0.8]])[0] == 0.0
 
 
 def test_incomplete_schedule_renormalises_with_warning():
     with pytest.warns(IncompleteScheduleWarning):
-        value = namsi([0.9, 0.6, 0.3])  # mean 0.6
+        value = namsi([[0.9, 0.6, 0.3]])[0]  # mean 0.6
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert value == pytest.approx(namsi(np.array([0.9, 0.6, 0.3]) * (0.5 / 0.6)), abs=1e-12)
+        assert value == pytest.approx(namsi([np.array([0.9, 0.6, 0.3]) * (0.5 / 0.6)])[0], abs=1e-12)
 
 
 def test_compute_seasonal_checks_the_season_once():
@@ -198,9 +198,9 @@ def test_zero_only_at_balance(n, seed):
     season = season_from_outcomes(random_outcomes(n, rng))
     w = winning_percentages(season)
     if not np.allclose(w, 0.5):
-        assert namsi(w) > 0.0
-        assert hhi_star(w) > 0.0
-        assert adjusted_gini(w) > 0.0
+        assert namsi([w])[0] > 0.0
+        assert hhi_star([w])[0] > 0.0
+        assert adjusted_gini([w])[0] > 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -225,4 +225,4 @@ def test_label_invariance():
     season = season_from_outcomes(random_outcomes(5, rng))
     w = winning_percentages(season)
     # indices consume only the rank-indexed vector: same w, same values
-    assert namsi(list(w)) == namsi(tuple(w)) == namsi(np.asarray(w))
+    assert namsi([list(w)])[0] == namsi([tuple(w)])[0] == namsi(np.asarray(w)[None])[0]
