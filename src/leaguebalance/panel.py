@@ -9,17 +9,16 @@ regression stage.
 from __future__ import annotations
 
 import csv
-import gc
 import io
 import json
 import math
 from functools import partial
-from itertools import compress, islice, starmap
+from itertools import compress, islice
 from typing import NoReturn
 
 import numpy as np
 
-from .catalog import IndexValue, check_index_values
+from .catalog import IndexValue, check_index_values, collection_paused, index_values
 from .errors import ConfigError, InputError
 from .record import Record
 
@@ -304,18 +303,14 @@ def _read_csv(path: str, columns: tuple[str, ...], check) -> tuple[str, tuple]:
     # state after: on fit-paper's indices.csv, in a fresh process after
     # ``import leaguebalance.cli``, the read took 9.3-10.0 ms against
     # 11.3-13.5 ms with collection on (medians of 15 runs, 2-vCPU host).
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        if next(reader, None) == list(columns):
-            fields = list(zip(*filter(None, reader), strict=True))
-            if len(fields) == len(columns):
-                return text, check(fields, set())
-    except (csv.Error, ValueError, InputError):  # ValueError: rows of unequal length
-        pass
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    with collection_paused():
+        try:
+            if next(reader, None) == list(columns):
+                fields = list(zip(*filter(None, reader), strict=True))
+                if len(fields) == len(columns):
+                    return text, check(fields, set())
+        except (csv.Error, ValueError, InputError):  # ValueError: rows of unequal length
+            pass
     _first_fault(path, text, columns, check)
 
 
@@ -491,8 +486,8 @@ def parse_index_csv(path: str, names: list[str]) -> list[IndexValue]:
     may appear once.
     """
     columns = _read_csv(path, INDEX_COLUMNS, _check_indices)[1]
-    wanted = map(frozenset(names).__contains__, columns[0])
-    return list(starmap(IndexValue, compress(zip(*columns), wanted)))
+    wanted = list(map(frozenset(names).__contains__, columns[0]))
+    return index_values(*(list(compress(column, wanted)) for column in columns))
 
 
 def winning_percentages(season: LeagueSeason) -> np.ndarray:

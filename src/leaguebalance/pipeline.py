@@ -6,7 +6,8 @@ config: G compares against its exact expectation under random rankings.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from bisect import bisect_left
+from itertools import chain, compress, repeat
 from operator import attrgetter
 
 import numpy as np
@@ -15,10 +16,10 @@ from . import dynamic as dyn
 from . import seasonal as seas
 from .catalog import (
     ALL_INDEX_NAMES,
-    PAIRWISE_INDEX_NAMES,
     PRIZE_LEVELS,
     SEASONAL_INDEX_NAMES,
     IndexValue,
+    index_values,
 )
 from .errors import InputError
 from .panel import Config, LeagueSeason, winning_percentages
@@ -45,10 +46,11 @@ def compute_all_indices(
     and its dynamic twin, exists where both do.  Output is sorted by
     (country, season, index).
 
-    A country's seasons are scored in blocks of one shape: one call of each
-    seasonal function per (teams, K, I) and of each pairwise function per
-    (previous teams, teams, K, I).  The values, the first error and the
-    warnings are those of scoring the seasons one by one in season order.
+    The seasons of all countries are scored in blocks of one shape: one call
+    of each seasonal function per (teams, K, I) and of each pairwise
+    function per (previous teams, teams, K, I).  The values, the first error
+    and the warnings are those of scoring the countries one by one in sorted
+    order, each country's seasons one by one in season order.
 
     ``names`` restricts the output, but every seasonal and pairwise index
     is computed for every season, so a season's first error and warnings do
@@ -62,109 +64,138 @@ def compute_all_indices(
     by_country: dict[str, list[LeagueSeason]] = {}
     for lg in leagues:
         by_country.setdefault(lg.country, []).append(lg)
-    for country in by_country:
-        by_country[country].sort(key=lambda s: s.season)
+    countries = [sorted(by_country[c], key=attrgetter("season")) for c in sorted(by_country)]
+    seasons = [lg for country in countries for lg in country]
+    blocks: dict[tuple, list[int]] = {}
+    for position, lg in enumerate(seasons):
+        blocks.setdefault((lg.n, lg.K, lg.I), []).append(position)
+    percentages, pending = {}, {}  # pending: the rows of the seasons checked alone
+    for key, at in blocks.items():
+        percentages[key], passed = _percentages([seasons[i] for i in at])
+        pending.update((at[r], percentages[key][r]) for r in np.flatnonzero(~passed))
+    g_window = config.g_window if "g" in requested else 0
+    count, pair_blocks, g_found, g_diags, fault = _walk(countries, pending, g_window)
 
-    values: list[IndexValue] = []
-    g_diags: list[GDiagnostic] = []
-    for country in sorted(by_country):
-        seasons = by_country[country]
-        blocks, pair_blocks, fault = _layout(country, seasons)
-        found, paired = _score(country, seasons, blocks, pair_blocks)
-        if fault is not None:
-            raise fault
-        years = [lg.season for lg in seasons]
-        for name in ALL_INDEX_NAMES:
-            if name in requested and name in found:
-                defined = [True] * len(years) if name in SEASONAL_INDEX_NAMES else paired
-                values.extend(
-                    map(
-                        IndexValue,
-                        repeat(name),
-                        repeat(country),
-                        compress(years, defined),
-                        compress(found[name].tolist(), defined),
-                    )
-                )
-        if "g" in requested:
-            t = config.g_window
-            for end in range(t - 1, len(seasons)):
-                chunk = seasons[end - t + 1 : end + 1]
-                if chunk[-1].season - chunk[0].season == t - 1:
-                    window = dyn.TopKWindow(seasons=tuple(chunk), K=chunk[-1].K)
-                    detail = dyn.g_index_detail(window)
-                    values.append(
-                        IndexValue(
-                            name="g", country=country, season=window.end_season,
-                            value=detail.value,
-                        )
-                    )
-                    g_diags.append(GDiagnostic(country, window.end_season, detail.expected))
+    table = np.zeros((count, len(_OUTPUT_ORDER)))
+    for (n, K, I), at in blocks.items():
+        at = at[: bisect_left(at, count)]
+        if not at:
+            continue
+        w = seas.CheckedPercentages(percentages[n, K, I][: len(at)])
+        table[at, _COLUMN["namsi"]] = seas.namsi(w)
+        table[at, _COLUMN["hhi_star"]] = seas.hhi_star(w)
+        table[at, _COLUMN["agini"]] = seas.adjusted_gini(w)
+        table[at, _COLUMN["ncr1"]] = seas.ncr_champion(w)
+        table[at, _COLUMN["acr_k"]] = seas.acr_top(w, K)
+        table[at, _COLUMN["ncr_i"]] = seas.ncr_relegation(w, I)
+        table[at, _COLUMN["scr_ki"]] = seas.scr(w, K, I)
+    defined = np.zeros((3, count), dtype=bool)  # every season, paired seasons, G window ends
+    defined[0] = True
+    for (n_prev, _, K, I), rows in pair_blocks.items():
+        at = [i for i, _ in rows]
+        where = tuple(f"({seasons[i].country}, {seasons[i].season})" for i in at)
+        pairs = dyn.PairRanks(np.array([ranks for _, ranks in rows]), n_prev, where)
+        table[at, _COLUMN["tau"]] = dyn.tau_rescaled(pairs)
+        table[at, _COLUMN["dn1"]] = dyn.dn_champion(pairs)
+        table[at, _COLUMN["adn_k"]] = dyn.adn_top(pairs, K)
+        table[at, _COLUMN["dn_i"]] = dyn.dn_relegation(pairs, I)
+        table[at, _COLUMN["sdn_ki"]] = dyn.sdn(pairs, K, I)
+        defined[1, at] = True
+    if fault is not None:
+        raise fault
+    for level in PRIZE_LEVELS:
+        table[:, _COLUMN[level.bidimensional]] = (
+            table[:, _COLUMN[level.seasonal]] + table[:, _COLUMN[level.dynamic]]
+        ) / 2.0
+    for i, value in g_found:
+        table[i, _COLUMN["g"]] = value
+        defined[2, i] = True
 
-    values.sort(key=attrgetter("country", "season", "name"))
+    columns = [j for j, name in enumerate(_OUTPUT_ORDER) if name in requested]
+    defined = defined[_DEFINED_BY[columns]].T
+    per_season = defined.sum(axis=1).tolist()
+    values = index_values(
+        list(compress([_OUTPUT_ORDER[j] for j in columns] * count, defined.ravel().tolist())),
+        list(chain.from_iterable(map(repeat, (lg.country for lg in seasons), per_season))),
+        list(chain.from_iterable(map(repeat, (lg.season for lg in seasons), per_season))),
+        table[:, columns][defined].tolist(),
+    )
+    if len({(lg.country, lg.season) for lg in seasons[:count]}) < count:
+        values.sort(key=attrgetter("country", "season", "name"))  # a season given twice
     return values, g_diags
 
 
-def _layout(country: str, seasons: list[LeagueSeason]):
-    """One country's seasons, in season order, as the rows of its blocks.
+# The indices in output order, and the seasons that define each: 0 every
+# season, 1 those that follow their predecessor, 2 those ending a G window.
+_OUTPUT_ORDER = tuple(sorted(ALL_INDEX_NAMES))
+_COLUMN = {name: j for j, name in enumerate(_OUTPUT_ORDER)}
+_DEFINED_BY = np.array([(n not in SEASONAL_INDEX_NAMES) + (n == "g") for n in _OUTPUT_ORDER])
 
-    Returns ``blocks``, (n, K, I) -> [(position, checked winning
-    percentages)], ``pair_blocks``, (n_prev, n, K, I) -> [(position of the
-    current season, previous ranks)] for each season that follows its
-    predecessor, and the fault.  The walk stops at the first fault: an
-    exception from a season's percentages, which is returned to be raised
-    once the seasons before it are scored, or a pair with fewer than two
-    teams in common, which is kept as the last pair, for ``tau_rescaled``
-    to raise after its season's seasonal indices.
+
+def _percentages(block: list[LeagueSeason]) -> tuple[np.ndarray, np.ndarray]:
+    """``winning_percentages`` of seasons of one team count, one row each
+    with the bits of a one-season call, and which rows ``check_percentages``
+    passes through as they are.  The other rows are left to the walk."""
+    n = block[0].n
+    try:
+        wins = np.array([r.wins for lg in block for r in lg.records], dtype=float)
+        draws = np.array([r.draws for lg in block for r in lg.records], dtype=float)
+        games = np.array([lg.games for lg in block], dtype=float)
+    except OverflowError:  # a count beyond the float range, raised by the walk
+        return np.zeros((len(block), n)), np.zeros(len(block), dtype=bool)
+    with np.errstate(all="ignore"):  # a season without games is left to the walk
+        w = (2.0 * wins + draws).reshape(-1, n) / (2.0 * games)[:, None]
+        mean = w.sum(axis=1) / n  # each row summed as one season's is
+        passed = (np.abs(mean - 0.5) <= seas._RANGE_TOL) & (w.min(axis=1) >= 0.0)
+    return w, passed
+
+
+def _walk(countries: list[list[LeagueSeason]], pending: dict, g_window: int):
+    """Walk the seasons as scoring them one by one meets them: country by
+    country, each in season order.  A season in ``pending``, by position, is
+    checked alone, with its warnings, into its row of block percentages.
+
+    Returns the number of seasons laid out, the pairs as (n_prev, n, K, I)
+    -> [(position, previous ranks)], the G values as (position, value) with
+    their diagnostics, and the fault.  The walk stops before a season whose
+    percentages raise, after the country of a G window that raises, and
+    after a pair with fewer than two teams in common, for ``tau_rescaled``
+    to raise.  Faults are raised once the seasons before them are scored.
     """
-    blocks: dict[tuple, list] = {}
     pair_blocks: dict[tuple, list] = {}
-    prev = None
-    for i, lg in enumerate(seasons):
-        try:
-            w = seas.check_percentages(winning_percentages(lg), f"({country}, {lg.season})")
-        except Exception as exc:  # raised by the caller once the seasons before it are scored
-            return blocks, pair_blocks, exc
-        blocks.setdefault((lg.n, lg.K, lg.I), []).append((i, w))
-        if prev is not None and lg.season == prev.season + 1:
-            ranks = dyn.previous_ranks(prev, lg)
-            pair_blocks.setdefault((prev.n, lg.n, lg.K, lg.I), []).append((i, ranks))
-            if len(ranks) - ranks.count(0) < 2:
-                break
-        prev = lg
-    return blocks, pair_blocks, None
-
-
-def _score(country: str, seasons: list[LeagueSeason], blocks: dict, pair_blocks: dict):
-    """Every index but G of the laid-out seasons, as name -> one value per
-    season, and which seasons have a pair; one call per function and block."""
-    count = len(seasons)
-    found = {name: np.zeros(count) for name in SEASONAL_INDEX_NAMES + PAIRWISE_INDEX_NAMES}
-    for (_, K, I), rows in blocks.items():
-        at = [i for i, _ in rows]
-        w = seas.CheckedPercentages(np.array([percentages for _, percentages in rows]))
-        found["namsi"][at] = seas.namsi(w)
-        found["hhi_star"][at] = seas.hhi_star(w)
-        found["agini"][at] = seas.adjusted_gini(w)
-        found["ncr1"][at] = seas.ncr_champion(w)
-        found["acr_k"][at] = seas.acr_top(w, K)
-        found["ncr_i"][at] = seas.ncr_relegation(w, I)
-        found["scr_ki"][at] = seas.scr(w, K, I)
-    paired = [False] * count
-    for (n_prev, _, K, I), rows in pair_blocks.items():
-        at = [i for i, _ in rows]
-        where = tuple(f"({country}, {seasons[i].season})" for i in at)
-        pairs = dyn.PairRanks(np.array([ranks for _, ranks in rows]), n_prev, where)
-        found["tau"][at] = dyn.tau_rescaled(pairs)
-        found["dn1"][at] = dyn.dn_champion(pairs)
-        found["adn_k"][at] = dyn.adn_top(pairs, K)
-        found["dn_i"][at] = dyn.dn_relegation(pairs, I)
-        found["sdn_ki"][at] = dyn.sdn(pairs, K, I)
-        for i in at:
-            paired[i] = True
-    for level in PRIZE_LEVELS:
-        found[level.bidimensional] = (found[level.seasonal] + found[level.dynamic]) / 2.0
-    return found, paired
+    g_found: list[tuple[int, float]] = []
+    g_diags: list[GDiagnostic] = []
+    i = 0
+    for seasons in countries:
+        prev = None
+        for lg in seasons:
+            if i in pending:
+                try:
+                    pending[i][:] = seas.check_percentages(
+                        winning_percentages(lg), f"({lg.country}, {lg.season})"
+                    )
+                except Exception as exc:
+                    return i, pair_blocks, g_found, g_diags, exc
+            if prev is not None and lg.season == prev.season + 1:
+                ranks = dyn.previous_ranks(prev, lg)
+                pair_blocks.setdefault((prev.n, lg.n, lg.K, lg.I), []).append((i, ranks))
+                if len(ranks) - ranks.count(0) < 2:
+                    return i + 1, pair_blocks, g_found, g_diags, None
+            prev = lg
+            i += 1
+        if not g_window:
+            continue
+        for end in range(g_window - 1, len(seasons)):
+            chunk = seasons[end - g_window + 1 : end + 1]
+            if chunk[-1].season - chunk[0].season == g_window - 1:
+                try:
+                    window = dyn.TopKWindow(seasons=tuple(chunk), K=chunk[-1].K)
+                except InputError as exc:
+                    return i, pair_blocks, g_found, g_diags, exc
+                detail = dyn.g_index_detail(window)
+                g_found.append((i - len(seasons) + end, detail.value))
+                g_diags.append(GDiagnostic(window.country, window.end_season, detail.expected))
+    return i, pair_blocks, g_found, g_diags, None
 
 
 def series_from_values(values: list[IndexValue], name: str) -> dict[tuple[str, int], float]:

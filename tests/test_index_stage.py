@@ -12,12 +12,14 @@ import warnings
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leaguebalance import ALL_INDEX_NAMES, compute_all_indices
 from leaguebalance import dynamic as dyn
 from leaguebalance import seasonal as seas
+from leaguebalance.catalog import index_values
 from leaguebalance.panel import (
     Config,
     LeagueSeason,
@@ -25,6 +27,7 @@ from leaguebalance.panel import (
     TeamSeasonRecord,
     winning_percentages,
 )
+from leaguebalance.simulate import LeagueSimParams, simulate_league
 from support import compute_all_indices_reference
 
 FIT_INDICES = tuple(name for name in ALL_INDEX_NAMES if name != "g")
@@ -94,21 +97,31 @@ KINDS = ["round-robin", "round-robin", "incomplete"]
 
 @st.composite
 def league_sets(draw):
-    """One to three countries of up to eight seasons each, 3-24 teams that
+    """One to four countries of up to eight seasons each, 3-24 teams that
     change in number and membership, gaps between seasons, and a levels rule
     that changes K and I from some season on.  Churn can leave a season
     pair fewer than two common teams, and a rule's K can reach the size of
-    an earlier season in a G window."""
-    leagues, rules = [], []
+    an earlier season in a G window.
+
+    In about half the sets two to four countries keep one team count and
+    the default K, I, so that their seasons and pairs share blocks.  In
+    about one set of four, a country between two others holds a season that
+    no index can score or a pair without a common team, while the first and
+    the last country each have an incomplete season that warns."""
+    leagues, rules, spans = [], [], []
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    for c in range(draw(st.integers(1, 3))):
+    shared = draw(st.booleans())
+    shared_n = draw(st.integers(3, 24))
+    for c in range(draw(st.integers(2, 4) if shared else st.integers(1, 3))):
         country = f"C{c}"
         new_teams = (f"{country}-{k}" for k in itertools.count())
-        roster = [next(new_teams) for _ in range(draw(st.integers(3, 24)))]
+        roster = [next(new_teams) for _ in range(shared_n if shared else draw(st.integers(3, 24)))]
         season = 1990
         sizes, rosters, years = [], [], []
         for _ in range(draw(st.integers(1, 8))):
-            n = draw(st.sampled_from([len(roster), draw(st.integers(3, 24))]))
+            n = shared_n
+            if not shared:
+                n = draw(st.sampled_from([len(roster), draw(st.integers(3, 24))]))
             # no common team at all in about one pair of twenty
             churn = draw(st.integers(0, n if draw(st.integers(0, 19)) == 19 else n // 3))
             kept = draw(st.permutations(roster))[: n - churn]
@@ -117,24 +130,40 @@ def league_sets(draw):
             sizes.append(n)
             years.append(season)
             season += draw(st.sampled_from([1, 1, 1, 1, 2]))
-        switch = draw(st.integers(0, len(years)))
+        switch = len(years) if shared else draw(st.integers(0, len(years)))
         if switch < len(years):
             smallest = min(sizes[switch:])
             K = draw(st.integers(1, smallest - 2))
             I = draw(st.integers(1, smallest - 1 - K))
             rules.append(LevelsRule(country, years[switch], years[-1], K, I))
         config = Config(levels=tuple(rules))
+        spans.append(range(len(leagues), len(leagues) + len(years)))
         for year, teams in zip(years, rosters):
             records = table(teams, draw(st.sampled_from(KINDS)), rng, ranked=draw(st.booleans()))
             K, I = config.levels_for(country, year, len(teams))
             leagues.append(LeagueSeason(country, year, records, K=K, I=I))
-    # a season that no index can score, in about one league set of four
-    if draw(st.integers(0, 3)) == 3:
-        at = draw(st.integers(0, len(leagues) - 1))
+
+    def remake(at, kind, teams=None):
         lg = leagues[at]
-        kind = draw(st.sampled_from(["all-lost", "no-games"]))
-        records = table([r.team for r in lg.records], kind, rng, ranked=False)
+        teams = teams or [r.team for r in lg.records]
+        records = table(teams, kind, rng, ranked=kind == "incomplete" and draw(st.booleans()))
         leagues[at] = LeagueSeason(lg.country, lg.season, records, K=lg.K, I=lg.I)
+
+    if len(spans) >= 3 and draw(st.booleans()):
+        remake(spans[0][0], "incomplete")
+        remake(spans[-1][-1], "incomplete")
+        middle = spans[draw(st.integers(1, len(spans) - 2))]
+        paired = [i for i in middle[1:] if leagues[i].season == leagues[i - 1].season + 1]
+        if paired and draw(st.booleans()):
+            at = draw(st.sampled_from(paired))
+            fresh = [f"{leagues[at].country}-x{k}" for k in range(leagues[at].n)]
+            remake(at, draw(st.sampled_from(["round-robin", "incomplete"])), fresh)
+        else:
+            remake(draw(st.sampled_from(middle)), draw(st.sampled_from(["all-lost", "no-games"])))
+    # a season that no index can score, in about one other league set of four
+    elif draw(st.integers(0, 3)) == 3:
+        at = draw(st.integers(0, len(leagues) - 1))
+        remake(at, draw(st.sampled_from(["all-lost", "no-games"])))
     order = draw(st.permutations(range(len(leagues))))
     config = Config(g_window=draw(st.integers(2, 4)), levels=tuple(rules))
     return [leagues[i] for i in order], config
@@ -201,3 +230,89 @@ def test_a_block_scores_each_row_as_one_row_blocks_do():
         assert whole.shape == (len(block),)
         rows = np.concatenate([fn(block[i : i + 1], *args) for i in range(len(block))])
         assert whole.tobytes() == rows.tobytes(), fn.__name__
+
+
+def bench_leagues(shape: str, seed: int) -> list[LeagueSeason]:
+    """The league set of the benchmark's fit workloads for a workload seed:
+    8 countries x 50 seasons x 18 teams (``uniform``), or 8 countries that
+    enter 4 seasons apart with 12-19 teams (``staggered``), up to 2008."""
+    leagues = []
+    for i in range(8):
+        late = 4 * i if shape == "staggered" else 0
+        teams = 12 + i if shape == "staggered" else 18
+        params = LeagueSimParams(
+            n_teams=teams, n_seasons=50 - late, dispersion=2.0, country=f"C{i + 1}",
+            start_season=1959 + late, churn=3,
+        )
+        country_seed = int(np.random.SeedSequence([seed, 1, i]).generate_state(1)[0])
+        leagues.extend(simulate_league(params, seed=country_seed))
+    return leagues
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("shape", ["uniform", "staggered"])
+def test_the_bench_league_sets_match_the_reference(shape, seed):
+    # the fit workloads write these values to indices.csv: a value one ulp
+    # off changes a fit's input
+    leagues = bench_leagues(shape, seed)
+    for names in (None, FIT_INDICES):
+        (values, diags), warned = assert_same_as_reference(leagues, names=names)
+        # seven seasonal values a season, nine more from each country's second
+        assert len(values) == 7 * len(leagues) + 9 * (len(leagues) - 8) + len(diags)
+        assert len(diags) == (0 if names else len(leagues) - 8 * 4)  # G windows of 5 seasons
+        assert not warned
+
+
+def test_a_season_given_twice_keeps_the_sorted_order():
+    rng = np.random.default_rng(3)
+    teams = [f"T{i}" for i in range(10)]
+    leagues = [
+        LeagueSeason("A", year, table(teams, "round-robin", rng, ranked=True))
+        for year in (2000, 2001, 2001, 2002)
+    ]
+    assert_same_as_reference(leagues)
+
+
+def test_the_value_builder_takes_empty_columns():
+    assert index_values([], [], [], []) == []
+
+
+def test_an_empty_league_set_has_no_values():
+    assert compute_all_indices([]) == ([], [])
+
+
+def test_leagues_shorter_than_the_g_window_give_no_g():
+    rng = np.random.default_rng(4)
+    teams = [f"T{i}" for i in range(8)]
+    leagues = [
+        LeagueSeason(country, year, table(teams, "round-robin", rng, ranked=True))
+        for country in ("A", "B")
+        for year in (2000, 2001, 2002)
+    ]
+    assert compute_all_indices(leagues, Config(g_window=4), names=["g"]) == ([], [])
+
+
+def test_one_season_leagues_have_no_pairwise_values():
+    rng = np.random.default_rng(6)
+    leagues = [
+        LeagueSeason(country, 2000, table([f"T{i}" for i in range(8)], "round-robin", rng, True))
+        for country in ("A", "B", "C")
+    ]
+    assert compute_all_indices(leagues, names=["tau"]) == ([], [])
+
+
+def test_a_count_beyond_the_float_range_fails_where_the_reference_does():
+    rng = np.random.default_rng(9)
+    huge = 10**400
+    records = (
+        TeamSeasonRecord("X", 1, huge, 0, 0, 2 * huge),
+        TeamSeasonRecord("Y", 2, 0, huge, 0, huge),
+        TeamSeasonRecord("Z", 3, 0, 0, huge, 0),
+    )
+    overflow = LeagueSeason("C", 2000, records, K=1, I=1)
+    (error, kind, _), _ = assert_same_as_reference([overflow])
+    assert (error, kind) == ("error", "OverflowError")
+    # an earlier country's unscorable season is the first error
+    lost = LeagueSeason("B", 2000, table(["P", "Q", "R"], "all-lost", rng, False), K=1, I=1)
+    (error, kind, _), _ = assert_same_as_reference([overflow, lost])
+    assert (error, kind) == ("error", "InputError")
