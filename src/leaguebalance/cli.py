@@ -6,7 +6,8 @@ Only the two simulators draw random numbers, so only ``simulate-league`` and
 ``"seed": null``.
 
 Exit codes: 0 success, 2 input or schema error, 3 numerical failure,
-4 configuration error.
+4 configuration error, 5 some index fits failed: the others are written, and
+the failed indices are named on one stderr line and in fit_status.csv.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import ALL_INDEX_NAMES, IndexValue
+from .catalog import ALL_INDEX_NAMES, IndexValue, index_values as checked_values
 from .econometrics import (
-    FitResult,
     LongRunEffect,
     RegressionSpec,
     adf_test,
@@ -52,7 +52,6 @@ from .panel import (
     parse_macro_csv,
 )
 from .pipeline import compute_all_indices, series_from_values
-from .record import Record
 from .reports import fmt, stars, write_csv, write_text_table
 
 # The objects imported above live until the process exits.  Frozen, they
@@ -182,20 +181,6 @@ def cmd_unit_root(args) -> int:
 # ---------------------------------------------------------------- fit
 
 
-class IndexFitReport(Record):
-    def __init__(
-        self,
-        name: str,
-        fit: FitResult,
-        cov_robust: np.ndarray,
-        effects: list[LongRunEffect],
-        diag_rows: list,
-    ) -> None:
-        self.__dict__.update(
-            name=name, fit=fit, cov_robust=cov_robust, effects=effects, diag_rows=diag_rows
-        )
-
-
 def _diagnostic(label: str, compute) -> tuple:
     """The diagnostics row of the test that ``compute()`` returns or, when a
     typed error stops it, an empty row whose note is the error."""
@@ -207,10 +192,13 @@ def _diagnostic(label: str, compute) -> tuple:
     return (label, test.statistic, "" if df is None else df, test.p_value, test.note)
 
 
-def fit_index_model(panel, index_values, name: str, spec: RegressionSpec, iterate: bool):
-    series = series_from_values(index_values, name)
+def _fit_index(panel, index_values, spec: RegressionSpec, iterate: bool, out_dir):
+    """Fit one index's model, then write its four ``fit_<index>_*`` files;
+    returns the long-run effects and the files.  No file before the fit."""
+    tag = spec.index_name
+    series = series_from_values(index_values, tag)
     if not series:
-        raise InputError(f"no values for index {name!r}")
+        raise InputError(f"no values for index {tag!r}")
     design = build_adl_design(panel, series, spec)
     fit = sur_egls_fit(design, iterate=iterate)
     cov_robust = white_cross_section_cov(fit)
@@ -236,19 +224,15 @@ def fit_index_model(panel, index_values, name: str, spec: RegressionSpec, iterat
     diag_rows.append(("converged", fit.converged, "", "", ""))
     diag_rows.append(("final_delta", fit.final_delta, "", "", ""))
 
-    return IndexFitReport(name, fit, cov_robust, effects, diag_rows)
-
-
-def _write_fit_report(out: Path, report: IndexFitReport) -> list[str]:
-    tag, fit = report.name, report.fit
     coef_rows = []
     for i, term in enumerate(fit.design.columns):
         se_c = math.sqrt(fit.cov[i, i])
-        se_r = math.sqrt(report.cov_robust[i, i])
+        se_r = math.sqrt(cov_robust[i, i])
         z = fit.beta[i] / se_r if se_r > 0 else float("inf")
         p = two_sided_normal(z)
         coef_rows.append((term, float(fit.beta[i]), se_c, se_r, z, p, stars(p)))
-    artifacts = [
+    out = _out_dir(out_dir)
+    return effects, [
         write_csv(
             out / f"fit_{tag}_coefficients.csv",
             ("term", "coef", "se_classical", "se_robust", "z", "p_value", "stars"),
@@ -257,15 +241,12 @@ def _write_fit_report(out: Path, report: IndexFitReport) -> list[str]:
         write_csv(
             out / f"fit_{tag}_longrun.csv",
             ("variable", "elasticity", "se", "z", "p_value", "stars"),
-            [
-                (e.variable, e.estimate, e.se, e.z, e.p_value, stars(e.p_value))
-                for e in report.effects
-            ],
+            [(e.variable, e.estimate, e.se, e.z, e.p_value, stars(e.p_value)) for e in effects],
         ),
         write_csv(
             out / f"fit_{tag}_diagnostics.csv",
             ("name", "statistic", "df", "p_value", "note"),
-            report.diag_rows,
+            diag_rows,
         ),
         write_text_table(
             out / f"fit_{tag}.txt",
@@ -276,52 +257,54 @@ def _write_fit_report(out: Path, report: IndexFitReport) -> list[str]:
             footer="robust standard errors clustered by year",
         ),
     ]
-    return artifacts
 
 
 def _quantised(values: list[IndexValue]) -> list[IndexValue]:
     """Index values at the CSV precision, so fitting from files is identical."""
-    return [IndexValue(v.name, v.country, v.season, float(fmt(v.value))) for v in values]
+    rows = [(v.name, v.country, v.season, float(fmt(v.value))) for v in values]
+    return checked_values(*zip(*rows)) if rows else []
 
 
-def _fit(panel, index_values, names: list[str], args, config: Config, out_dir):
-    """Fit every index in ``names``; writes the per-index files and the
-    long-run summary, returns the reports and the artifacts."""
-    reports = [
-        fit_index_model(
-            panel,
-            index_values,
-            name,
-            RegressionSpec(
-                index_name=name,
-                adl_order=args.adl_order,
-                trend_degree=config.trend_degree,
-                include_d97=not args.no_d97,
-            ),
-            args.iterate_sur,
-        )
-        for name in names
-    ]
-    out = _out_dir(out_dir)
-    artifacts = []
-    for report in reports:
-        artifacts.extend(_write_fit_report(out, report))
-
+def _fit(panel, index_values, names: list[str], args, config: Config, out_dir, effects_of=None):
+    """Fit the indices in ``names`` one at a time: each is fitted, its files
+    written and, for ``report``, its effects written by ``effects_of(name,
+    effects)`` before the next starts, and a typed error fails its index
+    alone.  Writes the long-run summary of the fitted indices and, when some
+    failed, fit_status.csv; returns the artifacts and the failed names.
+    When every index fails, the first failure is raised."""
     summary_vars = [*COVARIATES, *trend_columns(config.trend_degree), "d97"]
-    summary_header = ["index"]
-    for var in summary_vars:
-        summary_header += [var, f"{var}_stars"]
-    summary_rows = []
-    for report in reports:
-        by_var = {e.variable: e for e in report.effects}
-        row = [report.name]
+    artifacts, summary_rows, status, failures = [], [], [], []
+    for name in names:
+        spec = RegressionSpec(
+            index_name=name,
+            adl_order=args.adl_order,
+            trend_degree=config.trend_degree,
+            include_d97=not args.no_d97,
+        )
+        try:
+            effects, files = _fit_index(panel, index_values, spec, args.iterate_sur, out_dir)
+            artifacts += files
+            if effects_of is not None:
+                artifacts += effects_of(name, effects)
+        except LeagueBalanceError as exc:
+            failures.append(exc)
+            status.append((name, "failed", type(exc).__name__, str(exc)))
+            continue
+        status.append((name, "fitted", "", ""))
+        by_var = {e.variable: e for e in effects}
+        row = [name]
         for var in summary_vars:
             e = by_var.get(var)
             row += [e.estimate, stars(e.p_value)] if e else ["", ""]
         summary_rows.append(row)
-    artifacts.append(
-        write_csv(out / "longrun_summary.csv", summary_header, summary_rows)
-    )
+    if len(failures) == len(names):
+        raise failures[0]
+
+    out = Path(out_dir)
+    summary_header = ["index"]
+    for var in summary_vars:
+        summary_header += [var, f"{var}_stars"]
+    artifacts.append(write_csv(out / "longrun_summary.csv", summary_header, summary_rows))
     artifacts.append(
         write_text_table(
             out / "longrun_summary.txt",
@@ -331,7 +314,18 @@ def _fit(panel, index_values, names: list[str], args, config: Config, out_dir):
             footer="* p<0.1, ** p<0.05, *** p<0.01 (robust, delta method)",
         )
     )
-    return reports, artifacts
+    if failures:
+        header = ("index", "status", "error", "message")
+        artifacts.append(write_csv(out / "fit_status.csv", header, status))
+    return artifacts, [row[0] for row in status if row[1] == "failed"]
+
+
+def _exit_code(failed: list[str]) -> int:
+    """0, or 5 with one stderr line when some indices could not be fitted."""
+    if not failed:
+        return 0
+    print(f"fit failed for {', '.join(failed)}; see fit_status.csv", file=sys.stderr)
+    return 5
 
 
 def cmd_fit(args) -> int:
@@ -350,10 +344,11 @@ def cmd_fit(args) -> int:
         index_values = _quantised(index_values)
 
     panel = build_panel(macro)
-    reports, artifacts = _fit(panel, index_values, names, args, config, args.out_dir)
+    artifacts, failed = _fit(panel, index_values, names, args, config, args.out_dir)
     write_manifest(args.out_dir, "fit", inputs, config_hash, artifacts)
-    print(f"fitted {len(reports)} model(s): {', '.join(r.name for r in reports)}")
-    return 0
+    fitted = [name for name in names if name not in failed]
+    print(f"fitted {len(fitted)} model(s): {', '.join(fitted)}")
+    return _exit_code(failed)
 
 
 # ---------------------------------------------------------------- effects
@@ -516,19 +511,20 @@ def cmd_report(args) -> int:
     values, artifacts = _indices(args.league, config, out)
     artifacts += _unit_root(panel, None, out)
     index_values = _quantised([v for v in values if v.name in names])
-    reports, fit_artifacts = _fit(panel, index_values, names, args, config, out)
-    artifacts += fit_artifacts
     inputs = {"league": sha256_file(args.league), "macro": sha256_file(args.macro)}
     effects_inputs = {"indices": sha256_file(out / "indices.csv"), "macro": inputs["macro"]}
-    for report in reports:
-        cb = next(e.estimate for e in report.effects if e.variable == "cb")
-        artifacts += _effects(
-            index_values, macro, report.name, float(fmt(cb)), out / f"effects_{report.name}",
-            effects_inputs,
+
+    def effects_of(name: str, effects: list[LongRunEffect]) -> list[str]:
+        cb = next(e.estimate for e in effects if e.variable == "cb")
+        return _effects(
+            index_values, macro, name, float(fmt(cb)), out / f"effects_{name}", effects_inputs
         )
+
+    fit_artifacts, failed = _fit(panel, index_values, names, args, config, out, effects_of)
+    artifacts += fit_artifacts
     write_manifest(out, "report", inputs, config_hash, artifacts)
     print("report complete")
-    return 0
+    return _exit_code(failed)
 
 
 # ---------------------------------------------------------------- parser

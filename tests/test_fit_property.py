@@ -4,7 +4,10 @@ Random leagues reach corners that the fixed test panels do not: exact
 zeros of an index (rejected by the log specification), too few rows for a
 fit's coefficients, covariances that need repair.  Whatever happens, the
 CLI exits 0, 2 or 3; a failure prints one typed error line, and a success
-writes every file of the fit.
+writes every file of the fit.  ``--index all`` then fails exactly the
+indices that failed alone: it writes every other index's files, lists each
+failure once in fit_status.csv and exits 5, or 0 when nothing failed, or
+fails as the first index did when every index failed.
 """
 
 import contextlib
@@ -67,6 +70,7 @@ def test_every_index_fits_or_fails_typed(countries, n_seasons, seed):
             values = [float(row["value"]) for row in csv.DictReader(fh)]
         assert values and all(0.0 <= v <= 1.0 for v in values)
 
+        failures = {}
         for name in ALL_INDEX_NAMES:
             out = root / name
             code, err = run(
@@ -77,6 +81,33 @@ def test_every_index_fits_or_fails_typed(countries, n_seasons, seed):
             if code:
                 (line,) = err.splitlines()
                 assert line.startswith({2: "input error: ", 3: "numerical error: "}[code]), line
+                failures[name] = (code, err)
             else:
                 for suffix in ("_coefficients.csv", "_longrun.csv", "_diagnostics.csv", ".txt"):
                     assert (out / f"fit_{name}{suffix}").exists(), (name, suffix)
+
+        # --index all fits each index as its own run does
+        out = root / "all"
+        code, err = run(
+            "fit", "--league", league, "--macro", macro, "--index", "all",
+            "--iterate-sur", "--out-dir", out,
+        )
+        if len(failures) == len(ALL_INDEX_NAMES):
+            assert (code, err) == failures[ALL_INDEX_NAMES[0]]
+            assert not out.exists()
+            return
+        assert code == (5 if failures else 0), (code, err)
+        for name in ALL_INDEX_NAMES:
+            for suffix in ("_coefficients.csv", "_longrun.csv", "_diagnostics.csv", ".txt"):
+                assert (out / f"fit_{name}{suffix}").exists() == (name not in failures), name
+        if failures:
+            with open(out / "fit_status.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [row["index"] for row in rows] == list(ALL_INDEX_NAMES)
+            failed = [row for row in rows if row["status"] == "failed"]
+            assert [row["index"] for row in failed] == list(failures)
+            for row in failed:
+                code, line = failures[row["index"]]
+                prefix = {2: "input error: ", 3: "numerical error: "}[code]
+                assert line == f"{prefix}{row['message']}\n", row
+                assert row["error"] == {2: "InputError", 3: "NumericalError"}[code], row

@@ -14,7 +14,7 @@ import pytest
 
 import leaguebalance
 from leaguebalance.catalog import PRIZE_LEVELS, IndexValue, PrizeLevel
-from leaguebalance.cli import IndexFitReport, build_parser
+from leaguebalance.cli import build_parser
 from leaguebalance.dynamic import GIndexResult, SeasonPair, TopKWindow
 from leaguebalance.econometrics import FitResult, LongRunEffect, RegressionSpec, TestResult
 from leaguebalance.econometrics.design import DesignMatrix, YearGrid
@@ -81,9 +81,6 @@ UNHASHABLE = {
     "CheckedPercentages": lambda: CheckedPercentages(WEIGHTS),
     "DesignMatrix": lambda: DesignMatrix(DESIGN.y, DESIGN.X, ["c"], ["A"], DESIGN.grid),
     "FitResult": lambda: FitResult(*vars(FIT).values()),
-    "IndexFitReport": lambda: IndexFitReport(
-        "namsi", FIT, FIT.cov, [], [("dw", 2.0, "", 0.5, "")]
-    ),
     "DgpSimulation": lambda: DgpSimulation([], [IndexValue("namsi", "C1", 2000, 0.25)]),
 }
 DESIGN = design()
@@ -164,7 +161,7 @@ def test_no_record_class_restores_assignment():
         for c in vars(m).values()
         if isinstance(c, type) and issubclass(c, Record) and c.__module__ == m.__name__
     ]
-    assert {"FitResult", "PanelDataset", "IndexFitReport"} <= {c.__name__ for c in classes}
+    assert {"FitResult", "PanelDataset"} <= {c.__name__ for c in classes}
     for cls in classes:
         assert cls.__setattr__ is Record.__setattr__, cls.__name__
         assert cls.__delattr__ is Record.__delattr__, cls.__name__
