@@ -337,6 +337,9 @@ def cmd_fit(args) -> int:
     if args.indices is not None:
         index_values = parse_index_csv(args.indices, names)
         inputs["indices"] = sha256_file(args.indices)
+        if args.index == "all":  # the indices the file holds
+            held = {v.name for v in index_values}
+            names = [name for name in names if name in held]
     else:
         leagues = parse_league_csv(args.league, config)
         inputs["league"] = sha256_file(args.league)

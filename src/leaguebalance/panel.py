@@ -13,7 +13,8 @@ import io
 import json
 import math
 from functools import partial
-from itertools import compress, islice
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, lt, ne, or_
 from typing import NoReturn
 
 import numpy as np
@@ -97,6 +98,65 @@ class LeagueSeason(Record):
 
     def rank_of(self) -> dict[str, int]:
         return {r.team: r.rank for r in self.records}
+
+
+def league_seasons(heads, team, rank, wins, draws, losses, points) -> list[LeagueSeason]:
+    """The ``LeagueSeason``s of a set of final tables given as row columns.
+
+    ``heads`` holds each season's ``(country, season, n, K, I)``.  The six
+    lists hold the fields of ``TeamSeasonRecord``: the n rows of a season,
+    in table order, follow those of the season before.  Every rule of
+    ``LeagueSeason`` is checked once over the columns, and the records are
+    made without checking them again.  When a rule fails, the seasons are
+    made one at a time by ``LeagueSeason``, which raises the first bad
+    season's error.
+    """
+    sizes = [head[2] for head in heads]
+    firsts = list(accumulate(sizes, initial=0))[:-1]
+    games = list(map(add, map(add, wins, draws), losses))
+    checked = (
+        min(sizes, default=3) >= 3
+        and rank == _table_ranks(heads)
+        and games == list(chain.from_iterable(map(repeat, map(games.__getitem__, firsts), sizes)))
+        and min(chain(wins, draws, losses), default=0) >= 0
+        and all(1 <= K and 1 <= I and K + I < n for _, _, n, K, I in heads)
+    )
+    record, league = (
+        (_checked_record, _checked_season) if checked else (TeamSeasonRecord, LeagueSeason)
+    )
+    with collection_paused():  # the new records all stay alive
+        records = list(map(record, team, rank, wins, draws, losses, points))
+        return [
+            league(country, season, tuple(records[a : a + n]), K, I)
+            for a, (country, season, n, K, I) in zip(firsts, heads)
+        ]
+
+
+def _checked_record(
+    team: str, rank: int, wins: int, draws: int, losses: int, points: int
+) -> TeamSeasonRecord:
+    record = object.__new__(TeamSeasonRecord)
+    fields = record.__dict__
+    fields["team"] = team
+    fields["rank"] = rank
+    fields["wins"] = wins
+    fields["draws"] = draws
+    fields["losses"] = losses
+    fields["points"] = points
+    return record
+
+
+def _checked_season(
+    country: str, season: int, records: tuple[TeamSeasonRecord, ...], K: int, I: int
+) -> LeagueSeason:
+    league = object.__new__(LeagueSeason)
+    fields = league.__dict__
+    fields["country"] = country
+    fields["season"] = season
+    fields["records"] = records
+    fields["K"] = K
+    fields["I"] = I
+    return league
 
 
 class MacroObservation(Record):
@@ -428,9 +488,49 @@ def parse_league_csv(path: str, config: Config | None = None) -> list[LeagueSeas
     ``config`` (defaults K=3, I=3, shrunk for small leagues).
     """
     config = config or Config()
-    text, (country, season, *fields) = _read_csv(
-        path, LEAGUE_COLUMNS, partial(_check_league, config)
-    )
+    text, columns = _read_csv(path, LEAGUE_COLUMNS, partial(_check_league, config))
+    ordered = columns  # the columns in (country, season, rank) order
+    firsts, heads = _runs(*ordered[:2])
+    if not (all(map(lt, heads, heads[1:])) and ordered[3] == _table_ranks(heads)):
+        keys = list(zip(*columns[:2], columns[3]))
+        rows = sorted(range(len(keys)), key=keys.__getitem__)
+        ordered = [list(map(column.__getitem__, rows)) for column in columns]
+        firsts, heads = _runs(*ordered[:2])
+    team = ordered[2]
+    try:
+        seasons = [(*head, *config.levels_for(*head)) for head in heads]
+    except ConfigError:
+        seasons = None
+    tables = map(team.__getitem__, map(slice, firsts, firsts[1:]))
+    if seasons is not None and sum(map(len, map(set, tables))) == len(team):
+        try:
+            return league_seasons(seasons, *ordered[2:])
+        except InputError:
+            pass  # named with its line below
+    return _season_by_season(path, text, config, *columns)
+
+
+def _runs(country: list[str], season: list[int]) -> tuple[list[int], list[tuple[str, int, int]]]:
+    """The first row of each run of rows of one (country, season), then the
+    number of rows; and each run's (country, season, number of rows)."""
+    changes = map(or_, map(ne, country[1:], country), map(ne, season[1:], season))
+    firsts = [0, *compress(range(1, len(season)), changes), len(season)]
+    starts = firsts[:-1]
+    heads = zip(map(country.__getitem__, starts), map(season.__getitem__, starts))
+    return firsts, [(*head, b - a) for head, a, b in zip(heads, starts, firsts[1:])]
+
+
+def _table_ranks(heads) -> list[int]:
+    """The ranks 1 to n of each season in ``heads``, whose third fields are the n."""
+    return list(chain.from_iterable(map(range, repeat(1), [head[2] + 1 for head in heads])))
+
+
+def _season_by_season(
+    path: str, text: str, config: Config, country, season, *fields
+) -> list[LeagueSeason]:
+    """``parse_league_csv`` one season at a time, in (country, season)
+    order, from row columns in file order: the first bad season raises its
+    error, with the line of its first row."""
     records = list(map(TeamSeasonRecord, *fields))
     groups: dict[tuple[str, int], list[int]] = {}
     for row, key in enumerate(zip(country, season)):

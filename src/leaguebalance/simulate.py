@@ -13,26 +13,32 @@ checked against the truth.
 from __future__ import annotations
 
 import math
+from operator import itemgetter, neg
 
 import numpy as np
 
-from .catalog import IndexValue
+from .catalog import IndexValue, index_values
 from .errors import InputError
-from .panel import D97_CUTOFF, LeagueSeason, MacroObservation, TeamSeasonRecord
+from .panel import D97_CUTOFF, LeagueSeason, MacroObservation, league_seasons
 from .record import Record
 
 
 MAX_TEAMS = 1000  # a season holds O(n_teams**2) arrays: about 8 MB each at 1000
+# Seasons are scored in blocks whose arrays hold at most this many matches,
+# 64 KiB each, or one season where a season has more.
+_BLOCK_MATCHES = 8192
 # The DGP's quadratic trend carries log attendance to about 447 at 5000
 # seasons and past exp's range (709.8) near 6500.
 MAX_DGP_SEASONS = 5000
+MAX_SEASONS = MAX_DGP_SEASONS  # a simulated league spans at most the DGP's seasons
 MAX_DGP_COUNTRIES = 1000  # the countries' error covariance is n x n: 8 MB at 1000
 
 
 class LeagueSimParams(Record):
     """Shape of a simulated league.  The class attributes are the defaults,
     which ``simulate-league`` reads for the options it was not given;
-    ``n_teams`` runs from 3 to ``MAX_TEAMS``."""
+    ``n_teams`` runs from 3 to ``MAX_TEAMS`` and ``n_seasons`` from 1 to
+    ``MAX_SEASONS``."""
 
     n_teams = 12
     n_seasons = 10
@@ -70,6 +76,8 @@ class LeagueSimParams(Record):
             raise InputError(f"n_teams must be <= {MAX_TEAMS}")
         if self.n_seasons < 1:
             raise InputError("n_seasons must be >= 1")
+        if self.n_seasons > MAX_SEASONS:
+            raise InputError(f"n_seasons must be <= {MAX_SEASONS}")
         if not self.dispersion >= 0:  # NaN too
             raise InputError("dispersion must be >= 0")
         if not (0 <= self.churn <= self.n_teams // 2):
@@ -89,7 +97,8 @@ def simulate_league(params: LeagueSimParams, seed: int = 0) -> list[LeagueSeason
     plays its n(n-1) matches, home slot i against away slot j != i in
     row-major order, on one uniform draw each from the generator seeded
     ``[seed, season index]``; at theta = inf no draw is made and the
-    stronger side wins.
+    stronger side wins.  Seasons are scored in blocks of at most
+    ``_BLOCK_MATCHES`` matches, or one season where a season has more.
     """
     n = params.n_teams
     strength = (n - 1.0 - np.arange(n)) / (n - 1.0)
@@ -102,26 +111,44 @@ def simulate_league(params: LeagueSimParams, seed: int = 0) -> list[LeagueSeason
     # a match counts in cell 3 * slot + result of both its slots, result 0, 1
     # or 2 = W, D or L; the away side's result is 2 minus the home side's
     cells = np.concatenate((3 * home, 3 * away + 2))
+    per_block = max(1, _BLOCK_MATCHES // d.size)
     teams = [f"T{i:02d}" for i in range(n)]  # the team in each slot
-    out: list[LeagueSeason] = []
+    heads = []
+    columns = ([], [], [], [], [])  # team, wins, draws, losses, points in table order
 
-    for s_idx in range(params.n_seasons):
-        # theta = inf: thresholds 0 and 0 or 1, so u = 0 lets the stronger side win
-        u = 0.0 if math.isinf(theta) else np.random.default_rng([seed, s_idx]).random(d.size)
-        result = np.where(u < p_draw, 1, np.where(u < home_cut, 0, 2))  # the home side's
-        counts = np.bincount(cells + np.concatenate((result, -result)), minlength=3 * n)
-        wins, draws, losses = counts.reshape(n, 3).T.tolist()
-        points = [2 * w + dr for w, dr in zip(wins, draws)]
-        order = sorted(range(n), key=lambda i: (-points[i], teams[i]))
-        records = tuple(
-            TeamSeasonRecord(teams[i], r + 1, wins[i], draws[i], losses[i], points[i])
-            for r, i in enumerate(order)
-        )
-        season = params.start_season + s_idx
-        out.append(LeagueSeason(params.country, season, records, K=params.K, I=params.I))
-        for k, i in enumerate(order[n - params.churn :]):
-            teams[i] = f"N{s_idx * params.churn + k:03d}"
-    return out
+    for first in range(0, params.n_seasons, per_block):
+        block = range(first, min(first + per_block, params.n_seasons))
+        counts = _play(block, seed, theta, p_draw, home_cut, cells, n)
+        points = 2 * counts[..., 0] + counts[..., 1]
+        wins, draws, losses = counts.transpose(2, 0, 1).tolist()
+        for s_idx, *season in zip(block, wins, draws, losses, points.tolist()):
+            order = sorted(range(n), key=list(zip(map(neg, season[3]), teams)).__getitem__)
+            table = itemgetter(*order)
+            for column, values in zip(columns, (teams, *season)):
+                column.extend(table(values))
+            heads.append((params.country, params.start_season + s_idx, n, params.K, params.I))
+            for k, i in enumerate(order[n - params.churn :]):
+                teams[i] = f"N{s_idx * params.churn + k:03d}"
+    ranks = list(range(1, n + 1)) * len(heads)
+    return league_seasons(heads, columns[0], ranks, *columns[1:])
+
+
+def _play(block: range, seed: int, theta: float, p_draw, home_cut, cells, n: int) -> np.ndarray:
+    """The (seasons, n, 3) counts of wins, draws and losses by slot of the
+    seasons in ``block``, from ``simulate_league``'s thresholds and cells.
+    Its arrays die when it returns, so no two blocks' arrays are alive at
+    once: at 1 000 teams each holds a whole season."""
+    # theta = inf: thresholds 0 and 0 or 1, so u = 0 lets the stronger side win
+    u = np.zeros((len(block), p_draw.size))
+    if not math.isinf(theta):
+        for row, s_idx in zip(u, block):
+            np.random.default_rng([seed, s_idx]).random(out=row)
+    # the home side's result: D below p_draw, W below home_cut (>= p_draw), else L
+    result = np.where(u < p_draw, 1, 2 * (u >= home_cut))
+    codes = np.concatenate((result, -result), axis=1)
+    codes += cells
+    codes += 3 * n * np.arange(len(block))[:, None]  # season k of the block: cells 3 n k on
+    return np.bincount(codes.ravel(), minlength=3 * n * len(block)).reshape(-1, n, 3)
 
 
 # The simulated equation's coefficients, keyed by the design column each one
@@ -235,21 +262,13 @@ def simulate_dgp(params: DgpParams | None = None, seed: int = 0) -> DgpSimulatio
 
     b_att, b_d_att = COEFFICIENTS["ln_att_lag1"], COEFFICIENTS["d_ln_att_lag1"]
     macro: list[MacroObservation] = []
-    indices: list[IndexValue] = []
+    cb: list[float] = []  # the index value of each macro row
     for ci, country in enumerate(params.countries):
         rng = np.random.default_rng([seed, 1 + ci])
-        ln_cb = np.empty(total)
-        ln_cb[0] = _MU_CB
-        for t in range(1, total):
-            ln_cb[t] = _MU_CB + 0.5 * (ln_cb[t - 1] - _MU_CB) + 0.15 * rng.standard_normal()
-        ln_cb = np.minimum(ln_cb, -0.01)
-
+        ln_cb = np.minimum(_ar1(rng, total, _MU_CB, 0.5, 0.15), -0.01)
         ln_pop = math.log(4e6 * (ci + 1)) + np.cumsum(0.005 + 0.004 * rng.standard_normal(total))
         ln_rgni = math.log(8e3) + np.cumsum(0.01 + 0.015 * rng.standard_normal(total))
-        ln_un = np.empty(total)
-        ln_un[0] = _MU_UN
-        for t in range(1, total):
-            ln_un[t] = _MU_UN + 0.8 * (ln_un[t - 1] - _MU_UN) + 0.1 * rng.standard_normal()
+        ln_un = _ar1(rng, total, _MU_UN, 0.8, 0.1)
         series = (ln_cb, ln_pop, ln_rgni, ln_un)
 
         # intercept pinning the initial steady state near the target attendance
@@ -276,8 +295,17 @@ def simulate_dgp(params: DgpParams | None = None, seed: int = 0) -> DgpSimulatio
             y.append(y[-1] + dy)
 
         for j in range(_BURN_IN, total):
-            season = int(seasons[j])
             levels = (y[j], ln_pop[j], ln_rgni[j], ln_un[j])
-            macro.append(MacroObservation(country, season, *map(math.exp, levels)))
-            indices.append(IndexValue(_INDEX_NAME, country, season, math.exp(ln_cb[j])))
-    return DgpSimulation(macro=macro, indices=indices)
+            macro.append(MacroObservation(country, int(seasons[j]), *map(math.exp, levels)))
+        cb += map(math.exp, ln_cb[_BURN_IN:].tolist())
+    keys = ([m.country for m in macro], [m.season for m in macro])
+    return DgpSimulation(macro=macro, indices=index_values([_INDEX_NAME] * len(cb), *keys, cb))
+
+
+def _ar1(rng: np.random.Generator, total: int, mu: float, rho: float, sd: float) -> np.ndarray:
+    """``total`` values of an AR(1) series that starts at its mean ``mu``:
+    x_t = mu + rho (x_{t-1} - mu) + sd z_t, one standard normal draw per step."""
+    x = [mu]
+    for z in rng.standard_normal(total - 1).tolist():
+        x.append(mu + rho * (x[-1] - mu) + sd * z)
+    return np.array(x)

@@ -43,6 +43,7 @@ from leaguebalance.panel import (
 )
 from leaguebalance.pipeline import GDiagnostic
 from leaguebalance.seasonal import IncompleteScheduleWarning, IndexRangeWarning, cu_percentages
+from leaguebalance.simulate import LeagueSimParams, simulate_league
 
 HOME, DRAW, AWAY = 0, 1, 2
 
@@ -239,6 +240,23 @@ def simulate_league_reference(params, seed: int = 0) -> list[LeagueSeason]:
             strength[new_team] = strength.pop(t)
             teams[teams.index(t)] = new_team
     return out
+
+
+def bench_leagues(shape: str, seed: int) -> list[LeagueSeason]:
+    """The league set of the benchmark's fit workloads for a workload seed:
+    8 countries x 50 seasons x 18 teams (``uniform``), or 8 countries that
+    enter 4 seasons apart with 12-19 teams (``staggered``), up to 2008."""
+    leagues = []
+    for i in range(8):
+        late = 4 * i if shape == "staggered" else 0
+        teams = 12 + i if shape == "staggered" else 18
+        params = LeagueSimParams(
+            n_teams=teams, n_seasons=50 - late, dispersion=2.0, country=f"C{i + 1}",
+            start_season=1959 + late, churn=3,
+        )
+        country_seed = int(np.random.SeedSequence([seed, 1, i]).generate_state(1)[0])
+        leagues.extend(simulate_league(params, seed=country_seed))
+    return leagues
 
 
 def fit_from_residuals(resid_by_country: dict[str, np.ndarray], years_by_country=None) -> FitResult:

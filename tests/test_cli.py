@@ -832,18 +832,57 @@ class TestSimulateCommand:
         "argv",
         [
             ("simulate-league", "--n-teams", 2),
+            # one more than MAX_SEASONS, and a count that would run out of memory
+            ("simulate-league", "--n-seasons", 5_001),
+            ("simulate-league", "--n-seasons", 10**9),
             ("simulate-dgp", "--n-countries", 0),
             # the trend would carry log attendance past exp's range
             ("simulate-dgp", "--n-seasons", 10_000),
             # one more than MAX_DGP_COUNTRIES: the error covariance is n x n
             ("simulate-dgp", "--n-countries", 1_001),
         ],
-        ids=["league", "dgp", "dgp_seasons", "dgp_countries"],
+        ids=[
+            "league", "league_seasons", "league_seasons_huge", "dgp", "dgp_seasons",
+            "dgp_countries",
+        ],
     )
     def test_rejected_parameters_create_no_out_dir(self, tmp_path, argv):
         out = tmp_path / "d"
         assert run(*argv, "--out-dir", out) == 2
         assert not out.exists()
+
+    # sha256 of each simulated file: a changed byte anywhere changes every
+    # input that is simulated from a seed
+    PINNED = {
+        ("simulate-league", "--n-teams", 18, "--n-seasons", 50, "--churn", 3, "--country", "C1",
+         "--start-season", 1959, "--seed", 1): {
+            "league.csv": "3f367d9aa9ad17c6d4e450972fe7a95777c39d701bd9b82805cc6a96f37efb33",
+        },
+        ("simulate-league", "--n-teams", 40, "--n-seasons", 12, "--dispersion", 0.7,
+         "--churn", 5, "--seed", 7): {
+            "league.csv": "4a12ff5c6cbfaf2024ebb66e530af8fd4b59a40e769f38d5495fa559b5f8f175",
+        },
+        ("simulate-dgp", "--seed", 1): {
+            "indices.csv": "e41ea19b59f776731e2637c8370d9459aebd92b340d8f07a259f890fb15a3820",
+            "macro.csv": "878f96417fcb8dc30d9caab776754fdb373ceb89ad9bfcd7e7436f3f2bfb0e46",
+            "truth.json": "73b36178a39e3411019fc0d0b283e1070fd8dd7160e7e5b0444512082da42570",
+        },
+        ("simulate-dgp", "--n-countries", 3, "--start-season", 1970, "--n-seasons", 40,
+         "--seed", 9): {
+            "indices.csv": "c3628004755c232418b0e0535ce1fce79ea6a0335977d996c886d3b073e91ec3",
+            "macro.csv": "c87b60e5502bcaf9b8b00f99b693f96dad68a68d01bffe0c449e3da266ca7b6b",
+            "truth.json": "73b36178a39e3411019fc0d0b283e1070fd8dd7160e7e5b0444512082da42570",
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "argv", list(PINNED), ids=["league_2_blocks", "league_3_blocks", "dgp", "dgp_short"]
+    )
+    def test_simulated_files_keep_their_bytes(self, tmp_path, argv):
+        out = tmp_path / "sim"
+        assert run(*argv, "--out-dir", out) == 0
+        files = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert {name: sha256_file(out / name) for name in files} == self.PINNED[argv]
 
     def test_dgp_honours_start_season(self, tmp_path):
         out = tmp_path / "dgp"

@@ -18,12 +18,17 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import leaguebalance
 from leaguebalance.catalog import ALL_INDEX_NAMES
 from leaguebalance.cli import _write_league_csv, _write_macro_csv, main
+from leaguebalance.panel import INDEX_COLUMNS
+from leaguebalance.pipeline import compute_all_indices
+from leaguebalance.reports import write_csv
 from leaguebalance.simulate import DgpParams, LeagueSimParams, simulate_dgp, simulate_league
+from support import bench_leagues
 
 COUNTRIES = ("C1", "C2", "C3")
 FITTED = [name for name in ALL_INDEX_NAMES if name != "dn_i"]
@@ -189,3 +194,50 @@ def test_report_whose_effects_fail_keeps_the_fit_files(zero_panel, tmp_path):
     assert fit_files(out, "namsi") == fit_files(tmp_path / "namsi", "namsi")
     written = sorted(out / f"fit_{name}{s}" for name in FITTED for s in FIT_SUFFIXES)
     assert sorted(out.glob("fit_*")) == written
+
+
+@pytest.fixture(scope="module")
+def bench_fit_inputs(tmp_path_factory):
+    """The inputs of the benchmark's fit-paper workload at seed 1: 8 countries
+    x 50 seasons x 18 teams, and an indices.csv of the 16 indices other
+    than g, whose dn1 is 0.0 for (C2, 1964) and dn_i for (C1, 1968)."""
+    root = tmp_path_factory.mktemp("fit_paper")
+    leagues = bench_leagues("uniform", 1)
+    countries = tuple(f"C{i + 1}" for i in range(8))
+    dgp_seed = int(np.random.SeedSequence([1, 2]).generate_state(1)[0])
+    dgp = simulate_dgp(DgpParams(countries=countries), seed=dgp_seed)
+    values, _ = compute_all_indices(leagues, names=[n for n in ALL_INDEX_NAMES if n != "g"])
+    _write_macro_csv(root / "macro.csv", dgp.macro)
+    write_csv(root / "indices.csv", INDEX_COLUMNS,
+              [(v.country, v.season, v.name, v.value) for v in values])
+    return {"macro": root / "macro.csv", "indices": root / "indices.csv"}
+
+
+def test_all_from_an_indices_file_fits_the_indices_it_holds(bench_fit_inputs, tmp_path):
+    source = ["--macro", bench_fit_inputs["macro"], "--indices", bench_fit_inputs["indices"]]
+    out = tmp_path / "all"
+    code, stdout, stderr = run("fit", *source, "--index", "all", "--iterate-sur", "--out-dir", out)
+    held = [name for name in ALL_INDEX_NAMES if name != "g"]
+    fitted = [name for name in held if name not in ("dn1", "dn_i")]
+    assert code == 5
+    assert stderr == "fit failed for dn1, dn_i; see fit_status.csv\n"
+    assert stdout == f"fitted 14 model(s): {', '.join(fitted)}\n"
+    rows = read_rows(out / "fit_status.csv")
+    assert [row["index"] for row in rows] == held
+    assert {row["index"]: row["message"] for row in rows if row["status"] == "failed"} == {
+        "dn1": "log-domain error: index 'dn1' is 0.0 for (C2, 1964)",
+        "dn_i": "log-domain error: index 'dn_i' is 0.0 for (C1, 1968)",
+    }
+    assert_manifest_lists_the_tree(out)
+
+
+def test_all_from_a_file_of_one_index_fits_that_index(bench_fit_inputs, tmp_path):
+    lines = bench_fit_inputs["indices"].read_text().splitlines(keepends=True)
+    indices = tmp_path / "indices.csv"
+    indices.write_text(lines[0] + "".join(line for line in lines if ",sdc_ki," in line))
+    argv = ["fit", "--macro", bench_fit_inputs["macro"], "--indices", indices]
+    assert run(*argv, "--index", "all", "--out-dir", tmp_path / "all") == (
+        0, "fitted 1 model(s): sdc_ki\n", ""
+    )
+    run(*argv, "--index", "sdc_ki", "--out-dir", tmp_path / "one")
+    assert tree(tmp_path / "all") == tree(tmp_path / "one")

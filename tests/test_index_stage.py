@@ -27,8 +27,7 @@ from leaguebalance.panel import (
     TeamSeasonRecord,
     winning_percentages,
 )
-from leaguebalance.simulate import LeagueSimParams, simulate_league
-from support import compute_all_indices_reference
+from support import bench_leagues, compute_all_indices_reference
 
 FIT_INDICES = tuple(name for name in ALL_INDEX_NAMES if name != "g")
 
@@ -230,23 +229,6 @@ def test_a_block_scores_each_row_as_one_row_blocks_do():
         assert whole.shape == (len(block),)
         rows = np.concatenate([fn(block[i : i + 1], *args) for i in range(len(block))])
         assert whole.tobytes() == rows.tobytes(), fn.__name__
-
-
-def bench_leagues(shape: str, seed: int) -> list[LeagueSeason]:
-    """The league set of the benchmark's fit workloads for a workload seed:
-    8 countries x 50 seasons x 18 teams (``uniform``), or 8 countries that
-    enter 4 seasons apart with 12-19 teams (``staggered``), up to 2008."""
-    leagues = []
-    for i in range(8):
-        late = 4 * i if shape == "staggered" else 0
-        teams = 12 + i if shape == "staggered" else 18
-        params = LeagueSimParams(
-            n_teams=teams, n_seasons=50 - late, dispersion=2.0, country=f"C{i + 1}",
-            start_season=1959 + late, churn=3,
-        )
-        country_seed = int(np.random.SeedSequence([seed, 1, i]).generate_state(1)[0])
-        leagues.extend(simulate_league(params, seed=country_seed))
-    return leagues
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from leaguebalance.panel import LEAGUE_COLUMNS, Config, parse_league_csv
+from leaguebalance.cli import _write_league_csv
+from leaguebalance.errors import ConfigError, InputError
+from leaguebalance.panel import LEAGUE_COLUMNS, Config, LevelsRule, parse_league_csv
 from support import (
     FILE_FAULTS,
     ODD_NAMES,
@@ -106,3 +108,72 @@ def test_league_reader_agrees_with_the_row_reader(scratch, case):
     expected = read_or_error(parse_league_csv_reference, scratch, config)
     event(outcome(expected))
     assert read_or_error(parse_league_csv, scratch, config) == expected
+
+
+def seasons_text(fault: str = "") -> str:
+    """Three four-team tables in the file order C2 1990, C1 1990, C1 1991,
+    the last with its rows out of rank order, and ``fault`` in it."""
+    table = [
+        ("A", 1, 5, 1, 0, 11), ("B", 2, 3, 1, 2, 7), ("C", 3, 2, 0, 4, 4), ("D", 4, 0, 2, 4, 2)
+    ]
+    rows = [[country, str(season), *map(str, table[i])]
+            for country, season, order in (("C2", 1990, (0, 1, 2, 3)),
+                                           ("C1", 1990, (0, 1, 2, 3)),
+                                           ("C1", 1991, (2, 0, 3, 1)))
+            for i in order]
+    last = rows[8:]  # C1 1991: C, A, D, B
+    if fault in ("rank_gap", "two_seasons"):
+        last[2][3] = "5"  # D ranked 5th
+    if fault == "duplicate_rank":
+        last[2][3] = "2"
+    if fault == "games":
+        last[1][6] = "1"  # A lost a game more than it played
+    if fault == "duplicate_team":
+        last[3][2] = "A"
+    if fault == "two_seasons":  # and a duplicate team in C2 1990, earlier in the file
+        rows[1][2] = "A"
+    return "".join(",".join(row) + "\n" for row in [LEAGUE_COLUMNS, *rows])
+
+
+LEVELS = Config(levels=(LevelsRule("C1", 1991, 1991, K=2, I=2),))
+
+
+@pytest.mark.parametrize(
+    "fault, config, error, message",
+    [
+        ("rank_gap", None, InputError,
+         "{path}:10: (C1, 1991): ranks are not a permutation of 1..4"),
+        ("duplicate_rank", None, InputError, "{path}:10: (C1, 1991): duplicate rank 2"),
+        ("games", None, InputError,
+         "{path}:10: (C1, 1991): inconsistent games played across teams: [6, 7]"),
+        ("duplicate_team", None, InputError, "{path}:10 (C1, 1991): duplicate team id"),
+        ("", LEVELS, ConfigError,
+         "levels rule for C1 1991-1991 has K+I=4 but the 1991 league has only 4 teams"),
+        # seasons fail in (country, season) order, not in file order
+        ("two_seasons", None, InputError,
+         "{path}:10: (C1, 1991): ranks are not a permutation of 1..4"),
+        ("duplicate_team", LEVELS, InputError, "{path}:10 (C1, 1991): duplicate team id"),
+    ],
+    ids=["rank_gap", "duplicate_rank", "games", "duplicate_team", "levels", "two_seasons",
+         "duplicate_team_and_levels"],
+)
+def test_a_bad_table_raises_the_error_of_its_season(tmp_path, fault, config, error, message):
+    path = tmp_path / "league.csv"
+    path.write_text(seasons_text(fault))
+    with pytest.raises(error) as exc:
+        parse_league_csv(str(path), config)
+    assert type(exc.value) is error
+    assert str(exc.value) == message.format(path=path)
+
+
+def test_tables_in_any_row_order_read_alike(tmp_path):
+    text = seasons_text()
+    lines = text.splitlines(keepends=True)
+    (tmp_path / "as_written.csv").write_text(text)
+    (tmp_path / "reversed.csv").write_text(lines[0] + "".join(reversed(lines[1:])))
+    read = [parse_league_csv(str(tmp_path / name)) for name in ("as_written.csv", "reversed.csv")]
+    _write_league_csv(tmp_path / "in_table_order.csv", read[0])  # read without a sort
+    read.append(parse_league_csv(str(tmp_path / "in_table_order.csv")))
+    assert read[0] == read[1] == read[2]
+    assert [(lg.country, lg.season) for lg in read[0]] == [("C1", 1990), ("C1", 1991), ("C2", 1990)]
+    assert [r.rank for r in read[0][1].records] == [1, 2, 3, 4]

@@ -16,6 +16,7 @@ from leaguebalance import (
     winning_percentages,
 )
 from leaguebalance.econometrics import RegressionSpec, build_adl_design
+from leaguebalance.panel import league_seasons
 from support import all_draw_season, cu_season, random_outcomes, season_from_outcomes
 
 LEAGUE_HEADER = "country,season,team,rank,wins,draws,losses,points\n"
@@ -221,3 +222,87 @@ class TestBuildPanel:
         assert panel.seasons.tolist() == list(range(1959, 2009))
         for name in ("ln_att", "ln_pop", "ln_rgni", "ln_un"):
             assert np.array_equal(np.isnan(getattr(panel, name)), ~panel.present), name
+
+
+# three final tables as league_seasons takes them: (country, season, n, K, I)
+# per season, then each season's n rows
+HEADS = [("A", 2000, 4, 1, 2), ("A", 2001, 4, 2, 1), ("B", 2000, 3, 1, 1)]
+ROWS = [
+    ("T1", 1, 5, 1, 0, 11), ("T2", 2, 3, 1, 2, 7), ("T3", 3, 2, 0, 4, 4), ("T4", 4, 0, 2, 4, 2),
+    ("T2", 1, 4, 2, 0, 10), ("T1", 2, 3, 1, 2, 7), ("T4", 3, 2, 1, 3, 5), ("T5", 4, 0, 2, 4, 2),
+    ("X", 1, 2, 2, 0, 6), ("Y", 2, 1, 2, 1, 4), ("Z", 3, 0, 2, 2, 2),
+]
+
+
+def columns(rows=ROWS):
+    return [list(column) for column in zip(*rows)]
+
+
+def constructed(heads=HEADS, rows=ROWS) -> list[LeagueSeason]:
+    out, first = [], 0
+    for country, season, n, K, I in heads:
+        records = tuple(TeamSeasonRecord(*row) for row in rows[first : first + n])
+        out.append(LeagueSeason(country, season, records, K=K, I=I))
+        first += n
+    return out
+
+
+class TestLeagueSeasons:
+    """``league_seasons`` builds from checked columns what ``LeagueSeason``
+    builds from records."""
+
+    def test_built_seasons_equal_constructed_ones(self):
+        built = league_seasons(HEADS, *columns())
+        reference = constructed()
+        assert built == reference
+        assert list(map(repr, built)) == list(map(repr, reference))
+        assert list(map(hash, built)) == list(map(hash, reference))
+        for lg, ref in zip(built, reference):
+            assert list(vars(lg)) == list(vars(ref)) == ["country", "season", "records", "K", "I"]
+            for rec, ref_rec in zip(lg.records, ref.records):
+                assert type(rec) is TeamSeasonRecord
+                assert list(vars(rec)) == list(vars(ref_rec))
+                assert repr(rec) == repr(ref_rec) and rec.games == ref_rec.games
+        with pytest.raises(AttributeError):
+            built[0].K = 2
+        with pytest.raises(AttributeError):
+            built[0].records[0].rank = 2
+
+    def test_checked_columns_make_no_season_one_at_a_time(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LeagueSeason.__init__ called")
+
+        monkeypatch.setattr(LeagueSeason, "__init__", refuse)
+        assert len(league_seasons(HEADS, *columns())) == 3
+
+    def test_no_seasons(self):
+        assert league_seasons([], [], [], [], [], [], []) == []
+
+    @pytest.mark.parametrize(
+        "head_edits, row_edits, message",
+        [
+            ({2: ("B", 2000, 3, 2, 1)}, {},
+             r"\(B, 2000\): invalid level structure K=2, I=1 for n=3"),
+            ({0: ("A", 2000, 4, 0, 2)}, {}, r"\(A, 2000\): invalid level structure K=0"),
+            ({}, {6: ROWS[7], 7: ROWS[6]},
+             r"\(A, 2001\): records must be sorted by rank ascending"),
+            ({}, {7: ("T5", 5, 0, 2, 4, 2)}, r"\(A, 2001\): ranks are not a permutation of 1..4"),
+            ({}, {7: ("T5", 3, 0, 2, 4, 2)}, r"\(A, 2001\): duplicate rank 3"),
+            ({}, {10: ("Z", 3, 0, 2, 3, 2)},
+             r"\(B, 2000\): inconsistent games played across teams: \[4, 5\]"),
+            ({}, {9: ("Y", 2, 1, 4, -1, 4)}, r"\(B, 2000\): negative W/D/L for team Y"),
+            ({2: ("B", 2000, 2, 1, 1)}, {10: None},
+             r"\(B, 2000\): league needs at least 3 teams, got 2"),
+        ],
+        ids=["levels", "zero_K", "rank_order", "rank_gap", "rank_twice", "games", "negative",
+             "small"],
+    )
+    def test_a_failed_check_raises_the_constructors_error(self, head_edits, row_edits, message):
+        heads = [head_edits.get(i, head) for i, head in enumerate(HEADS)]
+        rows = [row_edits.get(i, row) for i, row in enumerate(ROWS)]
+        rows = [row for row in rows if row is not None]  # None drops a row
+        with pytest.raises(InputError, match=message) as built:
+            league_seasons(heads, *columns(rows))
+        with pytest.raises(InputError) as reference:
+            constructed(heads, rows)
+        assert str(built.value) == str(reference.value)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from leaguebalance import InputError, winning_percentages
@@ -13,7 +13,9 @@ from leaguebalance.simulate import (
     LONG_RUN,
     MAX_DGP_COUNTRIES,
     MAX_DGP_SEASONS,
+    MAX_SEASONS,
     MAX_TEAMS,
+    _BLOCK_MATCHES,
     DgpParams,
     LeagueSimParams,
     simulate_dgp,
@@ -24,15 +26,23 @@ from support import dgp_design, simulate_league_reference
 
 @st.composite
 def league_params(draw) -> LeagueSimParams:
-    n = draw(st.integers(3, 24))
+    # a block holds 5 seasons of 40 teams and 6 of 36, so that 7 to 12
+    # seasons of 36 or more teams span two or three blocks
+    n = draw(st.integers(3, 24) | st.integers(36, 40))
     return LeagueSimParams(
         n_teams=n,
-        n_seasons=draw(st.integers(1, 4)),
+        n_seasons=draw(st.sampled_from(range(1, 13))),
         dispersion=draw(st.sampled_from([0.0, 0.3, 2.0, 7.3, 500.0, math.inf])),
         churn=draw(st.integers(0, n // 2)),
         K=1,
         I=1,
     )
+
+
+def blocks(params: LeagueSimParams) -> int:
+    """The number of blocks ``simulate_league`` scores the seasons in."""
+    per_block = max(1, _BLOCK_MATCHES // (params.n_teams * (params.n_teams - 1)))
+    return -(-params.n_seasons // per_block)
 
 
 class TestLeagueSimulation:
@@ -68,10 +78,27 @@ class TestLeagueSimulation:
         assert simulate_league(params, seed=11) == simulate_league(params, seed=11)
         assert simulate_league(params, seed=11) != simulate_league(params, seed=12)
 
-    @settings(max_examples=200, deadline=None)
+    @example(LeagueSimParams(n_teams=40, n_seasons=12, dispersion=0.0, churn=20, K=1, I=1), 3)
+    @example(LeagueSimParams(n_teams=40, n_seasons=11, dispersion=500.0, churn=7, K=1, I=1), 4)
+    @example(LeagueSimParams(n_teams=33, n_seasons=12, dispersion=math.inf, churn=1, K=1, I=1), 5)
+    @settings(max_examples=2 * settings.default.max_examples, deadline=None)
     @given(league_params(), st.integers(0, 2**32 - 1))
     def test_matches_the_per_match_reference(self, params, seed):
-        assert simulate_league(params, seed) == simulate_league_reference(params, seed)
+        event(f"{blocks(params)} block(s)")
+        leagues, reference = simulate_league(params, seed), simulate_league_reference(params, seed)
+        assert leagues == reference
+        assert list(map(repr, leagues)) == list(map(repr, reference))
+
+    def test_a_season_at_max_teams_is_one_block(self):
+        params = LeagueSimParams(n_teams=MAX_TEAMS, n_seasons=2, churn=1, K=1, I=1)
+        assert blocks(params) == 2
+        first, second = simulate_league(params, seed=6)
+        assert [first] == simulate_league(LeagueSimParams(**dict(vars(params), n_seasons=1)), 6)
+        for league in (first, second):
+            assert league.n == MAX_TEAMS
+            assert {r.games for r in league.records} == {2 * (MAX_TEAMS - 1)}
+            assert sum(r.wins for r in league.records) == sum(r.losses for r in league.records)
+        assert len(second.roster() - first.roster()) == 1
 
     @pytest.mark.parametrize("dispersion", [1e3, 1e308])
     @pytest.mark.parametrize("n_teams", [3, 12, 24])
@@ -96,6 +123,12 @@ class TestLeagueSimulation:
         assert LeagueSimParams(n_teams=MAX_TEAMS).n_teams == MAX_TEAMS
         with pytest.raises(InputError, match=f"n_teams must be <= {MAX_TEAMS}"):
             LeagueSimParams(n_teams=MAX_TEAMS + 1)
+        # as many seasons as the DGP's panel; 10**9 would end by running out of memory
+        assert MAX_SEASONS == MAX_DGP_SEASONS
+        assert LeagueSimParams(n_seasons=MAX_SEASONS).n_seasons == MAX_SEASONS
+        for n_seasons in (MAX_SEASONS + 1, 10**9):
+            with pytest.raises(InputError, match=f"n_seasons must be <= {MAX_SEASONS}"):
+                LeagueSimParams(n_seasons=n_seasons)
         with pytest.raises(InputError):
             LeagueSimParams(dispersion=-1.0)
         with pytest.raises(InputError):
